@@ -56,9 +56,6 @@ class TestabilityAnalysis:
     cc1: dict[int, int]
     co: dict[int, int]
 
-    def is_constant(self, nid: int) -> bool:
-        return nid in self.constants
-
     def is_observable(self, nid: int) -> bool:
         return nid in self.observable
 

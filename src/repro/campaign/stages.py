@@ -147,11 +147,6 @@ class CircuitContext:
             t for t in self.targets.values() if t.kind == OPERATOR_TARGET
         ]
 
-    def strategy_targets(self) -> list[Target]:
-        return [
-            t for t in self.targets.values() if t.kind == STRATEGY_TARGET
-        ]
-
 
 # -- registry ----------------------------------------------------------------
 

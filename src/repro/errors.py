@@ -89,10 +89,6 @@ class AtpgError(ReproError):
     """Deterministic test pattern generation failed."""
 
 
-class MutationError(ReproError):
-    """Mutant generation or execution failed."""
-
-
 class SamplingError(ReproError):
     """A mutant sampling strategy received invalid parameters."""
 

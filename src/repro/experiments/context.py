@@ -179,6 +179,9 @@ class CircuitLab:
     def all_mutants(self) -> list[Mutant]:
         if self._mutants is None:
             self._mutants = generate_mutants(self.design)
+            # Registers the population only: the schema compiles it on
+            # the engine's first execution, once for every later subset.
+            self.engine.cover(self._mutants)
         return self._mutants
 
     @property
@@ -190,6 +193,7 @@ class CircuitLab:
                 self.all_mutants,
                 budget=self.config.equivalence_budget,
                 seed=self.config.seed,
+                engine=self.engine,
             )
         return self._equivalence
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from repro.campaign.config import CampaignConfig
 from repro.campaign.runner import Campaign
 from repro.experiments.context import LabConfig, PAPER_CIRCUITS, PAPER_OPERATORS
-from repro.metrics.nlfce import NlfceReport
 
 
 @dataclass
@@ -36,23 +35,6 @@ class Table1Row:
     dl_pct: float
     nlfce: float
     reached_mfc: bool
-
-    @classmethod
-    def from_report(
-        cls, circuit: str, operator: str, mutants: int,
-        report: NlfceReport,
-    ) -> "Table1Row":
-        return cls(
-            circuit=circuit,
-            operator=operator,
-            mutants=mutants,
-            test_length=report.mutation_length,
-            mfc_pct=100.0 * report.mfc,
-            dfc_pct=report.delta_fc_pct,
-            dl_pct=report.delta_l_pct,
-            nlfce=report.nlfce,
-            reached_mfc=report.reached_mfc,
-        )
 
 
 @dataclass

@@ -98,12 +98,3 @@ def stmt_to_text(stmt: ast.Stmt, indent: int = 0) -> str:
         lines.append(f"{pad}end loop;")
         return "\n".join(lines)
     raise TypeError(f"cannot print {type(stmt).__name__}")
-
-
-def node_to_text(node: ast.Node) -> str:
-    """Render either an expression or a statement."""
-    if isinstance(node, ast.Expr):
-        return expr_to_text(node)
-    if isinstance(node, ast.Stmt):
-        return stmt_to_text(node)
-    raise TypeError(f"cannot print {type(node).__name__}")

@@ -101,9 +101,6 @@ class EnumType(HdlType):
     def compatible(self, other: HdlType) -> bool:
         return isinstance(other, EnumType) and other.name == self.name
 
-    def index_of(self, literal: str) -> int:
-        return self.literals.index(literal)
-
     @property
     def bit_width(self) -> int:
         return max((len(self.literals) - 1).bit_length(), 1)
@@ -131,7 +128,3 @@ def is_integer(ty: HdlType) -> bool:
 
 def is_boolean(ty: HdlType) -> bool:
     return isinstance(ty, BooleanType)
-
-
-def is_enum(ty: HdlType) -> bool:
-    return isinstance(ty, EnumType)

@@ -11,62 +11,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import MutantRuntimeError, OscillationError
-from repro.hdl import ast
 from repro.hdl.design import Design
 from repro.mutation.mutant import Mutant
-from repro.sim.interp import ExecContext
+from repro.sim.compiler import MutantSchema
+from repro.sim.interp import Evaluator
 from repro.sim.testbench import StimulusEncoder, Testbench
 
 
-class _SingleProcessCombRunner:
+def _comb_outputs(design: Design, executor):
     """Fast path for one-process combinational designs.
 
     Such a process reads only input ports (the synthesizable-comb
     discipline), so one execution per vector replaces the delta-cycle
-    scheduler: no per-vector signal-store rebuilds, no settle loops.
+    scheduler.  Returns ``outputs(values)`` for a full signal map;
+    variables persist across vectors, as across process activations.
     """
+    process = design.processes[0]
+    variables = {var.name: var.init for var in process.variables}
+    names = [port.name for port in design.output_ports]
+    events: frozenset[str] = frozenset()
 
-    def __init__(self, design: Design,
-                 patch: dict[int, ast.Node] | None, backend: str,
-                 cache=None):
-        self._design = design
-        self._process = design.processes[0]
-        if backend == "compiled":
-            from repro.sim.compiler import CompiledExecutor
-
-            self._executor = CompiledExecutor(design, patch, cache)
-        else:
-            from repro.sim.compiler import InterpretedExecutor
-
-            self._executor = InterpretedExecutor(design, patch)
-        self._defaults = {
-            symbol.name: symbol.init
-            for symbol in design.signal_like_symbols
-        }
-        self._variables = {
-            var.name: var.init for var in self._process.variables
-        }
-        self._output_names = [p.name for p in design.output_ports]
-
-    def outputs(self, stimulus: dict[str, object]) -> tuple:
-        values = dict(self._defaults)
-        values.update(stimulus)
+    def outputs(values: dict[str, object]) -> tuple:
         scheduled: dict[str, object] = {}
+        executor(process, values, variables, scheduled, events)
+        return tuple([
+            scheduled[name] if name in scheduled else values[name]
+            for name in names
+        ])
 
-        def schedule(name: str, value) -> None:
-            scheduled[name] = value
-
-        def schedule_base(name: str):
-            return scheduled.get(name, values[name])
-
-        ctx = ExecContext(
-            values.__getitem__, schedule, schedule_base,
-            self._variables, frozenset(),
-        )
-        self._executor.exec_process(self._process, ctx)
-        return tuple(
-            scheduled.get(name, values[name]) for name in self._output_names
-        )
+    return outputs
 
 
 def _can_fast_path(design: Design) -> bool:
@@ -104,21 +77,24 @@ TRIAGE_CATEGORIES = (
 
 
 class MutationEngine:
-    """Runs mutants of one design against packed stimulus sequences."""
+    """Runs mutants of one design against packed stimulus sequences.
+
+    ``backend="compiled"`` runs every mutant as a slot of the engine's
+    :class:`~repro.sim.compiler.MutantSchema`; ``"interp"`` runs the
+    reference interpreter.
+    """
 
     def __init__(self, design: Design, max_delta: int = 256,
                  backend: str = "compiled"):
         self._design = design
         self._encoder = StimulusEncoder(design)
         self._max_delta = max_delta
-        self._backend = backend
         self._fast = _can_fast_path(design)
-        if backend == "compiled":
-            from repro.sim.compiler import CompileCache
-
-            self._cache = CompileCache()
-        else:
-            self._cache = None
+        self._schema = MutantSchema(design) if backend == "compiled" else None
+        self._defaults = {
+            symbol.name: symbol.init for symbol in design.signal_like_symbols
+        }
+        self._memo: tuple | None = None
 
     @property
     def design(self) -> Design:
@@ -131,23 +107,48 @@ class MutationEngine:
     def decode_all(self, stimuli: list[int]) -> list[dict[str, object]]:
         return [self._encoder.decode(packed) for packed in stimuli]
 
+    def cover(self, mutants: list[Mutant]) -> None:
+        """Add ``mutants`` to the schema, compiled at the next execution
+        (sweeps cover first: one compile per population, not mutant)."""
+        if self._schema is not None:
+            self._schema.cover(mutant.patch() for mutant in mutants)
+
+    def executor(self, mutant: Mutant | None = None):
+        """The process executor running ``mutant`` (None: the original)."""
+        patch = None if mutant is None else mutant.patch()
+        if self._schema is None:
+            return Evaluator(patch).exec_process
+        return self._schema.executor(patch)
+
+    def testbench(self, mutant: Mutant | None = None) -> Testbench:
+        """A (not yet reset) bench running ``mutant`` on this engine."""
+        return Testbench(
+            self._design, max_delta=self._max_delta,
+            executor=self.executor(mutant),
+        )
+
+    def _stimuli(self, stimuli: list[int]) -> tuple[list, list]:
+        """``(decoded stimuli, fast-path signal maps)``, memoized for the
+        last list: sweeps run every mutant against the same one."""
+        key = tuple(stimuli)
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            decoded = self.decode_all(stimuli)
+            rows = decoded
+            if self._fast:
+                rows = [{**self._defaults, **stim} for stim in decoded]
+            memo = self._memo = (key, decoded, rows)
+        return memo[1], memo[2]
+
     def reference_outputs(self, stimuli: list[int]) -> list[tuple]:
         """Original-design responses (no patch)."""
+        decoded, rows = self._stimuli(stimuli)
         if self._fast:
-            runner = _SingleProcessCombRunner(
-                self._design, None, self._backend, self._cache
-            )
-            return [
-                runner.outputs(stimulus)
-                for stimulus in self.decode_all(stimuli)
-            ]
-        bench = Testbench(
-            self._design, max_delta=self._max_delta,
-            backend=self._backend,
-        )
-        return bench.run_sequence(self.decode_all(stimuli))
+            outputs = _comb_outputs(self._design, self.executor())
+            return [outputs(values) for values in rows]
+        return self.testbench().run_sequence(decoded)
 
-    def _fresh_bench(self, patch) -> tuple[Testbench, tuple]:
+    def _fresh_bench(self, mutant: Mutant | None) -> tuple[Testbench, tuple]:
         """A reset bench plus its pristine state checkpoint.
 
         Combinational vectors are independent by definition, but a
@@ -157,10 +158,7 @@ class MutationEngine:
         per-vector semantics the fast path has (fresh evaluation), at a
         state-copy rather than bench-construction price.
         """
-        bench = Testbench(
-            self._design, patch, max_delta=self._max_delta,
-            backend=self._backend,
-        )
+        bench = self.testbench(mutant)
         bench.reset()
         return bench, bench.save_state()
 
@@ -178,19 +176,17 @@ class MutationEngine:
         """
         if reference is None:
             reference = self.reference_outputs(stimuli)
-        decoded = self.decode_all(stimuli)
+        decoded, rows = self._stimuli(stimuli)
         try:
             if self._fast:
-                runner = _SingleProcessCombRunner(
-                    self._design, mutant.patch(), self._backend, self._cache
-                )
-                for cycle, stimulus in enumerate(decoded):
-                    if runner.outputs(stimulus) != reference[cycle]:
+                outputs = _comb_outputs(self._design, self.executor(mutant))
+                for cycle, values in enumerate(rows):
+                    if outputs(values) != reference[cycle]:
                         return KillRecord(
                             mutant.mid, True, cycle, "output-diff"
                         )
                 return KillRecord(mutant.mid, False, None, "survived")
-            bench, pristine = self._fresh_bench(mutant.patch())
+            bench, pristine = self._fresh_bench(mutant)
             sequential = self._design.is_sequential
             for cycle, stimulus in enumerate(decoded):
                 if not sequential:
@@ -210,6 +206,7 @@ class MutationEngine:
         stimuli: list[int],
         reference: list[tuple] | None = None,
     ) -> list[KillRecord]:
+        self.cover(mutants)
         if reference is None:
             reference = self.reference_outputs(stimuli)
         return [
@@ -249,7 +246,7 @@ class MutationEngine:
         survivor's triage; combinational designs restore the pristine
         checkpoint before each vector, matching :meth:`run_mutant`.
         """
-        decoded = self.decode_all(stimuli)
+        decoded, _ = self._stimuli(stimuli)
         bench, pristine = self._fresh_bench(None)
         sequential = self._design.is_sequential
         trace: list[tuple] = []
@@ -280,9 +277,9 @@ class MutationEngine:
         """
         if trace is None:
             trace = self.reference_state_trace(stimuli)
-        decoded = self.decode_all(stimuli)
+        decoded, _ = self._stimuli(stimuli)
         try:
-            bench, pristine = self._fresh_bench(mutant.patch())
+            bench, pristine = self._fresh_bench(mutant)
         except (MutantRuntimeError, OscillationError):
             # Initialization itself misbehaves — internal activation
             # without an output kill (or this would not be a survivor).
@@ -306,6 +303,7 @@ class MutationEngine:
         """Triage categories for a batch of survivors (shared trace)."""
         if not mutants:
             return {}
+        self.cover(mutants)
         trace = self.reference_state_trace(stimuli)
         return {
             mutant.mid: self.triage_survivor(mutant, stimuli, trace)
@@ -323,19 +321,18 @@ class MutationEngine:
         Every vector is independent (no state), so the whole matrix
         comes from one pass per mutant over the candidate list.
         """
+        self.cover(mutants)
         if reference is None:
             reference = self.reference_outputs(vectors)
-        decoded = self.decode_all(vectors)
+        decoded, rows = self._stimuli(vectors)
         matrix: dict[int, set[int]] = {}
         if self._fast:
             for mutant in mutants:
                 kills: set[int] = set()
-                runner = _SingleProcessCombRunner(
-                    self._design, mutant.patch(), self._backend, self._cache
-                )
-                for index, stimulus in enumerate(decoded):
+                outputs = _comb_outputs(self._design, self.executor(mutant))
+                for index, values in enumerate(rows):
                     try:
-                        if runner.outputs(stimulus) != reference[index]:
+                        if outputs(values) != reference[index]:
                             kills.add(index)
                     except (MutantRuntimeError, OscillationError):
                         kills.add(index)
@@ -344,7 +341,7 @@ class MutationEngine:
         for mutant in mutants:
             kills: set[int] = set()
             try:
-                bench, pristine = self._fresh_bench(mutant.patch())
+                bench, pristine = self._fresh_bench(mutant)
             except (MutantRuntimeError, OscillationError):
                 # Initialization itself misbehaves: observably different
                 # on every vector.
@@ -359,6 +356,6 @@ class MutationEngine:
                     # The erroring vector observably differs; a fresh
                     # bench continues the sweep for the remaining ones.
                     kills.add(index)
-                    bench, pristine = self._fresh_bench(mutant.patch())
+                    bench, pristine = self._fresh_bench(mutant)
             matrix[mutant.mid] = kills
         return matrix

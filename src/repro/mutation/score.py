@@ -100,10 +100,15 @@ def estimate_equivalents(
     mutants: list[Mutant],
     budget: int = 512,
     seed: int = 20050307,
+    engine: MutationEngine | None = None,
 ) -> EquivalenceAnalysis:
-    """Classify mutants that the budgeted campaign never kills."""
+    """Classify mutants that the budgeted campaign never kills.
+
+    Pass the caller's ``engine`` to share its compiled mutant schema.
+    """
     stimuli, exhaustive = equivalence_stimuli(design, budget, seed)
-    engine = MutationEngine(design)
+    engine = engine or MutationEngine(design)
+    engine.cover(mutants)
     reference = engine.reference_outputs(stimuli)
     survivors: set[int] = set()
     kill_cycle: dict[int, int | None] = {}

@@ -279,9 +279,6 @@ class NetlistBuilder:
     def reduce_tree_or(self, bits: list[int]) -> int:
         return self.reduce_tree(GateType.OR, bits)
 
-    def reduce_tree_xor(self, bits: list[int]) -> int:
-        return self.reduce_tree(GateType.XOR, bits)
-
     def reduce_tree(self, gate_type: GateType, bits: list[int]) -> int:
         """Balanced reduction (AND/OR/XOR) over ``bits``."""
         if not bits:

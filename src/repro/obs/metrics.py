@@ -47,7 +47,8 @@ _INF = "inf"
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 
-def estimate_quantiles(buckets: dict, qs=QUANTILES) -> dict:
+def estimate_quantiles(buckets: dict, qs=QUANTILES, low=None,
+                       high=None) -> dict:
     """Upper-edge interpolated quantile estimates for a bucket map.
 
     ``buckets`` is the snapshot shape: ``{edge_key: count}`` with the
@@ -56,6 +57,7 @@ def estimate_quantiles(buckets: dict, qs=QUANTILES) -> dict:
     edge (0.0 below the first) and the bucket's upper edge.  Ranks
     landing in the overflow bucket report the largest finite edge —
     a deliberate lower bound, since the overflow has no upper edge.
+    Estimates are clamped to the observed ``low``/``high`` when known.
     Returns ``{}`` for empty or unparseable bucket maps.
     """
     edges: list[tuple[float, int]] = []
@@ -89,6 +91,8 @@ def estimate_quantiles(buckets: dict, qs=QUANTILES) -> dict:
                 break
             seen += n
             lower = edge
+        if low is not None and high is not None:
+            value = min(max(value, low), high)
         out[label] = value
     return out
 
@@ -102,7 +106,8 @@ class Metrics:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
-        #: name -> {"count": int, "sum": float, "buckets": {edge: int}}
+        #: name -> {"count", "sum", "min", "max", "buckets": {edge: int}}
+        #: (min/max None: empty, or merged from snapshots without them).
         self._histograms: dict[str, dict] = {}
 
     # -- instruments ---------------------------------------------------------
@@ -129,8 +134,8 @@ class Metrics:
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = {"count": 0, "sum": 0.0, "buckets": {}}
-                self._histograms[name] = hist
+                hist = self._histograms[name] = _empty_histogram()
+            _fold_bounds(hist, 1, value, value)
             hist["count"] += 1
             hist["sum"] += value
             hist["buckets"][key] = hist["buckets"].get(key, 0) + 1
@@ -150,7 +155,8 @@ class Metrics:
         """The whole registry as a plain JSON-native dict.
 
         Each histogram additionally carries ``"quantiles"`` — p50/p95/
-        p99 estimates interpolated from the bucket edges.  They are
+        p99 estimates interpolated from the bucket edges and clamped to
+        the observed ``"min"``/``"max"`` (present when known).  They are
         derived data: :meth:`merge` ignores them and recomputes from
         the summed buckets, so quantiles never skew across workers.
         """
@@ -159,12 +165,7 @@ class Metrics:
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
                 "histograms": {
-                    name: {
-                        "count": hist["count"],
-                        "sum": hist["sum"],
-                        "buckets": dict(hist["buckets"]),
-                        "quantiles": estimate_quantiles(hist["buckets"]),
-                    }
+                    name: _histogram_snapshot(hist)
                     for name, hist in self._histograms.items()
                 },
             }
@@ -172,13 +173,14 @@ class Metrics:
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
 
-        Counters and histogram buckets sum (key union); gauges
-        overwrite; derived ``"quantiles"`` entries are ignored (they
-        are recomputed at the next snapshot).  Tolerates partial
-        snapshots (missing sections) and skips individually corrupt
-        entries — a worker envelope mangled in transit must never
-        take the parent registry down, so every unparseable value is
-        dropped and counted under ``metrics.merge_skipped``.
+        Counters and histogram buckets sum (key union) and histogram
+        min/max fold associatively; gauges overwrite; derived
+        ``"quantiles"`` entries are ignored (they are recomputed at the
+        next snapshot).  Tolerates partial snapshots (missing sections)
+        and skips individually corrupt entries — a worker envelope
+        mangled in transit must never take the parent registry down, so
+        every unparseable value is dropped and counted under
+        ``metrics.merge_skipped``.
         """
         if not isinstance(snapshot, dict):
             return
@@ -212,10 +214,14 @@ class Metrics:
                 merged = self._histograms.get(name)
                 fresh = merged is None
                 if fresh:
-                    merged = {"count": 0, "sum": 0.0, "buckets": {}}
+                    merged = _empty_histogram()
                 try:
                     count = int(incoming.get("count") or 0)
                     total = float(incoming.get("sum") or 0.0)
+                    low, high = (
+                        None if incoming.get(key) is None
+                        else float(incoming[key]) for key in ("min", "max")
+                    )
                     buckets = incoming.get("buckets") or {}
                     deltas = {
                         key: int(n) for key, n in buckets.items()
@@ -223,6 +229,7 @@ class Metrics:
                 except (TypeError, ValueError):
                     skipped += 1
                     continue
+                _fold_bounds(merged, count, low, high)
                 merged["count"] += count
                 merged["sum"] += total
                 for key, n in deltas.items():
@@ -239,6 +246,36 @@ class Metrics:
     def is_empty(self) -> bool:
         with self._lock:
             return not (self._counters or self._gauges or self._histograms)
+
+
+def _empty_histogram() -> dict:
+    return {"count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {}}
+
+
+def _fold_bounds(hist: dict, count: int, low, high) -> None:
+    """Fold ``count`` samples bounded by ``low``/``high`` into ``hist``.
+
+    A bound is unknown (None) once any contributing samples lacked
+    one, which keeps the fold associative and order-insensitive.
+    """
+    if not count:
+        return
+    if not hist["count"]:
+        hist["min"], hist["max"] = low, high
+    elif None in (low, high, hist["min"]):
+        hist["min"] = hist["max"] = None
+    else:
+        hist["min"] = min(hist["min"], low)
+        hist["max"] = max(hist["max"], high)
+
+
+def _histogram_snapshot(hist: dict) -> dict:
+    snap = {key: value for key, value in hist.items() if value is not None}
+    snap["buckets"] = dict(hist["buckets"])
+    snap["quantiles"] = estimate_quantiles(
+        hist["buckets"], low=hist["min"], high=hist["max"]
+    )
+    return snap
 
 
 def _edge_key(edge: float) -> str:

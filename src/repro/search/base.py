@@ -142,10 +142,6 @@ class SearchStrategy:
     def _uniform(self, rng) -> int:
         return rng.getrandbits(self._width)
 
-    def _round_rng(self) -> LabelledRandom:
-        """A fresh labelled stream for the current round."""
-        return spawn(self._rng, "round", str(self._round))
-
     def _individual_rng(self, index: int) -> LabelledRandom:
         """A fresh labelled stream for one individual of this round."""
         return spawn(self._rng, "round", str(self._round), "ind", str(index))

@@ -1,447 +1,172 @@
-"""Closure-compiling process executor.
+"""RTL mutant schema: every mutant of a design compiled into generated Python.
 
-Compiles (patched) process bodies into nested Python closures once, so
-mutant simulation pays no per-node dispatch or patch lookup at run time:
-
-* patches resolve at compile time (each mutant compiles its own view);
-* operators specialize on the statically checked operand types (a bit
-  ``and`` compiles to ``&``, a boolean one to ``and``);
-* assignment range checks compile to type-specific closures that raise
-  :class:`repro.errors.MutantRuntimeError` exactly like the interpreter.
-
-The interpreter (:mod:`repro.sim.interp`) remains the reference
-implementation; a property test pins the two to identical behaviour.
+Each mutant (a patch ``nid -> replacement``) of a :class:`MutantSchema`
+owns an integer slot, so an executor is just ``(functions, slot)``:
+nothing compiles per mutant or per call.  The interpreter
+(:mod:`repro.sim.interp`, ``backend="interp"``) is the reference
+semantics.  docs/API.md, "RTL mutant execution", describes the layout.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
-
+import itertools
+import threading
 from repro.errors import MutantRuntimeError, SimulationError
 from repro.hdl import ast
 from repro.hdl import types as ty
 from repro.hdl.design import Design, Process, SymbolKind
 from repro.hdl.values import BV
-from repro.sim.interp import ExecContext
-
-_ExprFn = Callable[[ExecContext], object]
-_StmtFn = Callable[[ExecContext], None]
-
-
-class CompileCache:
-    """Shares compiled statement closures across mutants of one design.
-
-    Closures are stateless (the context is an argument), so any mutant
-    whose patch does not touch a statement's subtree can reuse the
-    design-wide compilation of that statement.  Keys are node object
-    ids; the design AST outlives every executor, keeping ids stable.
-    """
-
-    def __init__(self) -> None:
-        self.stmt_fns: dict[int, _StmtFn] = {}
-        self.subtree_nids: dict[int, frozenset[int]] = {}
-
-    def nids_of(self, stmt: ast.Stmt) -> frozenset[int]:
-        key = id(stmt)
-        cached = self.subtree_nids.get(key)
-        if cached is None:
-            acc: set[int] = set()
-            _collect_nids(stmt, acc)
-            cached = frozenset(acc)
-            self.subtree_nids[key] = cached
-        return cached
+from repro.sim.interp import (
+    Evaluator,
+    _apply_logical,
+    _bit_offset,
+    _coerce,
+    _concat,
+    _mod,
+    _rem,
+)
 
 
-def _collect_nids(node: ast.Node, acc: set[int]) -> None:
-    acc.add(node.nid)
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        _collect_from(value, acc)
+def make_executor(design: Design, patch: dict[int, ast.Node] | None = None,
+                  backend: str = "compiled"):
+    """A one-off executor for ``patch``: a callable ``(process, values,
+    variables, scheduled, events)`` running one process activation."""
+    if backend == "compiled":
+        return MutantSchema(design).executor(patch)
+    if backend == "interp":
+        return Evaluator(patch).exec_process
+    raise SimulationError(f"unknown backend {backend!r}")
 
 
-def _collect_from(value, acc: set[int]) -> None:
-    if isinstance(value, ast.Node):
-        _collect_nids(value, acc)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _collect_from(item, acc)
+class MutantSchema:
+    """All covered mutants of one design, compiled into one program."""
 
+    def __init__(self, design: Design):
+        self._design = design
+        self._lock = threading.Lock()
+        self._slots: dict[tuple, int] = {}
+        self._patches: list[dict[int, ast.Node]] = [{}]
+        self._compiled = 0
+        self._functions: dict = {}
+        #: process label -> {nid: (node, parent, role)}, built on compile.
+        self._nodes: dict[str, dict] | None = None
 
-class CompiledExecutor:
-    """Per-design (and per-mutant) compiled process bodies."""
+    def cover(self, patches) -> None:
+        """Give every patch a slot; compiled at the next execution."""
+        with self._lock:
+            for patch in patches:
+                self._slot(patch)
 
-    def __init__(
-        self,
-        design: Design,
-        patch: dict[int, ast.Node] | None = None,
-        cache: CompileCache | None = None,
-    ):
-        compiler = _Compiler(patch or {}, cache)
-        self._fns: dict[str, _StmtFn] = {
-            process.label: compiler.compile_body(process.body)
-            for process in design.processes
-        }
+    def executor(self, patch: dict[int, ast.Node] | None = None):
+        """The executor (see :func:`make_executor`) running ``patch``."""
+        with self._lock:
+            slot = self._slot(patch)
+            if self._compiled < len(self._patches):
+                self._compile()
+        functions = self._functions
 
-    def exec_process(self, process: Process, ctx: ExecContext) -> None:
-        self._fns[process.label](ctx)
-
-
-class InterpretedExecutor:
-    """Adapter giving the interpreter the executor interface."""
-
-    def __init__(self, design: Design, patch: dict[int, ast.Node] | None = None):
-        from repro.sim.interp import Evaluator
-
-        self._evaluator = Evaluator(patch)
-
-    def exec_process(self, process: Process, ctx: ExecContext) -> None:
-        self._evaluator.exec_body(process.body, ctx)
-
-
-class _Compiler:
-    def __init__(self, patch: dict[int, ast.Node],
-                 cache: CompileCache | None = None):
-        self._patch = patch
-        self._cache = cache
-
-    def _resolve(self, node: ast.Node) -> ast.Node:
-        return self._patch.get(node.nid, node)
-
-    # -- statements ----------------------------------------------------------
-
-    def compile_body(self, body: list[ast.Stmt]) -> _StmtFn:
-        fns = [self.compile_stmt_cached(stmt) for stmt in body]
-        if len(fns) == 1:
-            return fns[0]
-
-        def run(ctx: ExecContext) -> None:
-            for fn in fns:
-                fn(ctx)
+        def run(process: Process, values, variables, scheduled, events):
+            for unit in functions[process.label]:
+                unit(values, variables, scheduled, events, slot)
 
         return run
 
-    def compile_stmt_cached(self, stmt: ast.Stmt) -> _StmtFn:
-        cache = self._cache
-        if cache is None:
-            return self.compile_stmt(stmt)
-        if self._patch and not self._patch.keys().isdisjoint(
-            cache.nids_of(stmt)
-        ):
-            # The mutation lives in this subtree: compile privately.
-            return self.compile_stmt(stmt)
-        key = id(stmt)
-        fn = cache.stmt_fns.get(key)
-        if fn is None:
-            # Compile the pristine subtree once, shared by all mutants.
-            fn = _Compiler({}, cache).compile_stmt(stmt)
-            cache.stmt_fns[key] = fn
-        return fn
+    def _slot(self, patch) -> int:
+        if not patch:
+            return 0
+        key = tuple(sorted((nid, node.nid) for nid, node in patch.items()))
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._patches)
+            self._patches.append(patch)
+        return slot
 
-    def compile_stmt(self, stmt: ast.Stmt) -> _StmtFn:
-        stmt = self._resolve(stmt)
-        if isinstance(stmt, ast.SignalAssign):
-            return self._compile_assign(stmt.target, stmt.value, signal=True)
-        if isinstance(stmt, ast.VarAssign):
-            return self._compile_assign(stmt.target, stmt.value, signal=False)
-        if isinstance(stmt, ast.If):
-            arms = [
-                (self.compile_expr(cond), self.compile_body(body))
-                for cond, body in stmt.arms
-            ]
-            else_fn = self.compile_body(stmt.else_body) if stmt.else_body else None
-
-            def run_if(ctx: ExecContext) -> None:
-                for cond_fn, body_fn in arms:
-                    value = cond_fn(ctx)
-                    if value is True:
-                        body_fn(ctx)
-                        return
-                    if value is not False:
-                        raise MutantRuntimeError(
-                            f"condition is not boolean: {value!r}"
-                        )
-                if else_fn is not None:
-                    else_fn(ctx)
-
-            return run_if
-        if isinstance(stmt, ast.Case):
-            return self._compile_case(stmt)
-        if isinstance(stmt, ast.ForLoop):
-            return self._compile_for(stmt)
-        if isinstance(stmt, ast.NullStmt):
-            return _nop
-        raise SimulationError(f"cannot compile {type(stmt).__name__}")
-
-    def _compile_case(self, stmt: ast.Case) -> _StmtFn:
-        selector_fn = self.compile_expr(stmt.selector)
-        selector_is_bv = isinstance(
-            self._resolve(stmt.selector).ty, ty.BitVectorType
-        )
-        arms: list[tuple[list[_ExprFn], _StmtFn]] = []
-        others_fn: _StmtFn | None = None
-        for when in stmt.whens:
-            body_fn = self.compile_body(when.body)
-            if when.is_others:
-                others_fn = body_fn
-            else:
-                choice_fns = [self.compile_expr(c) for c in when.choices]
-                arms.append((choice_fns, body_fn))
-
-        def run_case(ctx: ExecContext) -> None:
-            selector = selector_fn(ctx)
-            if selector_is_bv:
-                selector = _bv_key(selector)
-            for choice_fns, body_fn in arms:
-                for choice_fn in choice_fns:
-                    choice = choice_fn(ctx)
-                    if selector_is_bv:
-                        choice = _bv_key(choice)
-                    if choice == selector:
-                        body_fn(ctx)
-                        return
-            if others_fn is not None:
-                others_fn(ctx)
-
-        return run_case
-
-    def _compile_for(self, stmt: ast.ForLoop) -> _StmtFn:
-        low_fn = self.compile_expr(stmt.low)
-        high_fn = self.compile_expr(stmt.high)
-        body_fn = self.compile_body(stmt.body)
-        var = stmt.var
-        ascending = stmt.direction == "to"
-
-        def run_for(ctx: ExecContext) -> None:
-            low = low_fn(ctx)
-            high = high_fn(ctx)
-            values = (
-                range(low, high + 1) if ascending else range(low, high - 1, -1)
-            )
-            ctx.loop_stack.append((var, 0))
-            try:
-                for value in values:
-                    ctx.loop_stack[-1] = (var, value)
-                    body_fn(ctx)
-            finally:
-                ctx.loop_stack.pop()
-
-        return run_for
-
-    # -- assignment ------------------------------------------------------------
-
-    def _compile_assign(
-        self, target: ast.Expr, value: ast.Expr, signal: bool
-    ) -> _StmtFn:
-        value_fn = self.compile_expr(value)
-        target = self._resolve(target)
-        if isinstance(target, ast.Name):
-            name = target.symbol.name
-            check = _make_checker(target.symbol.ty)
-            if signal:
-                def assign_sig(ctx: ExecContext) -> None:
-                    ctx.schedule(name, check(value_fn(ctx)))
-                return assign_sig
-
-            def assign_var(ctx: ExecContext) -> None:
-                ctx.variables[name] = check(value_fn(ctx))
-            return assign_var
-        if isinstance(target, ast.Index):
-            name = target.prefix.symbol.name
-            vec_type: ty.BitVectorType = target.prefix.symbol.ty
-            index_fn = self.compile_expr(target.index)
-            check_bit = _make_checker(ty.BIT)
-
-            def assign_indexed(ctx: ExecContext) -> None:
-                offset = _offset(vec_type, index_fn(ctx))
-                bit = check_bit(value_fn(ctx))
-                if signal:
-                    base = ctx.schedule_base(name)
-                    ctx.schedule(name, base.with_bit(offset, bit))
-                else:
-                    ctx.variables[name] = ctx.variables[name].with_bit(
-                        offset, bit
-                    )
-
-            return assign_indexed
-        if isinstance(target, ast.Slice):
-            name = target.prefix.symbol.name
-            vec_type = target.prefix.symbol.ty
-            left_fn = self.compile_expr(target.left)
-            right_fn = self.compile_expr(target.right)
-
-            def assign_sliced(ctx: ExecContext) -> None:
-                high = _offset(vec_type, left_fn(ctx))
-                low = _offset(vec_type, right_fn(ctx))
-                piece = value_fn(ctx)
-                if not isinstance(piece, BV) or piece.width != high - low + 1:
-                    raise MutantRuntimeError(
-                        "slice assignment width mismatch"
-                    )
-                if signal:
-                    base = ctx.schedule_base(name)
-                    ctx.schedule(name, base.with_slice(high, low, piece))
-                else:
-                    ctx.variables[name] = ctx.variables[name].with_slice(
-                        high, low, piece
-                    )
-
-            return assign_sliced
-        raise SimulationError(
-            f"unsupported assignment target {type(target).__name__}"
-        )
-
-    # -- expressions -------------------------------------------------------------
-
-    def compile_expr(self, node: ast.Expr) -> _ExprFn:
-        node = self._resolve(node)
-        kind = type(node)
-        if kind is ast.Name:
-            symbol = node.symbol
-            name = symbol.name
-            if symbol.kind in (SymbolKind.CONSTANT, SymbolKind.ENUM_LITERAL):
-                value = symbol.init
-                return lambda ctx: value
-            if symbol.kind is SymbolKind.VARIABLE:
-                return lambda ctx: ctx.variables[name]
-            if symbol.kind is SymbolKind.LOOP_VAR:
-                return lambda ctx: ctx.loop_value(name)
-            return lambda ctx: ctx.read_signal(name)
-        if kind is ast.IntLit:
-            value = node.value
-            return lambda ctx: value
-        if kind is ast.BitLit:
-            value = node.value
-            return lambda ctx: value
-        if kind is ast.BoolLit:
-            value = node.value
-            return lambda ctx: value
-        if kind is ast.BitStringLit:
-            value = BV.from_string(node.bits)
-            return lambda ctx: value
-        if kind is ast.EnumLit:
-            value = node.index
-            return lambda ctx: value
-        if kind is ast.Binary:
-            return self._compile_binary(node)
-        if kind is ast.Unary:
-            return self._compile_unary(node)
-        if kind is ast.Index:
-            prefix_fn = self.compile_expr(node.prefix)
-            index_fn = self.compile_expr(node.index)
-            vec_type = self._resolve(node.prefix).ty
-            if not isinstance(vec_type, ty.BitVectorType):
-                raise SimulationError("indexing a non-vector expression")
-
-            def eval_index(ctx: ExecContext):
-                return prefix_fn(ctx).bit(_offset(vec_type, index_fn(ctx)))
-
-            return eval_index
-        if kind is ast.Slice:
-            prefix_fn = self.compile_expr(node.prefix)
-            left_fn = self.compile_expr(node.left)
-            right_fn = self.compile_expr(node.right)
-            vec_type = self._resolve(node.prefix).ty
-
-            def eval_slice(ctx: ExecContext):
-                return prefix_fn(ctx).slice(
-                    _offset(vec_type, left_fn(ctx)),
-                    _offset(vec_type, right_fn(ctx)),
-                )
-
-            return eval_slice
-        if kind is ast.Attribute:
-            prefix = self._resolve(node.prefix)
-            name = prefix.symbol.name
-            return lambda ctx: name in ctx.events
-        if kind is ast.Call:
-            signal = self._resolve(node.args[0])
-            name = signal.symbol.name
-            if node.func == "rising_edge":
-                return lambda ctx: (
-                    name in ctx.events and ctx.read_signal(name) == 1
-                )
-            if node.func == "falling_edge":
-                return lambda ctx: (
-                    name in ctx.events and ctx.read_signal(name) == 0
-                )
-            raise SimulationError(f"unknown function {node.func!r}")
-        if kind is ast.OthersAggregate:
-            bit_fn = self.compile_expr(node.value)
-            width = node.ty.width
-            ones = BV((1 << width) - 1, width)
-            zeros = BV(0, width)
-            return lambda ctx: ones if bit_fn(ctx) else zeros
-        raise SimulationError(f"cannot compile {kind.__name__}")
-
-    def _compile_unary(self, node: ast.Unary) -> _ExprFn:
-        operand_fn = self.compile_expr(node.operand)
-        operand_ty = self._resolve(node.operand).ty
-        if node.op == "not":
-            if isinstance(operand_ty, ty.BooleanType):
-                return lambda ctx: not operand_fn(ctx)
-            if isinstance(operand_ty, ty.BitVectorType):
-                return lambda ctx: _bv_not(operand_fn(ctx))
-            return lambda ctx: operand_fn(ctx) ^ 1
-        if node.op == "-":
-            return lambda ctx: -operand_fn(ctx)
-        raise SimulationError(f"unsupported unary operator {node.op!r}")
-
-    def _compile_binary(self, node: ast.Binary) -> _ExprFn:
-        lf = self.compile_expr(node.left)
-        rf = self.compile_expr(node.right)
-        left_ty = self._resolve(node.left).ty
-        op = node.op
-        if op in _LOGICAL_COMPILERS:
-            if isinstance(left_ty, ty.BooleanType):
-                return _LOGICAL_COMPILERS[op][0](lf, rf)
-            if isinstance(left_ty, ty.BitVectorType):
-                return _LOGICAL_COMPILERS[op][2](lf, rf)
-            return _LOGICAL_COMPILERS[op][1](lf, rf)
-        if op in ("=", "/="):
-            if isinstance(left_ty, ty.BitVectorType):
-                if op == "=":
-                    return lambda ctx: _bv_eq(lf(ctx), rf(ctx))
-                return lambda ctx: not _bv_eq(lf(ctx), rf(ctx))
-            if op == "=":
-                return lambda ctx: lf(ctx) == rf(ctx)
-            return lambda ctx: lf(ctx) != rf(ctx)
-        if op == "<":
-            return lambda ctx: lf(ctx) < rf(ctx)
-        if op == "<=":
-            return lambda ctx: lf(ctx) <= rf(ctx)
-        if op == ">":
-            return lambda ctx: lf(ctx) > rf(ctx)
-        if op == ">=":
-            return lambda ctx: lf(ctx) >= rf(ctx)
-        if op == "+":
-            return lambda ctx: lf(ctx) + rf(ctx)
-        if op == "-":
-            return lambda ctx: lf(ctx) - rf(ctx)
-        if op == "*":
-            return lambda ctx: lf(ctx) * rf(ctx)
-        if op == "mod":
-            def eval_mod(ctx: ExecContext):
-                divisor = rf(ctx)
-                if divisor == 0:
-                    raise MutantRuntimeError("mod by zero")
-                return lf(ctx) % divisor
-            return eval_mod
-        if op == "rem":
-            def eval_rem(ctx: ExecContext):
-                divisor = rf(ctx)
-                if divisor == 0:
-                    raise MutantRuntimeError("rem by zero")
-                dividend = lf(ctx)
-                return dividend - divisor * int(dividend / divisor)
-            return eval_rem
-        if op == "&":
-            return lambda ctx: _concat(lf(ctx), rf(ctx))
-        raise SimulationError(f"unsupported binary operator {op!r}")
+    def _compile(self) -> None:
+        if self._nodes is None:
+            self._nodes = {
+                process.label: {
+                    node.nid: (node, parent, role)
+                    for node, parent, role in _walk(process.body)
+                }
+                for process in self._design.processes
+            }
+        fresh = [
+            nid for patch in self._patches[self._compiled:] for nid in patch
+        ]
+        for process in self._design.processes:
+            nodes = self._nodes[process.label]
+            if process.label not in self._functions or any(
+                nid in nodes for nid in fresh
+            ):
+                self._functions[process.label] = _Codegen(
+                    process, self._patches, nodes
+                ).functions(self._design.name)
+        self._compiled = len(self._patches)
 
 
-def _nop(ctx: ExecContext) -> None:
-    return None
+def _walk(value, parent=None, role=None):
+    """Every AST node under ``value`` as ``(node, parent, field name)``."""
+    if isinstance(value, ast.Node):
+        yield value, parent, role
+        for field in dataclasses.fields(value):
+            yield from _walk(getattr(value, field.name), value, field.name)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _walk(item, parent, role)
+
+
+#: (parent type, role) pairs whose code depends on the child's type.
+_TYPED_ROLES = {
+    (ast.Binary, "left"), (ast.Unary, "operand"), (ast.Index, "prefix"),
+    (ast.Slice, "prefix"), (ast.Case, "selector"),
+}
+
+
+def _site_of(nodes: dict, nid: int, replacement: ast.Node) -> int:
+    """The node a patch entry dispatches at (its parent when hoisted).
+
+    Vector code bakes in the bounds, other code only the type class;
+    edge and ``'event`` code bakes in the signal name.
+    """
+    node, parent, role = nodes[nid]
+    if isinstance(node, ast.Stmt):
+        return nid
+    keys = [t if isinstance(t, ty.BitVectorType) else type(t)
+            for t in (node.ty, replacement.ty)]
+    if isinstance(parent, (ast.Attribute, ast.Call)) or (
+        (type(parent), role) in _TYPED_ROLES and keys[0] != keys[1]
+    ):
+        return parent.nid
+    return nid
+
+
+_NOT_CONST = object()
+
+#: Generated source per compiled unit (see :meth:`_Codegen.functions`).
+_UNIT_CHARS = 6000
+
+_BOOL_OPS = {
+    "and": "({} and {})", "or": "({} or {})", "xor": "({} != {})",
+    "nand": "(not ({} and {}))", "nor": "(not ({} or {}))",
+    "xnor": "({} == {})",
+}
+_BIT_OPS = {
+    "and": "({} & {})", "or": "({} | {})", "xor": "({} ^ {})",
+    "nand": "(({} & {}) ^ 1)", "nor": "(({} | {}) ^ 1)",
+    "xnor": "(({} ^ {}) ^ 1)",
+}
+_PY_OPS = {"<", "<=", ">", ">=", "+", "-", "*"}
+#: Inline assignment checks per target type: true when ``t`` does not
+#: fit (``_coerce`` then raises the interpreter's error).
+_CHECKS = {
+    ty.IntegerType: "{t}.__class__ is not int or {t} < {ty.low} or "
+                    "{t} > {ty.high}",
+    ty.BitType: "{t}.__class__ is not int or {t} < 0 or {t} > 1",
+    ty.BooleanType: "{t} is not True and {t} is not False",
+    ty.EnumType: "{t}.__class__ is not int or {t} < 0 or {t} >= {n}",
+    ty.BitVectorType: "{t}.__class__ is not BV or {t}.width != {ty.width}",
+}
 
 
 def _bv_key(value):
@@ -450,130 +175,466 @@ def _bv_key(value):
     raise MutantRuntimeError("case selector/choice kind mismatch")
 
 
-def _bv_not(value: BV) -> BV:
-    return BV(~value.value, value.width)
-
-
-def _bv_eq(a, b) -> bool:
-    if not (isinstance(a, BV) and isinstance(b, BV)):
-        raise MutantRuntimeError("comparing vector with scalar")
-    if a.width != b.width:
-        raise MutantRuntimeError("comparing vectors of unequal width")
-    return a.value == b.value
-
-
-def _concat(a, b) -> BV:
-    left = a if isinstance(a, BV) else BV(a, 1)
-    right = b if isinstance(b, BV) else BV(b, 1)
-    return left.concat(right)
-
-
-def _offset(vec_type: ty.BitVectorType, index: int) -> int:
-    try:
-        return vec_type.bit_index(index)
-    except ValueError as exc:
-        raise MutantRuntimeError(str(exc)) from None
-
-
-def _make_checker(target_type: ty.HdlType):
-    """Type-specialized assignment range/width check."""
-    if isinstance(target_type, ty.BitType):
-        def check_bit(value):
-            if (
-                isinstance(value, int)
-                and not isinstance(value, bool)
-                and (value == 0 or value == 1)
-            ):
-                return value
-            raise MutantRuntimeError(f"cannot assign {value!r} to bit")
-        return check_bit
-    if isinstance(target_type, ty.BooleanType):
-        def check_bool(value):
-            if isinstance(value, bool):
-                return value
-            raise MutantRuntimeError(f"cannot assign {value!r} to boolean")
-        return check_bool
-    if isinstance(target_type, ty.IntegerType):
-        low, high = target_type.low, target_type.high
-
-        def check_int(value):
-            if isinstance(value, int) and not isinstance(value, bool):
-                if low <= value <= high:
-                    return value
-                raise MutantRuntimeError(
-                    f"value {value} outside {target_type}"
-                )
-            raise MutantRuntimeError(f"cannot assign {value!r} to integer")
-        return check_int
-    if isinstance(target_type, ty.EnumType):
-        count = len(target_type.literals)
-
-        def check_enum(value):
-            if isinstance(value, int) and 0 <= value < count:
-                return value
-            raise MutantRuntimeError(
-                f"cannot assign {value!r} to {target_type}"
-            )
-        return check_enum
-    if isinstance(target_type, ty.BitVectorType):
-        width = target_type.width
-
-        def check_vec(value):
-            if isinstance(value, BV) and value.width == width:
-                return value
-            raise MutantRuntimeError(
-                f"cannot assign {value!r} to {target_type}"
-            )
-        return check_vec
-    raise SimulationError(f"unknown target type {target_type!r}")
-
-
-_LOGICAL_COMPILERS = {
-    # (boolean, bit, vector) specializations per connective
-    "and": (
-        lambda lf, rf: lambda ctx: lf(ctx) and rf(ctx),
-        lambda lf, rf: lambda ctx: lf(ctx) & rf(ctx),
-        lambda lf, rf: lambda ctx: _bv_bin(lf(ctx), rf(ctx), 0),
-    ),
-    "or": (
-        lambda lf, rf: lambda ctx: lf(ctx) or rf(ctx),
-        lambda lf, rf: lambda ctx: lf(ctx) | rf(ctx),
-        lambda lf, rf: lambda ctx: _bv_bin(lf(ctx), rf(ctx), 1),
-    ),
-    "xor": (
-        lambda lf, rf: lambda ctx: lf(ctx) != rf(ctx),
-        lambda lf, rf: lambda ctx: lf(ctx) ^ rf(ctx),
-        lambda lf, rf: lambda ctx: _bv_bin(lf(ctx), rf(ctx), 2),
-    ),
-    "nand": (
-        lambda lf, rf: lambda ctx: not (lf(ctx) and rf(ctx)),
-        lambda lf, rf: lambda ctx: (lf(ctx) & rf(ctx)) ^ 1,
-        lambda lf, rf: lambda ctx: _bv_bin(lf(ctx), rf(ctx), 3),
-    ),
-    "nor": (
-        lambda lf, rf: lambda ctx: not (lf(ctx) or rf(ctx)),
-        lambda lf, rf: lambda ctx: (lf(ctx) | rf(ctx)) ^ 1,
-        lambda lf, rf: lambda ctx: _bv_bin(lf(ctx), rf(ctx), 4),
-    ),
-    "xnor": (
-        lambda lf, rf: lambda ctx: lf(ctx) == rf(ctx),
-        lambda lf, rf: lambda ctx: (lf(ctx) ^ rf(ctx)) ^ 1,
-        lambda lf, rf: lambda ctx: _bv_bin(lf(ctx), rf(ctx), 5),
-    ),
+_HELPERS = {
+    "BV": BV, "_bv_key": _bv_key, "_mod": _mod, "_rem": _rem,
+    "_Error": MutantRuntimeError,
+    "_apply_logical": _apply_logical, "_bit_offset": _bit_offset,
+    "_coerce": _coerce, "_concat": _concat,
+    "_truth": Evaluator._truth, "_values_equal": Evaluator._values_equal,
 }
 
 
-def _bv_bin(a: BV, b: BV, op: int) -> BV:
-    if not (isinstance(a, BV) and isinstance(b, BV)) or a.width != b.width:
-        raise MutantRuntimeError("logical op on mismatched vectors")
-    if op == 0:
-        return BV(a.value & b.value, a.width)
-    if op == 1:
-        return BV(a.value | b.value, a.width)
-    if op == 2:
-        return BV(a.value ^ b.value, a.width)
-    if op == 3:
-        return BV(~(a.value & b.value), a.width)
-    if op == 4:
-        return BV(~(a.value | b.value), a.width)
-    return BV(~(a.value ^ b.value), a.width)
+def _member(slots) -> str:
+    """Test of ``_m`` against sorted ``slots`` (a range when contiguous)."""
+    if len(slots) == 1:
+        return f"_m == {slots[0]}"
+    if slots[-1] - slots[0] == len(slots) - 1:
+        return f"{slots[0]} <= _m <= {slots[-1]}"
+    return f"_m in {{{', '.join(map(str, slots))}}}"
+
+
+def _select(orig: str, alts: list[tuple[int, str]]) -> str:
+    """Conditional expression picking one alternative per slot."""
+    chain = alts[-1][1]
+    for slot, code in reversed(alts[:-1]):
+        chain = f"{code} if _m == {slot} else {chain}"
+    return f"({orig} if not ({_member([s for s, _ in alts])}) else {chain})"
+
+
+class _Codegen:
+    """Generates a process's code over every covered slot.
+
+    Generation runs in one of two modes: *live* (the original tree,
+    sites dispatch on ``_m``) or *static* under one slot's ``patch``
+    (``{}`` for the pristine variant), where nodes resolve through the
+    patch exactly as the interpreter resolves them.
+    """
+
+    def __init__(self, process: Process, patches: list[dict],
+                 nodes: dict):
+        self._process = process
+        self._patches = patches
+        self._nodes = nodes
+        self._sites: dict[int, list[int]] = {}
+        for slot, patch in enumerate(patches):
+            for nid, replacement in patch.items():
+                if nid in nodes:
+                    site = _site_of(nodes, nid, replacement)
+                    self._sites.setdefault(site, []).append(slot)
+        self._under_memo: dict[int, tuple[int, ...]] = {}
+        self._lines: list[str] = []
+        self._size = 0
+        self._consts: dict[object, str] = {}
+        self._reads: dict[str, str] = {}
+        self._vars: dict[str, str] = {}
+        self._scope: list[tuple[str, str, tuple[int, int] | None]] = []
+        self._ids = itertools.count()
+
+    def functions(self, design_name: str) -> tuple:
+        """The process body as functions to run in order.
+
+        The body splits at top-level statements into units of about
+        ``_UNIT_CHARS`` of source, compiled one by one, which bounds
+        the compiler's transient memory.  Variables write through to
+        ``V``, so each unit reloads them on entry.
+        """
+        namespace = dict(_HELPERS)
+        units = []
+        body = self._process.body or [ast.NullStmt()]
+        for index, stmt in enumerate(body):
+            self._stmt(stmt, {}, True, 1)
+            if index + 1 < len(body) and self._size < _UNIT_CHARS:
+                continue
+            head = [f"def _run{len(units)}(R, V, S, E, _m):"]
+            head += [f"    {local} = R[{name!r}]"
+                     for name, local in self._reads.items()]
+            head += [f"    {local} = V[{name!r}]"
+                     for name, local in self._vars.items()]
+            source = "\n".join(head + self._lines)
+            namespace.update(
+                {name: value for value, name in self._consts.values()}
+            )
+            filename = f"<schema {design_name}:{self._process.label}>"
+            exec(compile(source, filename, "exec"), namespace)
+            units.append(namespace[f"_run{len(units)}"])
+            self._lines, self._reads, self._vars = [], {}, {}
+            self._size = 0
+        return tuple(units)
+
+    # -- plumbing ------------------------------------------------------------
+
+    def _emit(self, indent: int, line: str) -> None:
+        self._lines.append("    " * indent + line)
+        self._size += len(line)
+
+    def _tmp(self) -> str:
+        return f"_t{next(self._ids)}"
+
+    def _const(self, value) -> str:
+        """A namespace constant for a non-literal value (BV, HDL type)."""
+        key = (type(value), repr(value))
+        if key not in self._consts:
+            self._consts[key] = (value, f"_K{len(self._consts)}")
+        return self._consts[key][1]
+
+    def _local(self, table: dict[str, str], prefix: str, name: str) -> str:
+        if name not in table:
+            table[name] = f"{prefix}{len(table)}"
+        return table[name]
+
+    def _live_site(self, node: ast.Node, live: bool) -> bool:
+        return live and node.nid in self._sites
+
+    def _under(self, stmt: ast.Stmt) -> tuple[int, ...]:
+        """Slots with a site at or under an original statement."""
+        if stmt.nid not in self._under_memo:
+            slots: set[int] = set()
+            for node, _, _ in _walk(stmt):
+                slots.update(self._sites.get(node.nid, ()))
+            self._under_memo[stmt.nid] = tuple(sorted(slots))
+        return self._under_memo[stmt.nid]
+
+    def _value_of(self, node: ast.Expr, patch: dict, live: bool):
+        """The node's value when it is a compile-time constant."""
+        if self._live_site(node, live):
+            return _NOT_CONST
+        node = patch.get(node.nid, node)
+        kind = type(node)
+        if kind in (ast.IntLit, ast.BitLit, ast.BoolLit):
+            return node.value
+        if kind is ast.EnumLit:
+            return node.index
+        if kind is ast.BitStringLit:
+            return BV.from_string(node.bits)
+        if kind is ast.Name and node.symbol.kind in (
+            SymbolKind.CONSTANT, SymbolKind.ENUM_LITERAL
+        ):
+            return node.symbol.init
+        return _NOT_CONST
+
+    def _range(self, node: ast.Expr, patch: dict, live: bool):
+        """Static ``(low, high)`` bounds of an integer expression."""
+        value = self._value_of(node, patch, live)
+        if type(value) is int:
+            return value, value
+        node = patch.get(node.nid, node)
+        if (
+            not self._live_site(node, live)
+            and type(node) is ast.Name
+            and node.symbol.kind is SymbolKind.LOOP_VAR
+        ):
+            return self._loop(node.symbol.name)[1]
+        return None
+
+    def _loop(self, name: str):
+        for var, local, bounds in reversed(self._scope):
+            if var == name:
+                return local, bounds
+        raise SimulationError(f"unbound loop variable {name!r}")
+
+    def _dispatch(self, node: ast.Node, patch: dict, live: bool, gen) -> str:
+        code = gen(node, patch, live)
+        if not self._live_site(node, live):
+            return code
+        slots = self._sites[node.nid]
+        values = {slot: self._value_of(node, self._patches[slot], False)
+                  for slot in slots}
+        if gen == self._choice_key:  # vector choices compare as keys
+            values = {slot: (v.value, v.width) if isinstance(v, BV)
+                      else _NOT_CONST for slot, v in values.items()}
+        if len(slots) > 2 and _NOT_CONST not in values.values():
+            # Constant replacements (CVR, CCR): one table lookup.
+            table = self._const(values)
+            return f"({table}[_m] if _m in {table} else {code})"
+        return _select(code, [
+            (slot, gen(node, self._patches[slot], False)) for slot in slots
+        ])
+
+    # -- statements ----------------------------------------------------------
+
+    def _body(self, body: list[ast.Stmt], patch: dict, live: bool,
+              indent: int) -> None:
+        if not body:
+            self._emit(indent, "pass")
+        for stmt in body:
+            self._stmt(stmt, patch, live, indent)
+
+    def _stmt(self, stmt: ast.Stmt, patch: dict, live: bool,
+              indent: int) -> None:
+        under = self._under(stmt) if live else ()
+        if not under:
+            self._emit_stmt(stmt, patch, False, indent)
+            return
+        own = self._sites.get(stmt.nid, [])
+        self._emit(indent, f"if {_member(under)}:")
+        for index, slot in enumerate(own):
+            keyword = "if" if index == 0 else "elif"
+            self._emit(indent + 1, f"{keyword} _m == {slot}:")
+            self._emit_stmt(stmt, self._patches[slot], False, indent + 2)
+        if len(own) < len(under):
+            if own:
+                self._emit(indent + 1, "else:")
+            self._emit_stmt(stmt, patch, True, indent + 1 + bool(own))
+        self._emit(indent, "else:")
+        self._emit_stmt(stmt, patch, False, indent + 1)
+
+    def _emit_stmt(self, stmt: ast.Stmt, patch: dict, live: bool,
+                   indent: int) -> None:
+        stmt = patch.get(stmt.nid, stmt)
+        kind = type(stmt)
+        if kind is ast.SignalAssign or kind is ast.VarAssign:
+            self._assign(stmt, patch, live, indent, kind is ast.SignalAssign)
+        elif kind is ast.If:
+            for index, (cond, body) in enumerate(stmt.arms):
+                keyword = "if" if index == 0 else "elif"
+                code = self._expr(cond, patch, live)
+                self._emit(indent, f"{keyword} (_c := {code}) is True:")
+                self._body(body, patch, live, indent + 1)
+                self._emit(indent, "elif _c is not False:")
+                self._emit(indent + 1, "_truth(_c)")
+            if stmt.else_body:
+                self._emit(indent, "else:")
+                self._body(stmt.else_body, patch, live, indent + 1)
+        elif kind is ast.Case:
+            self._case(stmt, patch, live, indent)
+        elif kind is ast.ForLoop:
+            low = self._expr(stmt.low, patch, live)
+            high = self._expr(stmt.high, patch, live)
+            bounds = (self._value_of(stmt.low, patch, live),
+                      self._value_of(stmt.high, patch, live))
+            local = f"_i{next(self._ids)}"
+            if stmt.direction == "to":
+                self._emit(indent, f"for {local} in range({low}, {high} + 1):")
+            else:
+                self._emit(indent,
+                           f"for {local} in range({low}, {high} - 1, -1):")
+                bounds = bounds[::-1]
+            if not all(type(bound) is int for bound in bounds):
+                bounds = None
+            self._scope.append((stmt.var, local, bounds))
+            self._body(stmt.body, patch, live, indent + 1)
+            self._scope.pop()
+        elif kind is ast.NullStmt:
+            self._emit(indent, "pass")
+        else:
+            raise SimulationError(f"cannot compile {kind.__name__}")
+
+    def _case(self, stmt: ast.Case, patch: dict, live: bool,
+              indent: int) -> None:
+        selector = self._expr(stmt.selector, patch, live)
+        vector = isinstance(
+            patch.get(stmt.selector.nid, stmt.selector).ty, ty.BitVectorType
+        )
+        key = self._tmp()
+        self._emit(indent, f"{key} = {f'_bv_key({selector})' if vector else selector}")
+        gen = self._choice_key if vector else self._plain_expr
+        keyword, others = "if", None
+        for when in stmt.whens:
+            if when.is_others:
+                others = when.body
+                continue
+            tests = " or ".join(
+                f"{key} == {self._dispatch(choice, patch, live, gen)}"
+                for choice in when.choices
+            )
+            self._emit(indent, f"{keyword} {tests or 'False'}:")
+            self._body(when.body, patch, live, indent + 1)
+            keyword = "elif"
+        if others is not None:
+            if keyword == "if":
+                self._body(others, patch, live, indent)
+            else:
+                self._emit(indent, "else:")
+                self._body(others, patch, live, indent + 1)
+
+    def _choice_key(self, choice: ast.Expr, patch: dict, live: bool) -> str:
+        value = self._value_of(choice, patch, live)
+        if isinstance(value, BV):
+            return repr((value.value, value.width))
+        return f"_bv_key({self._plain_expr(choice, patch, live)})"
+
+    def _assign(self, stmt, patch: dict, live: bool, indent: int,
+                signal: bool) -> None:
+        target = patch.get(stmt.target.nid, stmt.target)
+        if isinstance(target, ast.Name):
+            value = self._checked(stmt.value, patch, live, target.symbol.ty,
+                                  indent)
+            self._store(target.symbol.name, value, signal, indent)
+            return
+        if not isinstance(target, (ast.Index, ast.Slice)):
+            raise SimulationError(
+                f"unsupported assignment target {type(target).__name__}"
+            )
+        name = target.prefix.symbol.name
+        vec_type = target.prefix.symbol.ty
+        base = (
+            f"(S[{name!r}] if {name!r} in S else "
+            f"{self._local(self._reads, 'r', name)})"
+            if signal else self._local(self._vars, "v", name)
+        )
+        if isinstance(target, ast.Index):
+            offset = self._tmp()
+            self._emit(indent, f"{offset} = "
+                       f"{self._offset(vec_type, target.index, patch, live)}")
+            bit = self._checked(stmt.value, patch, live, ty.BIT, indent)
+            self._store(name, f"{base}.with_bit({offset}, {bit})", signal,
+                        indent)
+            return
+        high, low, piece = self._tmp(), self._tmp(), self._tmp()
+        self._emit(indent, f"{high} = "
+                   f"{self._offset(vec_type, target.left, patch, live)}")
+        self._emit(indent, f"{low} = "
+                   f"{self._offset(vec_type, target.right, patch, live)}")
+        self._emit(indent, f"{piece} = {self._expr(stmt.value, patch, live)}")
+        self._emit(indent, f"if {piece}.__class__ is not BV or {piece}.width"
+                   f" != {high} - {low} + 1: raise _Error('slice assignment"
+                   " width mismatch')")
+        self._store(name, f"{base}.with_slice({high}, {low}, {piece})",
+                    signal, indent)
+
+    def _store(self, name: str, value: str, signal: bool,
+               indent: int) -> None:
+        if signal:
+            self._emit(indent, f"S[{name!r}] = {value}")
+        else:
+            local = self._local(self._vars, "v", name)
+            self._emit(indent, f"{local} = V[{name!r}] = {value}")
+
+    def _checked(self, node: ast.Expr, patch: dict, live: bool,
+                 target_type, indent: int) -> str:
+        """Code for ``node``'s value, type/range-checked for a target."""
+        code = self._expr(node, patch, live)
+        value = self._value_of(node, patch, live)
+        if value is not _NOT_CONST:
+            try:
+                _coerce(value, target_type)
+                return code
+            except MutantRuntimeError:
+                pass  # the check below raises when the write executes
+        bounds = self._range(node, patch, live)
+        if isinstance(target_type, ty.IntegerType) and bounds and (
+            target_type.low <= bounds[0] <= bounds[1] <= target_type.high
+        ):
+            return code
+        if type(target_type) not in _CHECKS:
+            raise SimulationError(f"unknown target type {target_type!r}")
+        temp = self._tmp()
+        bad = _CHECKS[type(target_type)].format(
+            t=temp, ty=target_type, n=len(getattr(target_type, "literals", ()))
+        )
+        self._emit(indent, "if " + bad.replace(temp, f"({temp} := {code})", 1)
+                   + f": _coerce({temp}, {self._const(target_type)})")
+        return temp
+
+    # -- expressions ---------------------------------------------------------
+
+    def _expr(self, node: ast.Expr, patch: dict, live: bool) -> str:
+        return self._dispatch(node, patch, live, self._plain_expr)
+
+    def _offset(self, vec_type, index: ast.Expr, patch: dict,
+                live: bool) -> str:
+        """Code for a checked 0-based bit offset into ``vec_type``."""
+        value = self._value_of(index, patch, live)
+        if value is not _NOT_CONST:
+            try:
+                return str(vec_type.bit_index(value))
+            except ValueError:
+                return f"_bit_offset({self._const(vec_type)}, {value!r})"
+        code = self._expr(index, patch, live)
+        right, left = vec_type.right, vec_type.left
+        bounds = self._range(index, patch, live)
+        if bounds and right <= bounds[0] and bounds[1] <= left:
+            return code if right == 0 else f"({code} - {right})"
+        temp = self._tmp()
+        return (f"({temp} - {right} if {right} <= ({temp} := {code}) <= "
+                f"{left} else _bit_offset({self._const(vec_type)}, {temp}))")
+
+    def _plain_expr(self, node: ast.Expr, patch: dict, live: bool) -> str:
+        """Code for ``node`` itself (its own site dispatch excluded)."""
+        node = patch.get(node.nid, node)
+        kind = type(node)
+        value = self._value_of(node, {}, False)
+        if value is not _NOT_CONST:
+            if isinstance(value, (bool, int)):
+                return repr(value)
+            return self._const(value)
+        if kind is ast.Name:
+            symbol = node.symbol
+            if symbol.kind is SymbolKind.VARIABLE:
+                return self._local(self._vars, "v", symbol.name)
+            if symbol.kind is SymbolKind.LOOP_VAR:
+                return self._loop(symbol.name)[0]
+            return self._local(self._reads, "r", symbol.name)
+        if kind is ast.Binary:
+            return self._binary(node, patch, live)
+        if kind is ast.Unary:
+            operand_type = patch.get(node.operand.nid, node.operand).ty
+            operand = self._expr(node.operand, patch, live)
+            if node.op == "not":
+                if isinstance(operand_type, ty.BooleanType):
+                    return f"(not {operand})"
+                if isinstance(operand_type, ty.BitVectorType):
+                    return f"BV(~{operand}.value, {operand_type.width})"
+                return f"({operand} ^ 1)"
+            if node.op == "-":
+                return f"(-{operand})"
+            raise SimulationError(f"unsupported unary operator {node.op!r}")
+        if kind is ast.Index or kind is ast.Slice:
+            vec_type = patch.get(node.prefix.nid, node.prefix).ty
+            if not isinstance(vec_type, ty.BitVectorType):
+                raise SimulationError("indexing a non-vector expression")
+            prefix = self._expr(node.prefix, patch, live)
+            if kind is ast.Slice:
+                return (
+                    f"{prefix}.slice("
+                    f"{self._offset(vec_type, node.left, patch, live)}, "
+                    f"{self._offset(vec_type, node.right, patch, live)})"
+                )
+            offset = self._offset(vec_type, node.index, patch, live)
+            return f"(({prefix}.value >> {offset}) & 1)"
+        if kind is ast.Attribute:
+            name = patch.get(node.prefix.nid, node.prefix).symbol.name
+            return f"({name!r} in E)"
+        if kind is ast.Call:
+            name = patch.get(node.args[0].nid, node.args[0]).symbol.name
+            level = {"rising_edge": 1, "falling_edge": 0}.get(node.func)
+            if level is None:
+                raise SimulationError(f"unknown function {node.func!r}")
+            signal = self._local(self._reads, "r", name)
+            return f"({name!r} in E and {signal} == {level})"
+        if kind is ast.OthersAggregate:
+            width = node.ty.width
+            ones = self._const(BV((1 << width) - 1, width))
+            zeros = self._const(BV(0, width))
+            bit = self._value_of(node.value, patch, live)
+            if bit is not _NOT_CONST:
+                return ones if bit else zeros
+            return f"({ones} if {self._expr(node.value, patch, live)} else {zeros})"
+        raise SimulationError(f"cannot compile {kind.__name__}")
+
+    def _binary(self, node: ast.Binary, patch: dict, live: bool) -> str:
+        op = node.op
+        left_type = patch.get(node.left.nid, node.left).ty
+        left = self._expr(node.left, patch, live)
+        right = self._expr(node.right, patch, live)
+        if op in _BIT_OPS:
+            if isinstance(left_type, ty.BooleanType):
+                return _BOOL_OPS[op].format(left, right)
+            if isinstance(left_type, ty.BitVectorType):
+                return f"_apply_logical({op!r}, {left}, {right})"
+            return _BIT_OPS[op].format(left, right)
+        if op in ("=", "/="):
+            if isinstance(left_type, ty.BitVectorType):
+                equal = f"_values_equal({left}, {right})"
+                return equal if op == "=" else f"(not {equal})"
+            return f"({left} {'==' if op == '=' else '!='} {right})"
+        if op in _PY_OPS:
+            return f"({left} {op} {right})"
+        if op in ("mod", "rem"):
+            divisor = self._value_of(node.right, patch, live)
+            if op == "mod" and type(divisor) is int and divisor != 0:
+                return f"({left} % {right})"
+            return f"_{op}({left}, {right})"
+        if op == "&":
+            return f"_concat({left}, {right})"
+        raise SimulationError(f"unsupported binary operator {op!r}")

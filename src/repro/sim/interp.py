@@ -10,37 +10,31 @@ counts as a kill.
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import MutantRuntimeError, SimulationError
 from repro.hdl import ast
 from repro.hdl import types as ty
-from repro.hdl.design import Process, Symbol, SymbolKind
+from repro.hdl.design import Symbol, SymbolKind
 from repro.hdl.values import BV
 
 
 class ExecContext:
-    """Mutable state one process sees while executing.
+    """Mutable state one process activation sees.
 
-    ``read_signal``/``schedule`` are bound to the owning simulator;
-    ``variables`` persists across process activations (VHDL semantics);
-    ``loop_stack`` holds for-loop variable bindings.
+    ``values`` are the current signals and ``scheduled`` this delta's
+    updates; ``variables`` persists across process activations (VHDL
+    semantics); ``loop_stack`` holds for-loop variable bindings.
     """
 
-    __slots__ = (
-        "read_signal",
-        "schedule",
-        "schedule_base",
-        "variables",
-        "loop_stack",
-        "events",
-    )
+    __slots__ = ("values", "scheduled", "variables", "events", "loop_stack")
 
-    def __init__(self, read_signal, schedule, schedule_base, variables, events):
-        self.read_signal = read_signal
-        self.schedule = schedule
-        self.schedule_base = schedule_base
+    def __init__(self, values, scheduled, variables, events):
+        self.values = values
+        self.scheduled = scheduled
         self.variables = variables
-        self.loop_stack: list[tuple[str, int]] = []
         self.events = events
+        self.loop_stack: list[tuple[str, int]] = []
 
     def loop_value(self, name: str) -> int:
         for var, value in reversed(self.loop_stack):
@@ -61,6 +55,14 @@ class Evaluator:
         if not self._patch:
             return node
         return self._patch.get(node.nid, node)
+
+    def exec_process(self, process, values: dict, variables: dict,
+                     scheduled: dict, events) -> None:
+        """One activation of ``process`` (the executor interface, see
+        :func:`repro.sim.compiler.make_executor`)."""
+        self.exec_body(
+            process.body, ExecContext(values, scheduled, variables, events)
+        )
 
     # -- statements ----------------------------------------------------------
 
@@ -124,43 +126,24 @@ class Evaluator:
         self, target: ast.Expr, value, ctx: ExecContext, signal: bool
     ) -> None:
         target = self.resolve(target)
+        store = ctx.scheduled if signal else ctx.variables
         if isinstance(target, ast.Name):
-            symbol: Symbol = target.symbol
-            checked = _coerce(value, symbol.ty)
-            if signal:
-                ctx.schedule(symbol.name, checked)
-            else:
-                ctx.variables[symbol.name] = checked
+            store[target.symbol.name] = _coerce(value, target.symbol.ty)
             return
-        if isinstance(target, ast.Index):
-            base: ast.Name = target.prefix
-            symbol = base.symbol
-            index = self.eval(target.index, ctx)
-            offset = _bit_offset(symbol.ty, index)
-            bit = _coerce(value, ty.BIT)
-            if signal:
-                current = ctx.schedule_base(symbol.name)
-                ctx.schedule(symbol.name, current.with_bit(offset, bit))
-            else:
-                current = ctx.variables[symbol.name]
-                ctx.variables[symbol.name] = current.with_bit(offset, bit)
-            return
-        if isinstance(target, ast.Slice):
-            base = target.prefix
-            symbol = base.symbol
-            left = self.eval(target.left, ctx)
-            right = self.eval(target.right, ctx)
-            high = _bit_offset(symbol.ty, left)
-            low = _bit_offset(symbol.ty, right)
-            piece = value
-            if not isinstance(piece, BV) or piece.width != high - low + 1:
+        if isinstance(target, (ast.Index, ast.Slice)):
+            symbol = target.prefix.symbol
+            name = symbol.name
+            # A partial signal update builds on this delta's pending value.
+            current = store[name] if name in store else ctx.values[name]
+            if isinstance(target, ast.Index):
+                offset = _bit_offset(symbol.ty, self.eval(target.index, ctx))
+                store[name] = current.with_bit(offset, _coerce(value, ty.BIT))
+                return
+            high = _bit_offset(symbol.ty, self.eval(target.left, ctx))
+            low = _bit_offset(symbol.ty, self.eval(target.right, ctx))
+            if not isinstance(value, BV) or value.width != high - low + 1:
                 raise MutantRuntimeError("slice assignment width mismatch")
-            if signal:
-                current = ctx.schedule_base(symbol.name)
-                ctx.schedule(symbol.name, current.with_slice(high, low, piece))
-            else:
-                current = ctx.variables[symbol.name]
-                ctx.variables[symbol.name] = current.with_slice(high, low, piece)
+            store[name] = current.with_slice(high, low, value)
             return
         raise SimulationError(
             f"unsupported assignment target {type(target).__name__}"
@@ -180,12 +163,8 @@ class Evaluator:
                 return ctx.variables[symbol.name]
             if sym_kind is SymbolKind.LOOP_VAR:
                 return ctx.loop_value(symbol.name)
-            return ctx.read_signal(symbol.name)
-        if kind is ast.IntLit:
-            return node.value
-        if kind is ast.BitLit:
-            return node.value
-        if kind is ast.BoolLit:
+            return ctx.values[symbol.name]
+        if kind is ast.IntLit or kind is ast.BitLit or kind is ast.BoolLit:
             return node.value
         if kind is ast.BitStringLit:
             return BV.from_string(node.bits)
@@ -219,9 +198,9 @@ class Evaluator:
             signal = self.resolve(node.args[0])
             name = signal.symbol.name
             if node.func == "rising_edge":
-                return name in ctx.events and ctx.read_signal(name) == 1
+                return name in ctx.events and ctx.values[name] == 1
             if node.func == "falling_edge":
-                return name in ctx.events and ctx.read_signal(name) == 0
+                return name in ctx.events and ctx.values[name] == 0
             raise SimulationError(f"unknown function {node.func!r}")
         if kind is ast.OthersAggregate:
             bit = self.eval(node.value, ctx)
@@ -245,6 +224,10 @@ class Evaluator:
     def _eval_binary(self, node: ast.Binary, ctx: ExecContext):
         op = node.op
         left = self.eval(node.left, ctx)
+        if left is _SHORT_CIRCUIT.get(op):
+            # Boolean and/or/nand/nor short-circuit (as in VHDL): the
+            # right operand, which may raise, is never evaluated.
+            return left if op in ("and", "or") else not left
         right = self.eval(node.right, ctx)
         if op in _LOGICAL:
             return _apply_logical(op, left, right)
@@ -252,28 +235,8 @@ class Evaluator:
             return self._values_equal(left, right)
         if op == "/=":
             return not self._values_equal(left, right)
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "mod":
-            if right == 0:
-                raise MutantRuntimeError("mod by zero")
-            return left % right
-        if op == "rem":
-            if right == 0:
-                raise MutantRuntimeError("rem by zero")
-            return left - right * int(left / right)
+        if op in _ARITHMETIC:
+            return _ARITHMETIC[op](left, right)
         if op == "&":
             return _concat(left, right)
         raise SimulationError(f"unsupported binary operator {op!r}")
@@ -296,6 +259,28 @@ class Evaluator:
 
 
 _LOGICAL = frozenset({"and", "or", "nand", "nor", "xor", "xnor"})
+#: Boolean left-operand values that decide a connective on their own.
+_SHORT_CIRCUIT = {"and": False, "nand": False, "or": True, "nor": True}
+
+
+def _mod(dividend, divisor):
+    if divisor == 0:
+        raise MutantRuntimeError("mod by zero")
+    return dividend % divisor
+
+
+def _rem(dividend, divisor):
+    if divisor == 0:
+        raise MutantRuntimeError("rem by zero")
+    return dividend - divisor * int(dividend / divisor)
+
+
+#: Integer operators evaluated as Python's (``mod``/``rem`` checked).
+_ARITHMETIC = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "mod": _mod, "rem": _rem,
+}
 
 
 def _apply_logical(op: str, left, right):
@@ -388,14 +373,3 @@ def _coerce(value, target_type: ty.HdlType):
         raise MutantRuntimeError(f"cannot assign {value!r} to {target_type}")
     raise SimulationError(f"unknown target type {target_type!r}")
 
-
-def process_context(
-    process: Process,
-    read_signal,
-    schedule,
-    schedule_base,
-    variables: dict,
-    events: set,
-) -> ExecContext:
-    """Build the execution context for one process activation."""
-    return ExecContext(read_signal, schedule, schedule_base, variables, events)

@@ -13,15 +13,18 @@ from __future__ import annotations
 from repro.errors import OscillationError, SimulationError
 from repro.hdl import ast
 from repro.hdl.design import Design, Process
-from repro.sim.interp import process_context
+from repro.sim.compiler import make_executor
 
 
 class Simulator:
     """Executes a design, optionally through a mutant patch table.
 
-    ``backend`` selects the process executor: ``"interp"`` walks the
-    AST (reference semantics), ``"compiled"`` runs closure-compiled
-    bodies (~5-10x faster; used for mutant campaigns).
+    ``executor`` runs process bodies; mutation engines pass one view of
+    their shared :class:`repro.sim.compiler.MutantSchema`.  Without one,
+    ``backend`` builds a private executor for ``patch``: ``"interp"``
+    walks the AST (reference semantics), ``"compiled"`` generates and
+    compiles Python for the design (several times faster, but paying
+    the compile on every construction).
     """
 
     def __init__(
@@ -30,18 +33,10 @@ class Simulator:
         patch: dict[int, ast.Node] | None = None,
         max_delta: int = 256,
         backend: str = "interp",
+        executor=None,
     ):
         self._design = design
-        if backend == "compiled":
-            from repro.sim.compiler import CompiledExecutor
-
-            self._executor = CompiledExecutor(design, patch)
-        elif backend == "interp":
-            from repro.sim.compiler import InterpretedExecutor
-
-            self._executor = InterpretedExecutor(design, patch)
-        else:
-            raise SimulationError(f"unknown backend {backend!r}")
+        self._executor = executor or make_executor(design, patch, backend)
         self._max_delta = max_delta
         # Signal store.
         self._values: dict[str, object] = {}
@@ -64,25 +59,6 @@ class Simulator:
     @property
     def design(self) -> Design:
         return self._design
-
-    # -- signal access ---------------------------------------------------------
-
-    def read(self, name: str):
-        """Current value of a signal or port."""
-        return self._values[name]
-
-    def _schedule(self, name: str, value) -> None:
-        self._scheduled[name] = value
-
-    def _schedule_base(self, name: str):
-        """Base value for partial (bit/slice) signal updates.
-
-        Projections accumulate within one delta: the second ``v(i) <=``
-        in the same round builds on the first one's pending value.
-        """
-        if name in self._scheduled:
-            return self._scheduled[name]
-        return self._values[name]
 
     # -- execution ---------------------------------------------------------------
 
@@ -124,16 +100,14 @@ class Simulator:
         )
 
     def _run_processes(self, processes: list[Process], events: set[str]) -> None:
+        # Processes schedule into ``_scheduled``; a partial (bit/slice)
+        # update builds on the pending value of the same delta, so a
+        # second ``v(i) <=`` in one round keeps the first one.
         for process in processes:
-            ctx = process_context(
-                process,
-                self.read,
-                self._schedule,
-                self._schedule_base,
-                self._variables[process.label],
-                events,
+            self._executor(
+                process, self._values, self._variables[process.label],
+                self._scheduled, events,
             )
-            self._executor.exec_process(process, ctx)
 
     def _commit(self) -> set[str]:
         events: set[str] = set()

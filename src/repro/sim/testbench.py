@@ -31,9 +31,10 @@ class Testbench:
         patch: dict[int, ast.Node] | None = None,
         max_delta: int = 256,
         backend: str = "interp",
+        executor=None,
     ):
         self._design = design
-        self._sim = Simulator(design, patch, max_delta, backend)
+        self._sim = Simulator(design, patch, max_delta, backend, executor)
         clocks = design.clocks
         resets = design.resets
         if len(clocks) > 1 or len(resets) > 1:

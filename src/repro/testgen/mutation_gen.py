@@ -212,15 +212,15 @@ class MutationTestGenerator:
         strategy = self._make_strategy(cycles=self._chunk_length)
         budget = self._budget
         decode = self._engine.encoder.decode
-        reference = Testbench(self._design, backend="compiled")
+        engine = self._engine
+        engine.cover(mutants)
+        reference = engine.testbench()
         reference.reset()
         benches: dict[int, Testbench] = {}
         live: dict[int, Mutant] = {}
         killed: set[int] = set()
         for mutant in mutants:
-            bench = Testbench(
-                self._design, mutant.patch(), backend="compiled"
-            )
+            bench = engine.testbench(mutant)
             try:
                 bench.reset()
             except (MutantRuntimeError, OscillationError):

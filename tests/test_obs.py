@@ -152,13 +152,56 @@ def test_merge_skips_corrupt_entries_and_counts_them():
 
 def test_histogram_snapshot_includes_quantiles():
     m = Metrics()
-    for _ in range(4):
-        m.observe("h", 0.4)        # all land in the "0.5" bucket
-    q = m.snapshot()["histograms"]["h"]["quantiles"]
-    # Linear interpolation between the previous edge (0.0) and 0.5.
+    for value in (0.15, 0.2, 0.3, 0.45):
+        m.observe("h", value)      # all land in the "0.5" bucket
+    hist = m.snapshot()["histograms"]["h"]
+    q = hist["quantiles"]
+    # Linear interpolation between the previous edge (0.0) and 0.5 ...
     assert q["p50"] == pytest.approx(0.25)
-    assert q["p95"] == pytest.approx(0.475)
-    assert q["p99"] == pytest.approx(0.495)
+    # ... clamped to the largest observation.
+    assert (hist["min"], hist["max"]) == (0.15, 0.45)
+    assert q["p95"] == pytest.approx(0.45)
+    assert q["p99"] == pytest.approx(0.45)
+
+
+def test_histogram_quantiles_never_exceed_observations():
+    # Two samples summing to 8 s share the (2, 10] bucket; unclamped
+    # interpolation reported p99 = 9.92 s, above the 5 s maximum.
+    m = Metrics()
+    m.observe("h", 3.0)
+    m.observe("h", 5.0)
+    q = m.snapshot()["histograms"]["h"]["quantiles"]
+    assert estimate_quantiles({"10": 2})["p99"] > 5.0
+    assert 3.0 <= q["p50"] <= 5.0
+    assert q["p99"] == pytest.approx(5.0)
+
+
+def test_histogram_min_max_merge_associative_and_legacy():
+    def part(*values):
+        m = Metrics()
+        for value in values:
+            m.observe("h", value)
+        return m.snapshot()
+
+    a, b, c = part(0.3, 0.4), part(7.0), part(0.01, 0.02)
+    orders = []
+    for parts in ((a, b, c), (c, a, b), (b, c, a)):
+        m = Metrics()
+        for snap in parts:
+            m.merge(snap)
+        orders.append(m.snapshot()["histograms"]["h"])
+    assert all(hist == orders[0] for hist in orders)
+    assert (orders[0]["min"], orders[0]["max"]) == (0.01, 7.0)
+    # A snapshot from before min/max existed still merges; the bounds
+    # become unknown and quantiles fall back to the bucket estimate.
+    legacy = {"histograms": {"h": {"count": 2, "sum": 1.0,
+                                   "buckets": {"0.5": 2}}}}
+    m = Metrics()
+    m.merge(a)
+    m.merge(legacy)
+    hist = m.snapshot()["histograms"]["h"]
+    assert hist["count"] == 4 and "min" not in hist
+    assert hist["quantiles"] == estimate_quantiles(hist["buckets"])
 
 
 def test_estimate_quantiles_interpolation_and_overflow():
