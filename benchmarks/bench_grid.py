@@ -50,14 +50,8 @@ def _stimuli(name: str, count: int) -> list[int]:
 @pytest.mark.parametrize("name", CIRCUITS)
 def test_grid_fault_validation_throughput(benchmark, name, workers):
     lab_config = bench_config()
-    config = CampaignConfig(
-        seed=lab_config.seed,
-        random_budget_comb=lab_config.random_budget_comb,
-        random_budget_seq=lab_config.random_budget_seq,
-        equivalence_budget=lab_config.equivalence_budget,
-        engine=lab_config.engine,
-        grid="process",
-        grid_workers=workers,
+    config = CampaignConfig.from_lab(
+        lab_config, grid="process", grid_workers=workers
     )
     lab = get_lab(name, lab_config)
     sequential = lab.design.is_sequential

@@ -80,72 +80,95 @@ _TUPLE_FIELDS = ("operators", "strategies", "sample_labels", "stages",
                  "circuits")
 
 
+def _flag(default, help: str, **metadata):
+    """A field ``repro.cli`` exposes as the flag ``--<name-with-dashes>``."""
+    return dataclasses.field(
+        default=default, metadata={"help": help, **metadata}
+    )
+
+
 @dataclass
 class CampaignConfig:
-    """Everything a :class:`repro.campaign.Campaign` needs to run."""
+    """Everything a :class:`repro.campaign.Campaign` needs to run.
+
+    A field with ``help`` metadata is a CLI flag: ``repro.cli`` derives
+    the flag's spelling, type, default and help from the field.
+    """
 
     # -- seeds ---------------------------------------------------------------
-    seed: int = 20050301                #: master seed (baseline, equivalence)
-    testgen_seed: int = 7               #: mutation-adequate generator seed
-    sampling_seed: int = 13             #: mutant sampling seed
+    seed: int = _flag(20050301, "master experiment seed (random baseline, "
+                                "equivalence classification)")
+    testgen_seed: int = _flag(7, "mutation-adequate generator seed")
+    sampling_seed: int = _flag(13, "mutant sampling seed")
 
-    # -- lab budgets (the former LabConfig) ----------------------------------
+    # -- lab budgets (the LabConfig slice) -----------------------------------
     random_budget_comb: int = 2048
     random_budget_seq: int = 1024
-    equivalence_budget: int = 256
-    #: fault-parallel chunk width of the sequential fault simulator
-    #: (lanes per chunk); results are lane-width independent, but the
-    #: value is fingerprinted so cached runs record how they executed.
-    fault_lanes: int = 256
+    equivalence_budget: int = _flag(
+        256, "stimuli for equivalent-mutant classification"
+    )
+    # Results are lane-width independent, but the value is fingerprinted
+    # so cached runs record how they executed.
+    fault_lanes: int = _flag(
+        256, "fault-parallel chunk width (lanes per chunk) of the "
+             "sequential fault simulator"
+    )
 
     # -- simulation backend --------------------------------------------------
-    #: named :mod:`repro.engine` backend every netlist/fault simulation
-    #: runs on (``interp``, ``compiled``, ``vector``); in the
-    #: fingerprint so the result cache never mixes backends — the
-    #: backends are bit-identical by contract, recording one is about
-    #: provenance, not results.
-    engine: str = DEFAULT_ENGINE
+    # In the fingerprint so the result cache never mixes backends — the
+    # backends are bit-identical by contract, recording one is about
+    # provenance, not results.
+    engine: str = _flag(
+        DEFAULT_ENGINE, "repro.engine backend every netlist and fault "
+                        "simulation runs on"
+    )
 
     # -- fault model ---------------------------------------------------------
-    #: named :mod:`repro.fault.models` fault model every fault list and
-    #: fault simulation uses (``stuck-at``, ``transition``, ``seu``).
-    #: Fingerprinted — different models compute different numbers — but
-    #: omitted from the fingerprint payload at its default so existing
-    #: stuck-at configs keep their byte-identical fingerprints (and
-    #: their cache / job-store entries).
-    fault_model: str = DEFAULT_FAULT_MODEL
+    # Fingerprinted — different models compute different numbers — but
+    # omitted from the fingerprint payload at its default so existing
+    # stuck-at configs keep their byte-identical fingerprints (and
+    # their cache / job-store entries).
+    fault_model: str = _flag(
+        DEFAULT_FAULT_MODEL, "fault model of every fault list and fault "
+                             "simulation (validation and NLFCE)"
+    )
     #: per-model knobs forwarded to the model constructor (e.g. the
     #: ``seu`` model's ``cycles``/``stride``); ``None`` = model
     #: defaults.  Fingerprinted unless ``None``, same reasoning.
     fault_model_knobs: dict | None = None
 
     # -- static analysis -----------------------------------------------------
-    #: skip simulating faults :mod:`repro.analyze.prune` proves
-    #: untestable.  Results are bit-identical with the knob off (pruned
-    #: faults are reported undetected, exactly as simulating them
-    #: would), but the knob is fingerprinted anyway — dropped at its
-    #: default so existing fingerprints survive — to record provenance.
-    prune_untestable: bool = False
-    #: tag mutants in provably dead behavioural logic as
-    #: possibly-equivalent statically instead of running their
-    #: equivalence kill sweep (:mod:`repro.analyze.prescreen`).
-    #: Fingerprinted (dropped at default): it reassigns triage
-    #: categories, which are part of the payload.
-    static_prescreen: bool = False
+    # Fingerprinted anyway — dropped at its default so existing
+    # fingerprints survive — to record provenance.
+    prune_untestable: bool = _flag(
+        False, "skip simulating faults repro.analyze proves untestable "
+               "(payloads stay bit-identical: pruned faults are reported "
+               "undetected)"
+    )
+    # Fingerprinted (dropped at default): it reassigns triage
+    # categories, which are part of the payload.
+    static_prescreen: bool = _flag(
+        False, "tag mutants in provably dead behavioural logic as "
+               "possibly-equivalent instead of running their equivalence "
+               "kill sweep"
+    )
 
     # -- test generation knobs -----------------------------------------------
-    max_vectors: int = 256
+    max_vectors: int = _flag(256, "cap on generated validation vectors")
     batch_size: int = 64
     chunk_length: int = 4
     chunk_candidates: int = 6
     stall_rounds: int = 4
 
     # -- candidate search (the repro.search subsystem) -----------------------
-    #: named :mod:`repro.search` strategy proposing candidate vectors
-    #: during test generation; ``random`` is the paper's blind draw.
-    search: str = DEFAULT_SEARCH
-    #: total candidate-vector cap per target (None: uncapped).
-    search_budget: int | None = None
+    search: str = _flag(
+        DEFAULT_SEARCH, "repro.search strategy proposing candidate vectors "
+                        "during test generation (random: the paper's "
+                        "blind draw)"
+    )
+    search_budget: int | None = _flag(
+        None, "total candidate-vector cap per target (default: uncapped)"
+    )
     #: stale-round cap tightening ``stall_rounds`` (None: unset).
     search_stale_rounds: int | None = None
     #: per-strategy knobs forwarded to the strategy constructor.
@@ -154,7 +177,10 @@ class CampaignConfig:
     # -- calibration / sampling ----------------------------------------------
     operators: tuple[str, ...] = DEFAULT_OPERATORS
     strategies: tuple[str, ...] = ("random", "test-oriented")
-    fraction: float = 0.10
+    fraction: float = _flag(
+        0.10, "fraction of the mutant population each sampling strategy "
+              "selects"
+    )
     weight_scheme: str = "calibrated"
     #: Explicit operator weights; when set, ``weight_scheme`` is ignored.
     weights: dict[str, float] | None = None
@@ -165,33 +191,43 @@ class CampaignConfig:
     stages: tuple[str, ...] = DEFAULT_PIPELINE
 
     # -- grid execution (within-circuit sharding) ----------------------------
-    #: named :mod:`repro.grid` scheduler running sharded work units
-    #: inside each circuit (``serial``, ``thread``, ``process``); None
-    #: keeps the classic unsharded path.  Fingerprinted for provenance
-    #: — all schedulers are bit-identical to serial by contract.  When
-    #: set, it supersedes ``jobs`` (circuits run in the parent, units
-    #: in the grid).
-    grid: str | None = None
-    #: items (faults / mutants) per work unit; 0 = auto (split each
-    #: axis into up to 16 units).  Fingerprinted: it defines the unit
-    #: boundaries the job store is keyed by.
-    grid_shard: int = 0
-    #: workers for the grid scheduler (execution-only: resuming on a
-    #: different pool size reuses every stored unit).
-    grid_workers: int = 1
-    #: coordinator base URL for the ``remote`` scheduler
-    #: (``http://host:port``); execution-only — *where* units run,
-    #: never *what* they compute, so a campaign started against one
-    #: coordinator resumes against another (or locally) unchanged.
-    coordinator: str | None = None
+    # Fingerprinted for provenance — all schedulers are bit-identical
+    # to serial by contract.
+    grid: str | None = _flag(
+        None, "repro.grid scheduler sharding work units inside each "
+              "circuit (supersedes --jobs; default: the unsharded path)"
+    )
+    # Fingerprinted: it defines the unit boundaries the job store is
+    # keyed by.
+    grid_shard: int = _flag(
+        0, "items (faults/mutants) per grid work unit (0 = auto: split "
+           "each axis into up to 16 units)"
+    )
+    # Execution-only: resuming on a different pool size reuses every
+    # stored unit.
+    grid_workers: int = _flag(1, "workers for the grid scheduler")
+    # Execution-only — *where* units run, never *what* they compute, so
+    # a campaign started against one coordinator resumes against
+    # another (or locally) unchanged.
+    coordinator: str | None = _flag(
+        None, "coordinator base URL for --grid remote (http://host:port)",
+        metavar="URL",
+    )
 
     # -- execution (excluded from the fingerprint) ---------------------------
-    circuits: tuple[str, ...] = DEFAULT_CIRCUITS
-    jobs: int = 1
-    cache_dir: str | None = None
-    #: LRU bound on on-disk result-cache entries (mtime-ordered sweep);
-    #: None = unlimited (the historical behavior).
-    cache_max_entries: int | None = None
+    circuits: tuple[str, ...] = _flag(DEFAULT_CIRCUITS, "circuits to run")
+    jobs: int = _flag(
+        1, "parallel worker processes over whole circuits (see --grid "
+           "for within-circuit sharding)"
+    )
+    cache_dir: str | None = _flag(
+        None, "directory for the on-disk result cache and the grid job "
+              "store"
+    )
+    cache_max_entries: int | None = _flag(
+        None, "LRU bound (mtime-ordered sweep) on result-cache entries "
+              "(default: unlimited)"
+    )
     #: collect :mod:`repro.obs` metrics during the run.  Execution-only
     #: by contract — telemetry observes the computation and never feeds
     #: it, so it stays out of the fingerprint and cached results are
@@ -319,19 +355,9 @@ class CampaignConfig:
 
     @classmethod
     def from_lab(cls, lab_config, **overrides) -> "CampaignConfig":
-        """Lift a legacy ``LabConfig`` into a campaign configuration."""
-        return cls(
-            seed=lab_config.seed,
-            random_budget_comb=lab_config.random_budget_comb,
-            random_budget_seq=lab_config.random_budget_seq,
-            equivalence_budget=lab_config.equivalence_budget,
-            fault_lanes=lab_config.fault_lanes,
-            engine=lab_config.engine,
-            fault_model=lab_config.fault_model,
-            fault_model_knobs=lab_config.fault_model_knobs,
-            prune_untestable=lab_config.prune_untestable,
-            **overrides,
-        )
+        """Lift a ``LabConfig`` into a campaign configuration."""
+        lab = {f.name: getattr(lab_config, f.name) for f in fields(lab_config)}
+        return cls(**lab, **overrides)
 
     # -- serialization -------------------------------------------------------
 

@@ -44,23 +44,32 @@ Commands
 * ``ablation``   — sampling-rate / weight-scheme ablations
 * ``search-compare`` — search strategies at an equal candidate budget
 
-Every subcommand is a thin consumer of the campaign pipeline: the
-shared ``--seed`` / budget options build one
-:class:`repro.campaign.CampaignConfig` (including ``--engine`` /
-``--fault-model`` / ``--fault-lanes`` simulation selection),
-table-producing commands
-accept ``--jobs`` (process-parallel over whole circuits), ``--grid`` /
-``--grid-workers`` / ``--grid-shard`` (sharded work-unit execution
-*within* each circuit), ``--cache-dir`` (on-disk result cache, plus
-the grid job store) with ``--cache-max-entries`` (LRU bound) and
-``--json`` (archive the result), and ``repro run`` replays a campaign
-described entirely by a JSON config file.
+Every subcommand is a thin consumer of the campaign pipeline, and its
+options build one :class:`repro.campaign.CampaignConfig`.  There is one
+list of those options, in ``campaign/config.py``: a field with ``help``
+metadata is the flag ``--<field name with dashes>``, typed, defaulted
+and described by the field, with choices from the engine, fault-model,
+search or grid registry.  Each command names the fields it accepts:
+
+* ``table1`` / ``table2`` take the seeds, budgets, simulation, search
+  and execution fields (``--jobs``, ``--grid*``, ``--cache-dir``, ...);
+* the lab-based commands (``atpg-reuse``, ``ablation``,
+  ``search-compare``) take only the fields they read — the
+  :class:`repro.experiments.LabConfig` slice plus the seeds and
+  ``--max-vectors`` their facade takes — so any other flag is an
+  argparse error rather than silently dropped;
+* ``repro run`` replays a campaign described entirely by a JSON config
+  file, overriding a fixed set of its fields from the same flags.
+
+``--random-budget`` sets both random budgets.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import typing
+from dataclasses import fields
 
 from repro.campaign.config import (
     DEFAULT_CIRCUITS,
@@ -68,109 +77,88 @@ from repro.campaign.config import (
     CampaignConfig,
 )
 
+_FIELDS = {f.name: f for f in fields(CampaignConfig)}
+_TYPES = typing.get_type_hints(CampaignConfig)
 
-def _add_budget_args(parser: argparse.ArgumentParser,
-                     search: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=20050301,
-                        help="master experiment seed")
-    parser.add_argument("--testgen-seed", type=int, default=7,
-                        help="mutation-adequate generator seed")
-    parser.add_argument("--sampling-seed", type=int, default=13,
-                        help="mutant sampling seed")
-    parser.add_argument("--random-budget", type=int, default=None,
-                        help="random baseline length (both styles)")
-    parser.add_argument("--equivalence-budget", type=int, default=256,
-                        help="stimuli for equivalent-mutant classification")
-    parser.add_argument("--max-vectors", type=int, default=256,
-                        help="cap on generated validation vectors")
-    _add_engine_args(parser)
-    if search:
-        _add_search_args(parser)
+#: The config flags of the table commands (``table2`` adds ``fraction``).
+_TABLE_FLAGS = (
+    "seed", "testgen_seed", "sampling_seed", "equivalence_budget",
+    "max_vectors", "engine", "fault_model", "fault_lanes",
+    "prune_untestable", "static_prescreen", "search", "search_budget",
+    "jobs", "grid", "grid_workers", "grid_shard", "coordinator",
+    "cache_dir", "cache_max_entries",
+)
+
+#: The config fields ``repro run`` overrides on top of its config file.
+_RUN_OVERRIDES = (
+    "circuits", "jobs", "grid", "grid_workers", "grid_shard",
+    "coordinator", "engine", "fault_model", "fault_lanes", "cache_dir",
+    "cache_max_entries", "search", "search_budget",
+)
 
 
-def _engine_choices() -> tuple[str, ...]:
+def _lab_flags(*facade_fields: str) -> tuple[str, ...]:
+    """The ``LabConfig`` fields that are flags, plus ``facade_fields``."""
+    from repro.experiments.context import LabConfig
+
+    return tuple(
+        f.name for f in fields(LabConfig) if "help" in _FIELDS[f.name].metadata
+    ) + facade_fields
+
+
+def _choices(name: str) -> tuple[str, ...] | None:
+    """The registry names a registry-backed field accepts."""
     from repro.engine import engine_names
-
-    return engine_names()
-
-
-def _search_choices() -> tuple[str, ...]:
+    from repro.fault.models import fault_model_names
+    from repro.grid import scheduler_names
     from repro.search import search_strategy_names
 
-    return search_strategy_names()
+    registry = {
+        "engine": engine_names, "fault_model": fault_model_names,
+        "grid": scheduler_names, "search": search_strategy_names,
+    }.get(name)
+    return registry() if registry else None
 
 
-def _add_search_args(parser: argparse.ArgumentParser) -> None:
-    from repro.search import DEFAULT_SEARCH
+def _add_config_flags(parser: argparse.ArgumentParser, names,
+                      override: bool = False) -> None:
+    """One ``--field-name`` flag per ``CampaignConfig`` field in ``names``.
 
-    parser.add_argument("--search", default=DEFAULT_SEARCH,
-                        choices=_search_choices(),
-                        help="candidate-vector search strategy "
-                             f"(default: {DEFAULT_SEARCH})")
-    parser.add_argument("--search-budget", type=int, default=None,
-                        help="total candidate cap per target "
-                             "(default: uncapped)")
-
-
-def _fault_model_choices() -> tuple[str, ...]:
-    from repro.fault.models import fault_model_names
-
-    return fault_model_names()
-
-
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    from repro.engine import DEFAULT_ENGINE
-    from repro.fault.models import DEFAULT_FAULT_MODEL
-
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=_engine_choices(),
-                        help="netlist-simulation backend "
-                             f"(default: {DEFAULT_ENGINE})")
-    parser.add_argument("--fault-model", default=DEFAULT_FAULT_MODEL,
-                        choices=_fault_model_choices(),
-                        help="fault model for validation and NLFCE "
-                             f"(default: {DEFAULT_FAULT_MODEL})")
-    parser.add_argument("--fault-lanes", type=int, default=256,
-                        help="fault-parallel chunk width for sequential "
-                             "fault simulation (default: 256)")
-    parser.add_argument("--prune-untestable", action="store_true",
-                        help="skip simulating provably untestable faults "
-                             "(repro.analyze; payloads stay bit-identical)")
-    parser.add_argument("--static-prescreen", action="store_true",
-                        help="tag mutants in provably dead logic as "
-                             "possibly-equivalent before simulation")
+    ``override`` flags default to ``None``: not given, the value from
+    the config file stands.
+    """
+    for name in names:
+        field = _FIELDS[name]
+        kind = _TYPES[name]
+        if type(None) in typing.get_args(kind):  # ``X | None``
+            kind = typing.get_args(kind)[0]
+        help_text = field.metadata["help"]
+        options = dict(
+            default=None if override else field.default,
+            help=f"{help_text}; overrides the config file" if override
+            else help_text,
+        )
+        if kind is bool:
+            options.update(action="store_true")
+        else:
+            options.update(metavar=field.metadata.get("metavar"),
+                           choices=_choices(name))
+            if typing.get_origin(kind) is tuple:
+                options.update(nargs="*")
+            elif kind is not str:
+                options.update(type=kind)
+        parser.add_argument("--" + name.replace("_", "-"), **options)
 
 
-def _scheduler_choices() -> tuple[str, ...]:
-    from repro.grid import scheduler_names
+def _add_experiment_flags(parser: argparse.ArgumentParser, names) -> None:
+    """The ``names`` config flags plus ``--random-budget``."""
+    parser.add_argument("--random-budget", type=int, default=None,
+                        help="random baseline length (sets both the "
+                             "combinational and the sequential budget)")
+    _add_config_flags(parser, names)
 
-    return scheduler_names()
 
-
-def _add_exec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes over whole "
-                             "circuits (per-circuit parallelism; see "
-                             "--grid for within-circuit sharding)")
-    parser.add_argument("--grid", default=None,
-                        choices=_scheduler_choices(),
-                        help="shard work within each circuit on this "
-                             "grid scheduler (supersedes --jobs)")
-    parser.add_argument("--grid-workers", type=int, default=1,
-                        help="workers for the grid scheduler "
-                             "(default: 1)")
-    parser.add_argument("--grid-shard", type=int, default=0,
-                        help="items (faults/mutants) per grid work "
-                             "unit (default: 0 = auto)")
-    parser.add_argument("--coordinator", default=None, metavar="URL",
-                        help="coordinator base URL for --grid remote "
-                             "(http://host:port)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk result cache "
-                             "and the grid job store")
-    parser.add_argument("--cache-max-entries", type=int, default=None,
-                        help="LRU bound on result-cache entries "
-                             "(default: unlimited)")
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the result as JSON to PATH")
     parser.add_argument("--progress", action="store_true",
@@ -178,57 +166,23 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _campaign_config(args, **overrides) -> CampaignConfig:
-    """One CampaignConfig from the shared CLI options.
+    """One CampaignConfig from the parsed config flags.
 
-    Subcommands expose only the options that affect them; anything a
-    parser does not declare keeps the campaign default.
+    A field the subcommand declares no flag for keeps its default.
+    ``--circuits`` is not read here: the table commands hand it to
+    ``Campaign.run`` and keep the config's list (and so the archived
+    config) at its default.
     """
-    values = dict(
-        seed=getattr(args, "seed", CampaignConfig.seed),
-        testgen_seed=getattr(args, "testgen_seed", CampaignConfig.testgen_seed),
-        sampling_seed=getattr(
-            args, "sampling_seed", CampaignConfig.sampling_seed
-        ),
-        equivalence_budget=getattr(
-            args, "equivalence_budget", CampaignConfig.equivalence_budget
-        ),
-        max_vectors=getattr(args, "max_vectors", CampaignConfig.max_vectors),
-        engine=getattr(args, "engine", None) or CampaignConfig.engine,
-        fault_model=(
-            getattr(args, "fault_model", None) or CampaignConfig.fault_model
-        ),
-        fault_lanes=getattr(
-            args, "fault_lanes", CampaignConfig.fault_lanes
-        ),
-        prune_untestable=getattr(
-            args, "prune_untestable", CampaignConfig.prune_untestable
-        ),
-        static_prescreen=getattr(
-            args, "static_prescreen", CampaignConfig.static_prescreen
-        ),
-        search=getattr(args, "search", None) or CampaignConfig.search,
-        search_budget=getattr(
-            args, "search_budget", CampaignConfig.search_budget
-        ),
-        jobs=getattr(args, "jobs", CampaignConfig.jobs),
-        grid=getattr(args, "grid", CampaignConfig.grid),
-        grid_workers=getattr(
-            args, "grid_workers", CampaignConfig.grid_workers
-        ),
-        grid_shard=getattr(args, "grid_shard", CampaignConfig.grid_shard),
-        coordinator=getattr(
-            args, "coordinator", CampaignConfig.coordinator
-        ),
-        cache_dir=getattr(args, "cache_dir", CampaignConfig.cache_dir),
-        cache_max_entries=getattr(
-            args, "cache_max_entries", CampaignConfig.cache_max_entries
-        ),
-    )
+    values = {
+        f.name: getattr(args, f.name)
+        for f in fields(CampaignConfig)
+        if "help" in f.metadata and f.name != "circuits"
+        and hasattr(args, f.name)
+    }
     if getattr(args, "random_budget", None) is not None:
         values["random_budget_comb"] = args.random_budget
         values["random_budget_seq"] = args.random_budget
-    values.update(overrides)
-    return CampaignConfig(**values)
+    return CampaignConfig(**{**values, **overrides})
 
 
 def _events(args):
@@ -261,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -340,57 +294,23 @@ def _main(argv: list[str] | None = None) -> int:
     )
     testgen.add_argument("circuit")
     testgen.add_argument("--operator", default=None)
-    # Only the knobs that affect this subcommand; --seed stays the
-    # generator seed it has always been here (alias of --testgen-seed).
+    # --seed stays the generator seed it has always been here.
     testgen.add_argument("--seed", "--testgen-seed", dest="testgen_seed",
-                         type=int, default=7,
-                         help="mutation-adequate generator seed")
-    testgen.add_argument("--max-vectors", type=int, default=256,
-                         help="cap on generated validation vectors")
-    _add_search_args(testgen)
+                         type=int, default=CampaignConfig.testgen_seed,
+                         help=_FIELDS["testgen_seed"].metadata["help"])
+    _add_config_flags(testgen, ("max_vectors", "search", "search_budget"))
 
     run = sub.add_parser(
         "run", help="execute a campaign from a JSON config file"
     )
     run.add_argument("config", help="path to a CampaignConfig JSON file")
-    run.add_argument("--circuits", nargs="*", default=None,
-                     help="override the config's circuit list")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="override the config's worker count")
-    run.add_argument("--grid", default=None, choices=_scheduler_choices(),
-                     help="override the config's grid scheduler")
-    run.add_argument("--grid-workers", type=int, default=None,
-                     help="override the config's grid worker count")
-    run.add_argument("--grid-shard", type=int, default=None,
-                     help="override the config's grid shard size")
-    run.add_argument("--coordinator", default=None, metavar="URL",
-                     help="coordinator base URL for --grid remote "
-                          "(http://host:port)")
+    _add_config_flags(run, _RUN_OVERRIDES, override=True)
     run.add_argument("--resume", action="store_true",
                      help="resume a killed run (needs --cache-dir): "
                           "finished circuits come from the result "
                           "cache, and with a grid scheduler finished "
                           "work units come from the job store")
-    run.add_argument("--engine", default=None, choices=_engine_choices(),
-                     help="override the config's simulation backend")
-    run.add_argument("--fault-model", default=None,
-                     choices=_fault_model_choices(),
-                     help="override the config's fault model")
-    run.add_argument("--fault-lanes", type=int, default=None,
-                     help="override the config's fault-parallel "
-                          "chunk width")
-    run.add_argument("--cache-dir", default=None,
-                     help="override the config's result cache directory")
-    run.add_argument("--cache-max-entries", type=int, default=None,
-                     help="override the config's cache LRU bound")
-    run.add_argument("--search", default=None, choices=_search_choices(),
-                     help="override the config's search strategy")
-    run.add_argument("--search-budget", type=int, default=None,
-                     help="override the config's candidate cap")
-    run.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the result as JSON to PATH")
-    run.add_argument("--progress", action="store_true",
-                     help="report per-stage progress on stderr")
+    _add_output_flags(run)
     run.add_argument("--telemetry", action="store_true",
                      help="collect execution metrics and print a "
                           "summary on stderr (never affects results "
@@ -518,29 +438,31 @@ def _main(argv: list[str] | None = None) -> int:
 
     table1 = sub.add_parser("table1", help="regenerate Table 1")
     table1.add_argument("--circuits", nargs="*", default=list(DEFAULT_CIRCUITS))
-    _add_budget_args(table1)
-    _add_exec_args(table1)
+    _add_experiment_flags(table1, _TABLE_FLAGS)
+    _add_output_flags(table1)
 
     table2 = sub.add_parser("table2", help="regenerate Table 2")
     table2.add_argument("--circuits", nargs="*", default=list(DEFAULT_CIRCUITS))
-    table2.add_argument("--fraction", type=float, default=0.10)
     table2.add_argument("--no-calibrate", action="store_true")
-    _add_budget_args(table2)
-    _add_exec_args(table2)
+    _add_experiment_flags(table2, _TABLE_FLAGS + ("fraction",))
+    _add_output_flags(table2)
 
+    # The lab-based commands declare only the fields their facade reads.
     reuse = sub.add_parser("atpg-reuse", help="validation-reuse experiment")
     reuse.add_argument("--circuits", nargs="*",
                        default=["c17", "c432", "c499"])
     reuse.add_argument("--json", default=None, metavar="PATH",
                        help="also write the rows as JSON to PATH")
-    _add_budget_args(reuse)
+    _add_experiment_flags(reuse, _lab_flags("testgen_seed", "max_vectors"))
 
     ablation = sub.add_parser("ablation", help="ablation studies")
     ablation.add_argument("kind", choices=["rate", "weights"])
     ablation.add_argument("--circuit", default="b01")
     ablation.add_argument("--json", default=None, metavar="PATH",
                           help="also write the rows as JSON to PATH")
-    _add_budget_args(ablation)
+    _add_experiment_flags(ablation, _lab_flags(
+        "sampling_seed", "testgen_seed", "max_vectors",
+    ))
 
     compare = sub.add_parser(
         "search-compare",
@@ -549,18 +471,22 @@ def _main(argv: list[str] | None = None) -> int:
     compare.add_argument("--circuits", nargs="*", default=None,
                          help="circuits to compare on (default: c432 b01)")
     compare.add_argument("--strategies", nargs="*", default=None,
-                         choices=_search_choices(),
+                         choices=_choices("search"),
                          help="strategies to compare (default: all)")
     compare.add_argument("--budget", type=int, default=512,
                          help="candidate budget per strategy run")
     compare.add_argument("--json", default=None, metavar="PATH",
                          help="also write the rows as JSON to PATH")
-    # The strategy is swept here, so the shared --search knobs are out;
-    # an unset seed resolves to the shipped comparison's
-    # DEFAULT_SEARCH_SEED in _cmd_search_compare.
-    _add_budget_args(compare, search=False)
+    # The strategy is swept here, so --search is out; an unset seed
+    # resolves to the shipped comparison's DEFAULT_SEARCH_SEED in
+    # _cmd_search_compare.
+    _add_experiment_flags(compare, _lab_flags("testgen_seed", "max_vectors"))
     compare.set_defaults(testgen_seed=None)
+    return parser
 
+
+def _main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
 
@@ -636,7 +562,6 @@ def _main(argv: list[str] | None = None) -> int:
             args,
             operators=DEFAULT_OPERATORS if calibrate else (),
             strategies=("random", "test-oriented"),
-            fraction=args.fraction,
             weight_scheme="calibrated" if calibrate else "paper-ranks",
         )
         result = Campaign(config, _events(args)).run(tuple(args.circuits))
@@ -1096,41 +1021,17 @@ def _cmd_run(args) -> int:
     from repro.experiments.report import campaign_text
 
     config = CampaignConfig.from_file(args.config)
-    overrides = {}
-    if args.circuits is not None:
-        overrides["circuits"] = tuple(args.circuits)
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if args.grid_workers is not None:
-        overrides["grid_workers"] = args.grid_workers
-    if args.grid_shard is not None:
-        overrides["grid_shard"] = args.grid_shard
-    if args.coordinator is not None:
-        overrides["coordinator"] = args.coordinator
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    if args.fault_model is not None:
-        overrides["fault_model"] = args.fault_model
-    if args.fault_lanes is not None:
-        overrides["fault_lanes"] = args.fault_lanes
-    if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
-    if args.cache_max_entries is not None:
-        overrides["cache_max_entries"] = args.cache_max_entries
-    if args.search is not None:
-        overrides["search"] = args.search
-    if args.search_budget is not None:
-        overrides["search_budget"] = args.search_budget
+    overrides = {
+        name: getattr(args, name) for name in _RUN_OVERRIDES
+        if getattr(args, name) is not None
+    }
     if args.telemetry:
         overrides["telemetry"] = True
     if args.trace:
         # Execution-only, like telemetry: grid and remote workers see
         # config.trace and ship span buffers home in their envelopes.
         overrides["trace"] = True
-    if overrides:
-        config = config.replace(**overrides)
+    config = config.replace(**overrides)
     events = _events(args)
     tracer = None
     if args.trace:

@@ -8,7 +8,7 @@ given (circuit, seed, budgets) — :func:`get_lab` memoizes them so Table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.analyze.prune import split_untestable
 from repro.circuits import get_circuit, load_circuit
@@ -33,7 +33,10 @@ class LabConfig:
     This is the lab-level slice of the full campaign configuration; the
     pipeline derives one via :meth:`from_campaign` (see
     :class:`repro.campaign.CampaignConfig`, which callers should prefer
-    as the single configuration object).
+    as the single configuration object).  Its fields are the
+    :func:`get_lab` memo key, so Table 1, Table 2 and the ablation
+    variants — campaign configs that differ only outside this slice —
+    share one lab.
     """
 
     seed: int = 20050301
@@ -57,17 +60,7 @@ class LabConfig:
     @classmethod
     def from_campaign(cls, config) -> "LabConfig":
         """The lab slice of a :class:`repro.campaign.CampaignConfig`."""
-        return cls(
-            seed=config.seed,
-            random_budget_comb=config.random_budget_comb,
-            random_budget_seq=config.random_budget_seq,
-            equivalence_budget=config.equivalence_budget,
-            fault_lanes=config.fault_lanes,
-            engine=config.engine,
-            fault_model=config.fault_model,
-            fault_model_knobs=config.fault_model_knobs,
-            prune_untestable=config.prune_untestable,
-        )
+        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 class CircuitLab:
@@ -204,13 +197,10 @@ _LABS: dict[tuple, CircuitLab] = {}
 def get_lab(name: str, config: LabConfig | None = None) -> CircuitLab:
     """Memoized :class:`CircuitLab` lookup."""
     config = config or LabConfig()
-    knobs = config.fault_model_knobs
-    key = (
-        name, config.seed, config.random_budget_comb,
-        config.random_budget_seq, config.equivalence_budget,
-        config.fault_lanes, config.engine, config.fault_model,
-        None if knobs is None else tuple(sorted(knobs.items())),
-        config.prune_untestable,
+    # Knob dicts key as sorted item tuples, so equal knobs share a lab.
+    key = (name,) + tuple(
+        tuple(sorted(value.items())) if isinstance(value, dict) else value
+        for value in (getattr(config, f.name) for f in fields(config))
     )
     if key not in _LABS:
         _LABS[key] = CircuitLab(name, config)

@@ -92,11 +92,58 @@ def test_fingerprint_ignores_execution_fields():
     ).fingerprint()
 
 
+#: A non-default value for every ``LabConfig`` field.
+LAB_VALUES = dict(
+    seed=77, random_budget_comb=96, random_budget_seq=80,
+    equivalence_budget=32, fault_lanes=64, engine="interp",
+    fault_model="seu", fault_model_knobs={"cycles": 2},
+    prune_untestable=True,
+)
+
+
 def test_lab_config_slice():
-    lab = CampaignConfig(**FAST).lab_config()
-    assert lab.seed == 77
-    assert lab.random_budget_comb == 96
-    assert lab.equivalence_budget == 32
+    from dataclasses import fields
+
+    from repro.experiments.context import LabConfig
+
+    campaign_fields = {f.name: f for f in fields(CampaignConfig)}
+    assert {f.name for f in fields(LabConfig)} == set(LAB_VALUES)
+    config = CampaignConfig(**LAB_VALUES, fraction=0.5, search="bitflip")
+    lab = config.lab_config()
+    for f in fields(LabConfig):
+        # Same name and default as the campaign field it slices...
+        assert f.default == campaign_fields[f.name].default, f.name
+        # ...and both bridges carry its value.
+        assert getattr(lab, f.name) == LAB_VALUES[f.name], f.name
+    lifted = CampaignConfig.from_lab(lab, fraction=0.5, search="bitflip")
+    assert lifted == config
+
+
+def test_get_lab_shares_labs_across_non_lab_fields():
+    import dataclasses
+
+    from repro.experiments.context import get_lab
+
+    base = CampaignConfig(**FAST)
+    lab = get_lab("c17", base.lab_config())
+    for other in (base.replace(fraction=0.5), base.replace(search="bitflip")):
+        assert get_lab("c17", other.lab_config()) is lab
+    # One change per lab field (FAST already sets the seed and budgets;
+    # stuck-at takes no knobs, so its knob change is None -> {}).
+    changes = dict(LAB_VALUES, seed=78, random_budget_comb=97,
+                   random_budget_seq=97, equivalence_budget=33,
+                   fault_model="transition", fault_model_knobs={})
+    for name, value in changes.items():
+        changed = dataclasses.replace(base.lab_config(), **{name: value})
+        assert get_lab("c17", changed) is not lab, name
+    # Knob dicts key by content, not insertion order.
+    ordered, swapped = (
+        base.replace(fault_model="seu", fault_model_knobs=knobs)
+        for knobs in ({"cycles": 2, "stride": 1}, {"stride": 1, "cycles": 2})
+    )
+    assert get_lab("c17", ordered.lab_config()) is get_lab(
+        "c17", swapped.lab_config()
+    )
 
 
 # -- registries --------------------------------------------------------------

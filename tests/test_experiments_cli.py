@@ -167,6 +167,73 @@ def test_cli_rejects_unknown_engine(capsys):
         main(["table1", "--circuits", "c17", "--engine", "laser"])
 
 
+@pytest.mark.parametrize("argv", [
+    "ablation rate --search bitflip",
+    "ablation rate --search-budget 8",
+    "ablation rate --static-prescreen",
+    "atpg-reuse --search bitflip",
+    "atpg-reuse --search-budget 8",
+    "atpg-reuse --static-prescreen",
+    "atpg-reuse --sampling-seed 3",
+    "search-compare --sampling-seed 3",
+    "search-compare --static-prescreen",
+])
+def test_lab_commands_reject_flags_they_do_not_read(
+    argv, monkeypatch, capsys
+):
+    # The facades are stubbed so an accepted flag fails fast instead of
+    # running a default-budget experiment.
+    from repro.experiments import ablation, atpg_reuse, search_compare
+
+    for module, name in ((ablation, "run_rate_ablation"),
+                         (atpg_reuse, "run_atpg_reuse"),
+                         (search_compare, "run_search_compare")):
+        monkeypatch.setattr(module, name, lambda **kwargs: [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: ``_campaign_config(args).to_dict()`` of the table, testgen and
+#: lab-based commands given no options, pinned as a literal so a
+#: changed field default or a dropped flag shows up here.
+CLI_DEFAULT_CONFIG = {
+    "batch_size": 64, "cache_dir": None, "cache_max_entries": None,
+    "chunk_candidates": 6, "chunk_length": 4,
+    "circuits": ["b01", "b03", "c432", "c499"], "coordinator": None,
+    "engine": "compiled", "equivalence_budget": 256, "fault_lanes": 256,
+    "fault_model": "stuck-at", "fault_model_knobs": None, "fraction": 0.1,
+    "grid": None, "grid_shard": 0, "grid_workers": 1, "jobs": 1,
+    "max_vectors": 256, "operators": ["LOR", "VR", "CVR", "CR"],
+    "prune_untestable": False, "random_budget_comb": 2048,
+    "random_budget_seq": 1024, "sample_labels": [], "sampling_seed": 13,
+    "search": "random", "search_budget": None, "search_knobs": None,
+    "search_stale_rounds": None, "seed": 20050301,
+    "stages": ["synth", "mutants", "search", "fault-validation", "metrics",
+               "sampling", "search", "fault-validation", "metrics"],
+    "stall_rounds": 4, "static_prescreen": False,
+    "strategies": ["random", "test-oriented"], "telemetry": False,
+    "testgen_seed": 7, "trace": False, "weight_scheme": "calibrated",
+    "weights": None,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1"], ["table2"], ["testgen", "c17"], ["atpg-reuse"],
+    ["ablation", "rate"], ["search-compare"],
+])
+def test_cli_defaults_match_config(argv):
+    from repro.cli import _build_parser, _campaign_config
+
+    args = _build_parser().parse_args(argv)
+    expected = dict(CLI_DEFAULT_CONFIG)
+    if argv == ["search-compare"]:
+        # Resolved to DEFAULT_SEARCH_SEED by the command itself.
+        expected["testgen_seed"] = None
+    assert _campaign_config(args).to_dict() == expected
+
+
 @pytest.mark.parametrize("command", ["table1", "table2"])
 def test_cli_engine_selection_is_bit_identical(command, capsys):
     """`--engine compiled` output must equal `--engine interp` exactly."""

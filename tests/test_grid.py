@@ -665,18 +665,29 @@ def test_cli_resume_without_cache_dir_errors(tmp_path, capsys):
 
 
 def test_cli_json_includes_grid_fields(tmp_path, capsys):
-    from repro.cli import main
+    from repro.cli import _RUN_OVERRIDES, main
 
     config_path = tmp_path / "campaign.json"
     config_path.write_text(
-        CampaignConfig(**FAST, circuits=("c17",), strategies=()).to_json()
+        CampaignConfig(
+            **FAST, circuits=("c17", "b01"), strategies=()
+        ).to_json()
     )
     out_path = tmp_path / "result.json"
-    assert main([
-        "run", str(config_path), "--grid", "serial",
-        "--grid-workers", "2", "--json", str(out_path),
-    ]) == 0
+    # Every ``repro run`` override lands in the archived config.
+    overrides = {
+        "grid": "serial", "grid_workers": 2, "circuits": ["c17"],
+        "jobs": 2, "grid_shard": 4, "coordinator": "http://127.0.0.1:9",
+        "engine": "interp", "fault_model": "transition", "fault_lanes": 64,
+        "cache_dir": str(tmp_path / "cache"), "cache_max_entries": 5,
+        "search": "bitflip", "search_budget": 64,
+    }
+    assert set(overrides) == set(_RUN_OVERRIDES)
+    argv = ["run", str(config_path), "--json", str(out_path)]
+    for name, value in overrides.items():
+        values = value if isinstance(value, list) else [str(value)]
+        argv += ["--" + name.replace("_", "-"), *values]
+    assert main(argv) == 0
     capsys.readouterr()
     data = json.loads(out_path.read_text())
-    assert data["config"]["grid"] == "serial"
-    assert data["config"]["grid_workers"] == 2
+    assert {name: data["config"][name] for name in overrides} == overrides
