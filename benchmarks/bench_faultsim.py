@@ -4,33 +4,64 @@ Parametrized over every registered :mod:`repro.engine` backend so the
 ``interp`` reference, the ``compiled`` code-generating backend and the
 ``vector`` bit-packed backend are measured side by side;
 ``benchmarks/run_benchmarks.py`` turns the results into the
-``BENCH_engine.json`` trajectory at the repo root.
+``BENCH_engine.json`` trajectory at the repo root.  Warm rounds reuse
+the shared engine's per-netlist programs, so the ``compiled-cold``
+rows time a fresh private engine per round: codegen included, as every
+new process pays it.  Each row records ``cpus``.
 """
 
 import pytest
 
-from repro.engine import engine_names
+from repro.engine import CompiledEngine, engine_names
 from repro.fault import CombFaultSimulator, SeqFaultSimulator, collapse_faults
 from repro.sim import StimulusEncoder
 from repro.util import rng_stream
 from tests.conftest import netlist_of
 from repro.circuits import load_circuit
+from benchmarks.conftest import cpus
 
 
-@pytest.mark.parametrize("engine", engine_names())
-@pytest.mark.parametrize("name", ["c432", "c499"])
-def test_comb_fault_sim_throughput(benchmark, name, engine):
+def _comb_case(name: str):
     netlist = netlist_of(name)
     faults = collapse_faults(netlist)
     width = len(netlist.input_bits)
     rng = rng_stream(1, name, "bench-fsim")
     patterns = [rng.getrandbits(width) for _ in range(256)]
+    return netlist, faults, patterns
+
+
+@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("name", ["c432", "c499"])
+def test_comb_fault_sim_throughput(benchmark, name, engine):
+    netlist, faults, patterns = _comb_case(name)
     simulator = CombFaultSimulator(netlist, faults, engine=engine)
     benchmark.extra_info.update(
-        circuit=name, engine=engine, style="comb",
+        circuit=name, engine=engine, style="comb", cpus=cpus(),
         patterns=len(patterns), faults=len(faults),
     )
     result = benchmark(simulator.simulate, patterns)
+    assert result.coverage() > 0.5
+
+
+@pytest.mark.parametrize("name", ["c432", "c499"])
+def test_comb_fault_sim_cold_compiled(benchmark, name):
+    """One pass on a fresh private ``CompiledEngine``: codegen included."""
+    netlist, faults, patterns = _comb_case(name)
+
+    def fresh_simulator():
+        simulator = CombFaultSimulator(
+            netlist, faults, engine=CompiledEngine()
+        )
+        return (patterns,), {"simulator": simulator}
+
+    def cold_pass(patterns, simulator):
+        return simulator.simulate(patterns)
+
+    benchmark.extra_info.update(
+        circuit=name, engine="compiled-cold", style="comb", cpus=cpus(),
+        patterns=len(patterns), faults=len(faults),
+    )
+    result = benchmark.pedantic(cold_pass, setup=fresh_simulator, rounds=5)
     assert result.coverage() > 0.5
 
 
@@ -45,7 +76,7 @@ def test_seq_fault_sim_throughput(benchmark, name, engine):
     stimuli = [rng.getrandbits(width) for _ in range(128)]
     simulator = SeqFaultSimulator(netlist, faults, lanes=256, engine=engine)
     benchmark.extra_info.update(
-        circuit=name, engine=engine, style="seq",
+        circuit=name, engine=engine, style="seq", cpus=cpus(),
         patterns=len(stimuli), faults=len(faults),
     )
     result = benchmark(simulator.simulate, stimuli)
@@ -69,7 +100,7 @@ def test_comb_fault_sim_telemetry_overhead(benchmark):
     patterns = [rng.getrandbits(width) for _ in range(256)]
     simulator = CombFaultSimulator(netlist, faults, engine="compiled")
     benchmark.extra_info.update(
-        circuit="c432", engine="compiled+obs", style="comb",
+        circuit="c432", engine="compiled+obs", style="comb", cpus=cpus(),
         patterns=len(patterns), faults=len(faults),
     )
     obs_metrics.enable()
@@ -92,7 +123,7 @@ def test_seq_fault_sim_telemetry_overhead(benchmark):
     simulator = SeqFaultSimulator(netlist, faults, lanes=256,
                                   engine="compiled")
     benchmark.extra_info.update(
-        circuit="b01", engine="compiled+obs", style="seq",
+        circuit="b01", engine="compiled+obs", style="seq", cpus=cpus(),
         patterns=len(stimuli), faults=len(faults),
     )
     obs_metrics.enable()

@@ -15,8 +15,6 @@ container the trajectory documents overhead, not speedup.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.campaign import CampaignConfig
@@ -25,18 +23,11 @@ from repro.grid import GridExecutor
 from repro.sim import StimulusEncoder
 from repro.circuits import load_circuit
 from repro.util import rng_stream
-from benchmarks.conftest import bench_config
+from benchmarks.conftest import bench_config, cpus
 
 WORKERS = (1, 2, 4, 8)
 #: The two big ISCAS'85 comb benches plus the largest ITC'99 seq bench.
 CIRCUITS = ("c432", "c499", "b03")
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _stimuli(name: str, count: int) -> list[int]:
@@ -63,7 +54,7 @@ def test_grid_fault_validation_throughput(benchmark, name, workers):
         # Warm pass: pool spawn + per-worker synthesis/compilation.
         executor.fault_sim(lab, stimuli, "bench-warmup")
         benchmark.extra_info.update(
-            circuit=name, workers=workers, cpus=_cpus(),
+            circuit=name, workers=workers, cpus=cpus(),
             style="seq" if sequential else "comb",
             patterns=len(stimuli), faults=len(lab.faults),
             engine=config.engine,

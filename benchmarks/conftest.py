@@ -41,6 +41,14 @@ def bench_circuits() -> tuple[str, ...]:
     return ("b01", "b03", "c432")
 
 
+def cpus() -> int:
+    """Cores this process may run on (recorded on every BENCH row)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def write_out(name: str, text: str) -> None:
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / name).write_text(text + "\n")

@@ -22,7 +22,8 @@ Four suites, selected with ``--suite`` (default ``engine``):
 
 All suites run under pytest-benchmark, so the numbers come from calibrated,
 warmed-up rounds — compilation cost of the ``compiled`` backend lands
-in the warmup, exactly as it amortizes in real campaigns.
+in the warmup.  A fresh process pays it once per netlist, so the engine
+suite's ``compiled-cold`` rows time it too (a new engine every round).
 
 Usage::
 
@@ -79,6 +80,7 @@ def engine_rows(report: dict) -> list[dict]:
             "circuit": info["circuit"],
             "backend": info["engine"],
             "style": info["style"],
+            "cpus": info["cpus"],
             "patterns": info["patterns"],
             "faults": info["faults"],
             "seconds_per_pass": seconds,

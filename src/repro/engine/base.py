@@ -89,9 +89,11 @@ class EngineBase:
 
     Subclasses provide ``_build(netlist)`` returning a program object
     (whatever per-netlist precomputation the backend needs; it must
-    expose ``netlist`` and ``output_set`` attributes) and
-    ``_cone_diff(program, origin, word, good, mask)`` evaluating the
-    faulty machine downstream of ``origin`` seeded with ``word``.
+    expose ``netlist`` and ``output_set`` attributes) and either
+    ``_cone_diff(program, origin, word, good, mask)``, the hook of the
+    default :meth:`fault_diff`, evaluating the faulty machine
+    downstream of ``origin`` seeded with ``word``, or their own
+    ``fault_diff``/``fault_diff_batch``.
     """
 
     name: str = ""

@@ -1,11 +1,14 @@
 """Pattern-parallel single-fault simulation for combinational circuits.
 
 All patterns of the test set ride one arbitrary-precision integer per
-net (lane *i* = pattern *i*).  For each collapsed fault the faulty
-machine is re-evaluated only over the fault's output cone by the
-selected :mod:`repro.engine` backend.  The XOR of faulty and good
-primary-output words gives the per-pattern detection word; the lowest
-set bit is the first-detecting pattern.
+net (lane *i* = pattern *i*).  The whole collapsed fault list goes to
+the selected :mod:`repro.engine` backend's ``fault_diff_batch`` in one
+call, which returns each fault's primary-output difference word (the
+XOR of faulty and good outputs): ``interp`` re-evaluates each fault's
+output cone, ``vector`` packs one faulty machine per row, and
+``compiled`` walks each fault to its fanout-free-region stem and flips
+all reached stems in packed passes.  The lowest set bit of a word is
+the fault's first-detecting pattern.
 """
 
 from __future__ import annotations

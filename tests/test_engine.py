@@ -10,6 +10,8 @@ patterns alike.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.engine import (
@@ -24,14 +26,17 @@ from repro.engine import (
     register_engine,
 )
 from repro.engine.base import ENGINES
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError, EngineError, FaultSimError
 from repro.fault import (
     CombFaultSimulator,
     SeqFaultSimulator,
+    StuckAtFault,
     collapse_faults,
+    generate_faults,
     simulate_stuck_at,
 )
 from repro.netlist import CombSimulator, SeqSimulator
+from repro.netlist.simulate import unpack_patterns
 from repro.netlist.cells import GateType
 from repro.netlist.netlist import DFF, Gate, Net, Netlist
 from repro.util import rng_stream
@@ -180,8 +185,6 @@ def test_differential_combinational(engine):
         assert candidate.detection == reference.detection, f"case {case}"
         # Identical net words from the good-machine evaluators.
         mask = (1 << len(patterns)) - 1
-        from repro.netlist.simulate import unpack_patterns
-
         words = unpack_patterns(patterns, netlist.input_bits)
         ref_words = CombSimulator(netlist, "interp").evaluate(words, mask)
         cand_words = CombSimulator(netlist, engine).evaluate(words, mask)
@@ -229,6 +232,143 @@ def test_differential_real_circuits(engine, name):
     candidate = simulate_stuck_at(netlist, vectors, engine=engine)
     assert candidate.detection == reference.detection
     assert candidate.num_patterns == reference.num_patterns
+
+
+def _interp_diff_words(netlist, faults, patterns):
+    """Good words, mask and ``interp``'s per-fault difference words."""
+    mask = (1 << len(patterns)) - 1
+    reference = build_engine("interp")
+    good = reference.eval_full(
+        netlist, unpack_patterns(patterns, netlist.input_bits), mask
+    )
+    words = [
+        reference.fault_diff(netlist, fault, good, mask) for fault in faults
+    ]
+    return good, mask, words
+
+
+@functools.lru_cache(maxsize=None)
+def _real_circuit_reference(name: str, count: int):
+    """interp's words for ``count`` random patterns, shared per engine."""
+    netlist = netlist_of(name)
+    rng = rng_stream(4242, "engine-batch", name, str(count))
+    width = len(netlist.input_bits)
+    patterns = [rng.getrandbits(width) for _ in range(count)]
+    return _interp_diff_words(netlist, collapse_faults(netlist), patterns)
+
+
+@pytest.mark.parametrize("engine", ALTERNATES)
+@pytest.mark.parametrize("count", [1, 96, 700])
+@pytest.mark.parametrize("name", ["c432", "c499"])
+def test_batched_fault_diff_matches_interp_words(name, count, engine):
+    """Batched and per-fault difference words equal interp's, word by word.
+
+    Whole words, not first-detect indices: a later-lane difference
+    would hide behind an identical first detection.  At 700 patterns
+    the compiled backend packs its fanout-free-region stems into
+    several flip passes.
+    """
+    netlist = netlist_of(name)
+    faults = collapse_faults(netlist)
+    good, mask, reference = _real_circuit_reference(name, count)
+    candidate = build_engine(engine)
+    assert candidate.fault_diff_batch(netlist, faults, good, mask) == reference
+    looped = [
+        candidate.fault_diff(netlist, fault, good, mask) for fault in faults
+    ]
+    assert looped == reference
+
+
+def _ffr_edge_netlist() -> Netlist:
+    """A hand-built netlist exercising every fanout-free-region edge.
+
+    ``a`` drives both pins of one gate; ``c`` does too, through an
+    XNOR, so a fault on ``c`` is masked inside its region; ``b`` is a
+    primary output that also fans out; ``i2`` is a primary input that
+    is also a primary output and a gate input; ``i4`` is wired
+    straight to an output; ``e`` is dangling; ``i0`` is a stem whose
+    loads carry branch faults.
+    """
+    netlist = Netlist("ffr-edges")
+    names = ["i0", "i1", "i2", "i3", "i4", "a", "b", "c", "m", "d", "e"]
+    netlist.nets = [Net(nid, name) for nid, name in enumerate(names)]
+    net = {name: nid for nid, name in enumerate(names)}
+    netlist.input_ports = [(f"i{k}", [net[f"i{k}"]]) for k in range(5)]
+    for gid, (gate_type, ins, out) in enumerate([
+        (GateType.NAND, ["i0", "i1"], "a"),
+        (GateType.OR, ["a", "a"], "b"),
+        (GateType.XOR, ["i2", "i3"], "c"),
+        (GateType.XNOR, ["c", "c"], "m"),
+        (GateType.AND, ["b", "m"], "d"),
+        (GateType.NOT, ["i0"], "e"),
+    ]):
+        netlist.gates.append(
+            Gate(gid, gate_type, [net[n] for n in ins], net[out])
+        )
+    netlist.output_ports = [
+        (name, [net[name]]) for name in ("b", "d", "i2", "i4")
+    ]
+    netlist.validate()
+    return netlist
+
+
+def test_compiled_ffr_structure_of_edge_netlist():
+    netlist = _ffr_edge_netlist()
+    program = CompiledEngine()._program(netlist)
+    name = netlist.net_name
+    assert sorted(name(n) for n in program.single_load) == [
+        "a", "c", "i1", "i3", "m",
+    ]
+    assert sorted(name(n) for n in program.stems) == [
+        "b", "d", "e", "i0", "i2", "i4",
+    ]
+
+
+@pytest.mark.parametrize("engine", ALTERNATES)
+def test_fault_diff_ffr_edge_cases_match_interp(engine):
+    netlist = _ffr_edge_netlist()
+    # Branch faults on the one gate load of the fanning-out output b.
+    b = next(n.nid for n in netlist.nets if n.name == "b")
+    faults = generate_faults(netlist) + [
+        StuckAtFault(net=b, stuck=stuck, gate=4, pin=0) for stuck in (0, 1)
+    ]
+    # Exhaustive over the five inputs.
+    good, mask, reference = _interp_diff_words(
+        netlist, faults, list(range(32))
+    )
+    candidate = build_engine(engine)
+    assert candidate.fault_diff_batch(netlist, faults, good, mask) == reference
+    for fault, word in zip(faults, reference):
+        assert candidate.fault_diff(netlist, fault, good, mask) == word
+    # The XNOR(c, c) region masks every fault on c although it activates.
+    c = next(n.nid for n in netlist.nets if n.name == "c")
+    masked = [f for f in faults if f.is_stem and f.net == c]
+    assert len(masked) == 2
+    for fault in masked:
+        assert good[c] != (mask if fault.stuck else 0)
+        assert reference[faults.index(fault)] == 0
+    # Branch faults on the loads of stems i0 and b are present and seen;
+    # a and c carry one per pin of their single load gate.
+    branch_nets = {
+        netlist.net_name(f.net) for f in faults if f.gate is not None
+    }
+    assert branch_nets == {"a", "b", "c", "i0"}
+    assert any(
+        word for fault, word in zip(faults, reference)
+        if fault.gate is not None and netlist.net_name(fault.net) == "i0"
+    )
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_fault_diff_batch_rejects_unknown_gate(engine):
+    netlist = _ffr_edge_netlist()
+    good, mask, _ = _interp_diff_words(netlist, [], list(range(32)))
+    bogus = StuckAtFault(net=0, stuck=0, gate=99, pin=0)
+    candidate = build_engine(engine)
+    with pytest.raises(FaultSimError, match="unknown gate"):
+        candidate.fault_diff_batch(
+            netlist, generate_faults(netlist) + [bogus], good, mask
+        )
 
 
 def test_compiled_cache_reuse_is_consistent():

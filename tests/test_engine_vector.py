@@ -5,8 +5,7 @@ every registered backend against ``interp``; this module adds the
 vector-specific angles: randomized fuzz crossing the backend's own lane
 thresholds (single-word scalar path, multi-word numpy path, row-batched
 fault propagation), the pure big-int fallback with numpy monkeypatched
-away, the batched-vs-looped ``fault_diff`` contract, and full campaign
-payloads on real c432 + b01 circuits.
+away, and full campaign payloads on real c432 + b01 circuits.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import json
 import pytest
 
 import repro.engine.vector as vector_module
-from repro.engine import VectorEngine, build_engine
+from repro.engine import VectorEngine
 from repro.fault import (
     CombFaultSimulator,
     SeqFaultSimulator,
@@ -99,25 +98,6 @@ def test_fuzz_sequential_matches_interp():
         ) == SeqSimulator(netlist, engine="interp").run_packed(
             stimuli
         ), f"case {case}"
-
-
-def test_batched_fault_diff_matches_looped_protocol():
-    """fault_diff_batch must equal one fault_diff call per fault."""
-    netlist = netlist_of("c432")
-    faults = collapse_faults(netlist)
-    rng = rng_stream(4242, "vector-batch", "c432")
-    width = len(netlist.input_bits)
-    patterns = [rng.getrandbits(width) for _ in range(96)]
-    mask = (1 << len(patterns)) - 1
-    engine = build_engine("vector")
-    good = engine.eval_full(
-        netlist, unpack_patterns(patterns, netlist.input_bits), mask
-    )
-    batched = engine.fault_diff_batch(netlist, faults, good, mask)
-    looped = [
-        engine.fault_diff(netlist, fault, good, mask) for fault in faults
-    ]
-    assert batched == looped
 
 
 def test_seq_simulator_widens_chunks_through_lane_batch():
