@@ -1,8 +1,8 @@
 """Performance: stuck-at fault simulation throughput, per engine.
 
 Parametrized over every registered :mod:`repro.engine` backend so the
-``interp`` reference, the ``compiled`` code-generating backend and the
-``vector`` bit-packed backend are measured side by side;
+``interp`` reference and the ``compiled`` code-generating backend are
+measured side by side;
 ``benchmarks/run_benchmarks.py`` turns the results into the
 ``BENCH_engine.json`` trajectory at the repo root.  Warm rounds reuse
 the shared engine's per-netlist programs, so the ``compiled-cold``

@@ -1,15 +1,12 @@
 """Pluggable netlist-simulation engines (see :mod:`repro.engine.base`).
 
-Three backends ship with the library:
+Two backends ship with the library:
 
 * ``interp`` — the reference implementation: per-gate
   :func:`repro.netlist.cells.eval_gate` enum dispatch.
 * ``compiled`` — per-netlist Python code generation; the default.
-* ``vector`` — bit-packed word-parallel evaluation over numpy uint64
-  lanes (segmented level kernels, row-parallel fault batching), with a
-  pure big-int fallback when numpy is absent.
 
-All are bit-identical by contract; select one by name through
+Both are bit-identical by contract; select one by name through
 ``CampaignConfig(engine=...)``, the ``--engine`` CLI flag, or the
 ``engine=`` keyword every simulator accepts.  ``repro engines`` lists
 the registry.
@@ -27,7 +24,6 @@ from repro.engine.base import (
 )
 from repro.engine.compiled import CompiledEngine
 from repro.engine.interp import InterpEngine
-from repro.engine.vector import VectorEngine
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -36,7 +32,6 @@ __all__ = [
     "EngineBase",
     "InjectionPlan",
     "InterpEngine",
-    "VectorEngine",
     "build_engine",
     "engine_names",
     "get_engine",

@@ -66,10 +66,6 @@ class InjectionPlan:
     )
     #: dff fid -> (clear_mask, set_mask) on its D input view
     dff_branch: dict[int, tuple[int, int]] = field(default_factory=dict)
-    #: Scratch slot engines may use to memoize per-plan precomputation
-    #: (e.g. packed mask arrays, keyed by engine name).  Never part of
-    #: the plan's identity.
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def injection_key(self) -> tuple:
         """Hashable identity of the word-rewriting overrides.
@@ -97,13 +93,6 @@ class EngineBase:
     """
 
     name: str = ""
-
-    #: How many chunks of the configured ``fault_lanes`` width the
-    #: backend wants packed into one ``eval_injected`` call.  Word-wide
-    #: backends raise this so :class:`repro.fault.SeqFaultSimulator`
-    #: amortizes its per-chunk work over more fault machines; results
-    #: are lane-layout independent by contract.
-    lane_batch: int = 1
 
     def __init__(self) -> None:
         # Keyed by id(); programs hold their netlist only weakly and a
@@ -190,10 +179,11 @@ class EngineBase:
     ) -> list[int]:
         """PO difference words for ``faults``, one per fault.
 
-        The default simply loops :meth:`fault_diff`; backends that can
-        evaluate many faulty machines per pass (the ``vector`` backend
-        batches one fault per row word) override it.  The per-fault
-        words must be identical to the looped reference either way.
+        The default simply loops :meth:`fault_diff`; a backend that
+        propagates many faults per pass overrides it (``compiled``
+        flips every reached fanout-free-region stem in packed passes).
+        The per-fault words must be identical to the looped reference
+        either way.
         """
         return [
             self.fault_diff(netlist, fault, good, mask) for fault in faults

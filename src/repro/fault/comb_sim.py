@@ -5,10 +5,9 @@ net (lane *i* = pattern *i*).  The whole collapsed fault list goes to
 the selected :mod:`repro.engine` backend's ``fault_diff_batch`` in one
 call, which returns each fault's primary-output difference word (the
 XOR of faulty and good outputs): ``interp`` re-evaluates each fault's
-output cone, ``vector`` packs one faulty machine per row, and
-``compiled`` walks each fault to its fanout-free-region stem and flips
-all reached stems in packed passes.  The lowest set bit of a word is
-the fault's first-detecting pattern.
+output cone, and ``compiled`` walks each fault to its
+fanout-free-region stem and flips all reached stems in packed passes.
+The lowest set bit of a word is the fault's first-detecting pattern.
 """
 
 from __future__ import annotations
@@ -67,18 +66,7 @@ class CombFaultSimulator:
         good = engine.eval_full(
             netlist, unpack_patterns(patterns, netlist.input_bits), mask
         )
-        # One batched call: backends that propagate many faults per
-        # pass (the ``vector`` backend packs one fault per row) get the
-        # whole collapsed list; engines without the optional batch hook
-        # (duck-typed instances predating it) keep the fault_diff loop.
-        batch = getattr(engine, "fault_diff_batch", None)
-        if batch is not None:
-            words = batch(netlist, self._faults, good, mask)
-        else:
-            words = [
-                engine.fault_diff(netlist, fault, good, mask)
-                for fault in self._faults
-            ]
+        words = engine.fault_diff_batch(netlist, self._faults, good, mask)
         if m.enabled:
             # Per-pass coarse counters: one simulate call is one full
             # eval plus one batched diff over the collapsed fault list

@@ -139,21 +139,14 @@ class SeuModel(FaultModel):
         # Per distinct net, one flip-difference word serves every cycle
         # sample: bit t set iff inverting the net changes an output
         # under pattern t.  Built from both stuck-at polarities in one
-        # batched call so the vector backend's row packing applies.
+        # batched call.
         nets = sorted({fault.net for fault in faults})
         lowered = [
             StuckAtFault(net=nid, stuck=stuck)
             for nid in nets
             for stuck in (0, 1)
         ]
-        batch = getattr(engine, "fault_diff_batch", None)
-        if batch is not None:
-            words = batch(netlist, lowered, good, mask)
-        else:
-            words = [
-                engine.fault_diff(netlist, sa, good, mask)
-                for sa in lowered
-            ]
+        words = engine.fault_diff_batch(netlist, lowered, good, mask)
         flip: dict[int, int] = {}
         for index, nid in enumerate(nets):
             diff_sa0, diff_sa1 = words[2 * index], words[2 * index + 1]
@@ -175,12 +168,9 @@ class SeuModel(FaultModel):
         if lanes < 1:
             raise FaultSimError("lanes must be >= 1")
         engine = build_engine(engine)
-        chunk_lanes = lanes * max(
-            1, int(getattr(engine, "lane_batch", 1))
-        )
         detection: list[int | None] = [None] * len(faults)
-        for start in range(0, len(faults), chunk_lanes):
-            chunk = faults[start : start + chunk_lanes]
+        for start in range(0, len(faults), lanes):
+            chunk = faults[start : start + lanes]
             for offset, cycle in enumerate(
                 self._run_chunk(netlist, engine, chunk, stimuli)
             ):

@@ -11,8 +11,8 @@ initial value.  That lowering is what this model executes:
 
 * **Combinational** (pattern-parallel): consecutive test patterns are
   the launch/capture pairs.  The capture-side difference word is the
-  plain stuck-at cone diff (``fault_diff``/``fault_diff_batch``, so the
-  batched ``vector`` backend applies); the launch condition is one
+  plain stuck-at cone diff (one ``fault_diff_batch`` call over all
+  faults); the launch condition is one
   shift of the good word (``good << 1`` holds each pattern's
   predecessor value); their AND is the detection word.
 * **Sequential** (fault-parallel): faults ride the same lane-chunk
@@ -166,14 +166,7 @@ class TransitionModel(FaultModel):
             StuckAtFault(net=fault.net, stuck=fault.initial)
             for fault in faults
         ]
-        batch = getattr(engine, "fault_diff_batch", None)
-        if batch is not None:
-            words = batch(netlist, lowered, good, mask)
-        else:
-            words = [
-                engine.fault_diff(netlist, sa, good, mask)
-                for sa in lowered
-            ]
+        words = engine.fault_diff_batch(netlist, lowered, good, mask)
         detection: list[int | None] = []
         for fault, word in zip(faults, words):
             # Bit t of (good << 1) is the net's value at pattern t-1 —
@@ -191,12 +184,9 @@ class TransitionModel(FaultModel):
         if lanes < 1:
             raise FaultSimError("lanes must be >= 1")
         engine = build_engine(engine)
-        chunk_lanes = lanes * max(
-            1, int(getattr(engine, "lane_batch", 1))
-        )
         detection: list[int | None] = [None] * len(faults)
-        for start in range(0, len(faults), chunk_lanes):
-            chunk = faults[start : start + chunk_lanes]
+        for start in range(0, len(faults), lanes):
+            chunk = faults[start : start + lanes]
             for offset, cycle in enumerate(
                 self._run_chunk(netlist, engine, chunk, stimuli)
             ):

@@ -2,10 +2,8 @@
 
 Each bit lane of a net word is one faulty machine; the good machine is
 simulated separately with single-bit words and replicated for the
-output compare.  Faults are processed in chunks of ``lanes`` machines —
-multiplied by the engine's ``lane_batch`` hint, so word-parallel
-backends like ``vector`` evaluate several chunks per call.  Injection
-masks are pre-compiled per chunk:
+output compare.  Faults are processed in chunks of ``lanes`` machines.
+Injection masks are pre-compiled per chunk:
 
 * stem faults override the net word after its driver evaluates;
 * branch faults override one gate's (or one DFF's) view of its input.
@@ -49,13 +47,6 @@ class SeqFaultSimulator:
             faults if faults is not None else collapse_faults(netlist)
         )
         self._lanes = lanes
-        # Word-parallel backends advertise how many chunks of the
-        # configured lane width they want packed per call; detection
-        # results are lane-layout independent, so widening the chunk is
-        # purely a throughput lever.
-        self._chunk_lanes = lanes * max(
-            1, int(getattr(self._engine, "lane_batch", 1))
-        )
         self._outputs = netlist.output_bits
 
     @property
@@ -74,19 +65,14 @@ class SeqFaultSimulator:
     def lanes(self) -> int:
         return self._lanes
 
-    @property
-    def effective_lanes(self) -> int:
-        """Fault machines per chunk after the engine's lane batching."""
-        return self._chunk_lanes
-
     def simulate(self, stimuli: list[int]) -> FaultSimResult:
         """Fault-simulate a packed input sequence (applied after reset)."""
         detection: list[int | None] = [None] * len(self._faults)
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
         chunks = 0
-        for start in range(0, len(self._faults), self._chunk_lanes):
-            chunk = self._faults[start : start + self._chunk_lanes]
+        for start in range(0, len(self._faults), self._lanes):
+            chunk = self._faults[start : start + self._lanes]
             plan = self._compile(chunk)
             chunk_detect = self._run_chunk(plan, stimuli)
             for offset, cycle in enumerate(chunk_detect):

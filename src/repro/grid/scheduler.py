@@ -6,10 +6,10 @@ Four backends ship with the library, registered by name (mirroring
 * ``serial`` — the reference: units run inline, in plan order.  Still
   worthwhile on one worker because every finished unit lands in the
   job store, making a killed campaign resumable at unit granularity.
-* ``thread`` — a persistent :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Python-level gate evaluation holds the GIL, so this backend pays off
-  with engines that release it (the numpy-backed ``vector`` engine) or
-  once unit work is I/O-bound.
+* ``thread`` — a persistent :class:`~concurrent.futures.ThreadPoolExecutor`:
+  an in-process pool whose units share the parent's already-built
+  labs.  No engine releases the GIL, so units serialize on the
+  interpreter lock; it pays off only once unit work is I/O-bound.
 * ``process`` — a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
   fed from one shared queue, so idle workers steal the next pending
   unit and stragglers never serialize the tail.  Workers rebuild
@@ -215,9 +215,9 @@ class _PooledScheduler(Scheduler):
 class ThreadScheduler(_PooledScheduler):
     """A persistent thread pool sharing the parent's labs.
 
-    Pays off with engines that release the GIL (numpy ``vector``);
-    pure-Python engines serialize on the interpreter lock and should
-    prefer ``process``.
+    Units run in-process, so no worker rebuilds a lab; but no engine
+    releases the GIL, so CPU-bound units serialize on the interpreter
+    lock and should prefer ``process``.
     """
 
     name = "thread"

@@ -50,7 +50,7 @@ from repro.mutation.execution import (
 from repro.util import rng_stream
 from tests.conftest import netlist_of
 
-ENGINES = ("interp", "compiled", "vector")
+ENGINES = ("interp", "compiled")
 
 
 def stimuli_for(netlist, count: int, seed_name: str) -> list[int]:
