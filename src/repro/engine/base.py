@@ -18,9 +18,11 @@ An engine implements three operations, all over bit-lane words (lane
   machine over the fault's output cone against the good words; returns
   the primary-output difference word (bit *i* set iff pattern *i*
   detects the fault).
-* ``eval_injected(netlist, plan, words, mask)`` — full evaluation with
-  an :class:`InjectionPlan`'s stem/branch overrides applied
-  (fault-parallel sequential simulation; one faulty machine per lane).
+* ``injected(netlist, plan)`` — the evaluator ``fn(words, mask)`` of
+  one chunk of faulty machines: full evaluation with an
+  :class:`InjectionPlan`'s stem/branch overrides applied (fault-parallel
+  sequential simulation; one faulty machine per lane).  Callers resolve
+  it once per chunk and call it every cycle.
 
 Determinism contract: for identical inputs every registered engine must
 produce **bit-identical** words to the ``interp`` reference backend —
@@ -32,6 +34,7 @@ to the reference.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import EngineError, FaultSimError
@@ -130,10 +133,9 @@ class EngineBase:
     ) -> dict[int, int]:
         raise NotImplementedError
 
-    def eval_injected(
-        self, netlist: Netlist, plan: InjectionPlan,
-        words: dict[int, int], mask: int,
-    ) -> dict[int, int]:
+    def injected(
+        self, netlist: Netlist, plan: InjectionPlan
+    ) -> Callable[[dict[int, int], int], dict[int, int]]:
         raise NotImplementedError
 
     def fault_diff(

@@ -11,9 +11,11 @@ per-gate function calls:
   region (FFR) stem's word XORed with a per-stem flip word, returning
   the primary-output words;
 * an *injected evaluator* per fault chunk bakes the chunk's stem and
-  branch ``(clear, set)`` masks into the source as integer literals
-  (keyed by :meth:`InjectionPlan.injection_key`, so re-simulating the
-  same chunk never recompiles).
+  branch ``(clear, set)`` masks into the source as integer literals.
+  :meth:`CompiledEngine.injected` returns it, looked up by
+  :meth:`InjectionPlan.injection_key` once per chunk, so re-simulating
+  the same chunk never recompiles and the cycle loop never rebuilds the
+  key.
 
 Single-fault propagation compiles nothing per fault.  A net that is not
 a primary output and whose loads all sit on one gate passes a
@@ -264,10 +266,11 @@ class _CompiledProgram:
 
     # -- injected evaluators -------------------------------------------------
 
-    #: Retained injected evaluators per netlist.  Fault simulators use
-    #: one static plan per chunk and revisit chunks in order, so a small
-    #: LRU covers them; a caller feeding per-cycle varying plans must
-    #: not accumulate compiled code without bound.
+    #: Retained injected evaluators per netlist.  Fault simulators
+    #: resolve one evaluator per chunk when a pass starts and hold it
+    #: for the pass; the LRU lets later passes over the same chunks
+    #: (one per validation set) reuse the compiled code without letting
+    #: a caller that builds ever-new plans accumulate it without bound.
     INJECTED_CACHE_MAX = 64
 
     def injected_fn(self, plan: InjectionPlan) -> Callable:
@@ -322,8 +325,5 @@ class CompiledEngine(EngineBase):
             hit[1] & obs[hit[0]] if hit else 0 for hit in reached
         ]
 
-    def eval_injected(
-        self, netlist: Netlist, plan: InjectionPlan,
-        words: dict[int, int], mask: int,
-    ) -> dict[int, int]:
-        return self._program(netlist).injected_fn(plan)(words, mask)
+    def injected(self, netlist: Netlist, plan: InjectionPlan) -> Callable:
+        return self._program(netlist).injected_fn(plan)

@@ -107,32 +107,33 @@ class InterpEngine(EngineBase):
                 detect |= faulty[nid] ^ good[nid]
         return detect
 
-    def eval_injected(
-        self, netlist: Netlist, plan: InjectionPlan,
-        words: dict[int, int], mask: int,
-    ) -> dict[int, int]:
-        program = self._program(netlist)
-        words = dict(words)
-        for nid, (clear, setm) in plan.stem.items():
-            if nid in words:
-                words[nid] = (words[nid] & ~clear) | setm
-        branch = plan.branch
-        for gate in program.order:
-            if branch:
-                inputs = []
-                for pin, nid in enumerate(gate.inputs):
-                    word = words[nid]
-                    override = branch.get((gate.gid, pin))
-                    if override is not None:
-                        clear, setm = override
-                        word = (word & ~clear) | setm
-                    inputs.append(word)
-            else:
-                inputs = [words[nid] for nid in gate.inputs]
-            out = eval_gate(gate.gate_type, inputs, mask)
-            override = plan.stem.get(gate.output)
-            if override is not None:
-                clear, setm = override
-                out = (out & ~clear) | setm
-            words[gate.output] = out
-        return words
+    def injected(self, netlist: Netlist, plan: InjectionPlan):
+        order = self._program(netlist).order
+        stem, branch = plan.stem, plan.branch
+
+        def run(words: dict[int, int], mask: int) -> dict[int, int]:
+            words = dict(words)
+            for nid, (clear, setm) in stem.items():
+                if nid in words:
+                    words[nid] = (words[nid] & ~clear) | setm
+            for gate in order:
+                if branch:
+                    inputs = []
+                    for pin, nid in enumerate(gate.inputs):
+                        word = words[nid]
+                        override = branch.get((gate.gid, pin))
+                        if override is not None:
+                            clear, setm = override
+                            word = (word & ~clear) | setm
+                        inputs.append(word)
+                else:
+                    inputs = [words[nid] for nid in gate.inputs]
+                out = eval_gate(gate.gate_type, inputs, mask)
+                override = stem.get(gate.output)
+                if override is not None:
+                    clear, setm = override
+                    out = (out & ~clear) | setm
+                words[gate.output] = out
+            return words
+
+        return run

@@ -19,8 +19,9 @@ Knobs (``CampaignConfig.fault_model_knobs`` / ``build_fault_model``):
 Execution:
 
 * **Sequential**: one flipped DFF bit per (dff, cycle) pair.  Lanes
-  are fault machines, as in :class:`repro.fault.SeqFaultSimulator`,
-  but no :class:`~repro.engine.InjectionPlan` is needed at all: each
+  are fault machines on the same cycle-major chunk driver as
+  :class:`repro.fault.SeqFaultSimulator`, but no
+  :class:`~repro.engine.InjectionPlan` is needed at all: each
   lane's state bit is XOR-flipped once, at its scheduled cycle, and the
   corrupted state then evolves freely through plain ``eval_full``
   sweeps — transient by construction, persistent only through real
@@ -38,10 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import build_engine
-from repro.errors import FaultError, FaultSimError
+from repro.errors import FaultError
 from repro.fault.coverage import FaultSimResult
 from repro.fault.model import StuckAtFault
 from repro.fault.models.base import FaultModel, register_fault_model
+from repro.fault.seq_sim import simulate_chunks
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import unpack_patterns
 
@@ -165,71 +167,31 @@ class SeuModel(FaultModel):
     def _simulate_seq(self, netlist: Netlist, stimuli: list[int],
                       faults: list, lanes: int,
                       engine) -> FaultSimResult:
-        if lanes < 1:
-            raise FaultSimError("lanes must be >= 1")
         engine = build_engine(engine)
-        detection: list[int | None] = [None] * len(faults)
-        for start in range(0, len(faults), lanes):
-            chunk = faults[start : start + lanes]
-            for offset, cycle in enumerate(
-                self._run_chunk(netlist, engine, chunk, stimuli)
-            ):
-                detection[start + offset] = cycle
+        detection = simulate_chunks(
+            netlist, engine, faults, lanes, stimuli,
+            lambda chunk, mask: self._machine(netlist, engine, chunk, mask),
+        )
         return FaultSimResult(list(faults), detection, len(stimuli))
 
-    def _run_chunk(self, netlist: Netlist, engine, chunk: list,
-                   stimuli: list[int]) -> list[int | None]:
-        mask = (1 << len(chunk)) - 1
+    def _machine(self, netlist: Netlist, engine, chunk: list, mask: int):
         # cycle -> {state net -> lane bits to flip when entering it}
         flips: dict[int, dict[int, int]] = {}
         for lane, fault in enumerate(chunk):
             per_net = flips.setdefault(fault.cycle, {})
             per_net[fault.net] = per_net.get(fault.net, 0) | (1 << lane)
+        dffs = netlist.dffs
+        state = {dff.q: mask if dff.reset_value else 0 for dff in dffs}
 
-        state = {
-            dff.q: mask if dff.reset_value else 0 for dff in netlist.dffs
-        }
-        good_state = {dff.q: dff.reset_value for dff in netlist.dffs}
-        outputs = netlist.output_bits
-        detect_cycle: list[int | None] = [None] * len(chunk)
-        alive = mask
-
-        for cycle, packed in enumerate(stimuli):
+        def advance(cycle: int, inputs: dict[int, int],
+                    good: dict[int, int]) -> dict[int, int]:
+            nonlocal state
             # The upset strikes the state entering this cycle (cycle 0
             # flips the reset state).
             for nid, bits in flips.get(cycle, {}).items():
                 state[nid] ^= bits
-            single = unpack_patterns([packed], netlist.input_bits)
-            inputs = {
-                nid: mask if word else 0 for nid, word in single.items()
-            }
-            words = engine.eval_full(
-                netlist, {**inputs, **state}, mask
-            )
-            good = engine.eval_full(
-                netlist, {**single, **good_state}, 1
-            )
-            next_state = {dff.q: words[dff.d] for dff in netlist.dffs}
-            good_next = {dff.q: good[dff.d] for dff in netlist.dffs}
-            words = engine.eval_full(
-                netlist, {**inputs, **next_state}, mask
-            )
-            good = engine.eval_full(
-                netlist, {**single, **good_next}, 1
-            )
-            state, good_state = next_state, good_next
+            words = engine.eval_full(netlist, {**inputs, **state}, mask)
+            state = {dff.q: words[dff.d] for dff in dffs}
+            return engine.eval_full(netlist, {**inputs, **state}, mask)
 
-            diff = 0
-            for nid in outputs:
-                good_rep = mask if good[nid] else 0
-                diff |= words[nid] ^ good_rep
-            newly = diff & alive
-            if newly:
-                alive &= ~newly
-                while newly:
-                    low = newly & -newly
-                    detect_cycle[low.bit_length() - 1] = cycle
-                    newly ^= low
-                if not alive:
-                    break
-        return detect_cycle
+        return advance

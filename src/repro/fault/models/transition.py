@@ -15,8 +15,9 @@ initial value.  That lowering is what this model executes:
   faults); the launch condition is one
   shift of the good word (``good << 1`` holds each pattern's
   predecessor value); their AND is the detection word.
-* **Sequential** (fault-parallel): faults ride the same lane-chunk
-  machinery as :class:`repro.fault.SeqFaultSimulator` with one *static*
+* **Sequential** (fault-parallel): faults ride the same cycle-major
+  lane-chunk driver as :class:`repro.fault.SeqFaultSimulator`
+  (:func:`repro.fault.seq_sim.simulate_chunks`) with one *static*
   :class:`~repro.engine.InjectionPlan` per chunk forcing each lane's
   net to its initial value — so the compiled backend bakes the chunk
   into code once, exactly like stuck-at chunks.  The launch condition
@@ -43,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import InjectionPlan, build_engine
-from repro.errors import FaultSimError
 from repro.fault.coverage import FaultSimResult
 from repro.fault.model import StuckAtFault
 from repro.fault.models.base import (
@@ -51,6 +51,7 @@ from repro.fault.models.base import (
     first_lane,
     register_fault_model,
 )
+from repro.fault.seq_sim import simulate_chunks
 from repro.netlist.cells import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import unpack_patterns
@@ -181,21 +182,14 @@ class TransitionModel(FaultModel):
     def _simulate_seq(self, netlist: Netlist, stimuli: list[int],
                       faults: list, lanes: int,
                       engine) -> FaultSimResult:
-        if lanes < 1:
-            raise FaultSimError("lanes must be >= 1")
         engine = build_engine(engine)
-        detection: list[int | None] = [None] * len(faults)
-        for start in range(0, len(faults), lanes):
-            chunk = faults[start : start + lanes]
-            for offset, cycle in enumerate(
-                self._run_chunk(netlist, engine, chunk, stimuli)
-            ):
-                detection[start + offset] = cycle
+        detection = simulate_chunks(
+            netlist, engine, faults, lanes, stimuli,
+            lambda chunk, mask: self._machine(netlist, engine, chunk, mask),
+        )
         return FaultSimResult(list(faults), detection, len(stimuli))
 
-    def _run_chunk(self, netlist: Netlist, engine, chunk: list,
-                   stimuli: list[int]) -> list[int | None]:
-        mask = (1 << len(chunk)) - 1
+    def _machine(self, netlist: Netlist, engine, chunk: list, mask: int):
         # One static plan per chunk: every lane's net forced to its
         # initial value.  Activation is applied afterwards as a lane
         # mask on the output difference, so the plan (and the compiled
@@ -207,24 +201,14 @@ class TransitionModel(FaultModel):
             if fault.initial:
                 setm |= 1 << lane
             plan.stem[fault.net] = (clear, setm)
-
-        outputs = netlist.output_bits
-        state = {
-            dff.q: mask if dff.reset_value else 0 for dff in netlist.dffs
-        }
-        good_state = {dff.q: dff.reset_value for dff in netlist.dffs}
+        run = engine.injected(netlist, plan)
+        dffs, outputs = netlist.dffs, netlist.output_bits
+        state = {dff.q: mask if dff.reset_value else 0 for dff in dffs}
         prev_good: dict[int, int] | None = None  # settled values, cycle t-1
-        detect_cycle: list[int | None] = [None] * len(chunk)
-        alive = mask
 
-        for cycle, packed in enumerate(stimuli):
-            single = unpack_patterns([packed], netlist.input_bits)
-            inputs = {
-                nid: mask if word else 0 for nid, word in single.items()
-            }
-            pre = engine.eval_full(netlist, {**single, **good_state}, 1)
-            good_next = {dff.q: pre[dff.d] for dff in netlist.dffs}
-            good = engine.eval_full(netlist, {**single, **good_next}, 1)
+        def advance(cycle: int, inputs: dict[int, int],
+                    good: dict[int, int]) -> dict[int, int]:
+            nonlocal state, prev_good
             # Launch condition: the previous cycle's settled good value
             # was the slow edge's initial value.  Cycle 0 has no launch.
             act = 0
@@ -239,42 +223,22 @@ class TransitionModel(FaultModel):
             # under ``act`` keeps the plan static per chunk.
             free = engine.eval_full(netlist, {**inputs, **state}, mask)
             if act:
-                inj = engine.eval_injected(
-                    netlist, plan, {**inputs, **state}, mask
-                )
-                next_state = {
+                inj = run({**inputs, **state}, mask)
+                state = {
                     dff.q: (inj[dff.d] & act) | (free[dff.d] & nact)
-                    for dff in netlist.dffs
+                    for dff in dffs
                 }
             else:
-                next_state = {
-                    dff.q: free[dff.d] for dff in netlist.dffs
-                }
+                state = {dff.q: free[dff.d] for dff in dffs}
             # Post-clock: captured corruption is now ordinary state
             # divergence and propagates on inactive lanes too.
-            free = engine.eval_full(
-                netlist, {**inputs, **next_state}, mask
-            )
-            if act:
-                inj = engine.eval_injected(
-                    netlist, plan, {**inputs, **next_state}, mask
-                )
-            state, good_state = next_state, good_next
+            free = engine.eval_full(netlist, {**inputs, **state}, mask)
+            if not act:
+                return free
+            inj = run({**inputs, **state}, mask)
+            return {
+                nid: (inj[nid] & act) | (free[nid] & nact)
+                for nid in outputs
+            }
 
-            diff = 0
-            for nid in outputs:
-                good_rep = mask if good[nid] else 0
-                word = free[nid]
-                if act:
-                    word = (inj[nid] & act) | (word & nact)
-                diff |= word ^ good_rep
-            newly = diff & alive
-            if newly:
-                alive &= ~newly
-                while newly:
-                    low = newly & -newly
-                    detect_cycle[low.bit_length() - 1] = cycle
-                    newly ^= low
-                if not alive:
-                    break
-        return detect_cycle
+        return advance

@@ -1,18 +1,23 @@
 """Fault-parallel stuck-at simulation for sequential circuits.
 
-Each bit lane of a net word is one faulty machine; the good machine is
-simulated separately with single-bit words and replicated for the
-output compare.  Faults are processed in chunks of ``lanes`` machines.
-Injection masks are pre-compiled per chunk:
+Each bit lane of a net word is one faulty machine, and faults are
+processed in chunks of ``lanes`` machines.  Injection masks are
+pre-compiled per chunk:
 
 * stem faults override the net word after its driver evaluates;
 * branch faults override one gate's (or one DFF's) view of its input.
 
-Every cycle performs the evaluate / clock / re-evaluate sequence that
-matches :class:`repro.sim.testbench.Testbench`, so detection cycles are
-directly comparable with behavioural runs.  The per-gate work runs on a
-pluggable :mod:`repro.engine` backend; the ``compiled`` backend bakes
-each chunk's injection masks into generated straight-line code.
+Simulation is cycle-major (:func:`simulate_chunks`, shared with the
+transition and SEU models): every chunk is built up front, then each
+cycle steps one single-lane good machine
+(:class:`repro.netlist.simulate.SeqSimulator`) and advances every chunk
+that still has undetected lanes against it, until all chunks are fully
+detected.  Every cycle performs the evaluate / clock / re-evaluate
+sequence that matches :class:`repro.sim.testbench.Testbench`, so
+detection cycles are directly comparable with behavioural runs.  The
+per-gate work runs on a pluggable :mod:`repro.engine` backend; each
+chunk resolves its injected evaluator once (the ``compiled`` backend
+bakes the chunk's masks into generated straight-line code).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.fault.collapse import collapse_faults
 from repro.fault.coverage import FaultSimResult
 from repro.fault.model import StuckAtFault
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import unpack_patterns
+from repro.netlist.simulate import SeqSimulator, unpack_patterns
 from repro.obs import metrics as _metrics
 
 
@@ -47,7 +52,6 @@ class SeqFaultSimulator:
             faults if faults is not None else collapse_faults(netlist)
         )
         self._lanes = lanes
-        self._outputs = netlist.output_bits
 
     @property
     def faults(self) -> list[StuckAtFault]:
@@ -67,24 +71,20 @@ class SeqFaultSimulator:
 
     def simulate(self, stimuli: list[int]) -> FaultSimResult:
         """Fault-simulate a packed input sequence (applied after reset)."""
-        detection: list[int | None] = [None] * len(self._faults)
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
-        chunks = 0
-        for start in range(0, len(self._faults), self._lanes):
-            chunk = self._faults[start : start + self._lanes]
-            plan = self._compile(chunk)
-            chunk_detect = self._run_chunk(plan, stimuli)
-            for offset, cycle in enumerate(chunk_detect):
-                detection[start + offset] = cycle
-            chunks += 1
+        detection = simulate_chunks(
+            self._netlist, self._engine, self._faults, self._lanes,
+            stimuli, self._machine,
+        )
         if m.enabled:
             # Per-simulate coarse counters; the per-cycle loop inside
-            # _run_chunk is the hot path and stays untouched.
+            # simulate_chunks is the hot path and stays untouched.
             name = getattr(self._engine, "name", "engine")
             m.counter(f"engine.{name}.seq.passes")
             m.counter(f"engine.{name}.seq.faults", len(self._faults))
             m.counter(f"engine.{name}.seq.cycles", len(stimuli))
+            chunks = -(-len(self._faults) // self._lanes)
             m.counter(f"engine.{name}.seq.chunks", chunks)
             m.observe(
                 f"engine.{name}.seq.seconds", time.monotonic() - started
@@ -112,56 +112,27 @@ class SeqFaultSimulator:
                 merge(plan.stem, fault.net, lane, fault.stuck)
         return plan
 
-    def _run_chunk(
-        self, plan: InjectionPlan, stimuli: list[int]
-    ) -> list[int | None]:
-        mask = (1 << len(plan.faults)) - 1
-        netlist, engine = self._netlist, self._engine
-        # Faulty-lane state and good-machine state.
+    def _machine(self, chunk: list[StuckAtFault], mask: int):
+        plan = self._compile(chunk)
+        run = self._engine.injected(self._netlist, plan)
         state = {
-            dff.q: mask if dff.reset_value else 0 for dff in netlist.dffs
-        }
-        good_state = {
-            dff.q: dff.reset_value for dff in netlist.dffs
+            dff.q: mask if dff.reset_value else 0
+            for dff in self._netlist.dffs
         }
         # Stem faults on DFF outputs must corrupt the reset state too.
         for q in state:
             if q in plan.stem:
                 clear, setm = plan.stem[q]
                 state[q] = (state[q] & ~clear) | setm
-        detect_cycle: list[int | None] = [None] * len(plan.faults)
-        alive = mask
 
-        for cycle, packed in enumerate(stimuli):
-            single = unpack_patterns([packed], netlist.input_bits)
-            inputs = {nid: mask if word else 0 for nid, word in single.items()}
-            words = engine.eval_injected(
-                netlist, plan, {**inputs, **state}, mask
-            )
-            good = engine.eval_full(netlist, {**single, **good_state}, 1)
-            next_state = self._next_state(plan, words, mask)
-            good_next = {dff.q: good[dff.d] for dff in netlist.dffs}
-            words = engine.eval_injected(
-                netlist, plan, {**inputs, **next_state}, mask
-            )
-            good = engine.eval_full(netlist, {**single, **good_next}, 1)
-            state, good_state = next_state, good_next
+        def advance(cycle: int, inputs: dict[int, int],
+                    good: dict[int, int]) -> dict[int, int]:
+            nonlocal state
+            words = run({**inputs, **state}, mask)
+            state = self._next_state(plan, words, mask)
+            return run({**inputs, **state}, mask)
 
-            diff = 0
-            for nid in self._outputs:
-                good_rep = mask if good[nid] else 0
-                diff |= words[nid] ^ good_rep
-            newly = diff & alive
-            if newly:
-                alive &= ~newly
-                while newly:
-                    low = newly & -newly
-                    lane = low.bit_length() - 1
-                    detect_cycle[lane] = cycle
-                    newly ^= low
-                if not alive:
-                    break
-        return detect_cycle
+        return advance
 
     def _next_state(
         self, plan: InjectionPlan, words: dict[int, int], mask: int
@@ -180,3 +151,51 @@ class SeqFaultSimulator:
                 clear, setm = stem
                 next_state[dff.q] = (next_state[dff.q] & ~clear) | setm
         return next_state
+
+
+def simulate_chunks(
+    netlist: Netlist, engine, faults: list, lanes: int,
+    stimuli: list[int], machine,
+) -> list[int | None]:
+    """First-detection cycle per fault, simulated cycle-major.
+
+    ``machine(chunk, mask)`` builds the faulty machines of one chunk
+    (one per lane of ``mask``) and returns its ``advance(cycle, inputs,
+    good)``: one clock cycle over the lane-replicated input words,
+    returning the chunk's post-clock net words (at least the primary
+    outputs).  ``good`` is the good machine's post-clock words for the
+    same cycle.  Lanes are independent machines, so detection cycles
+    match a chunk-by-chunk run bit for bit; a fully detected chunk
+    stops advancing, and stimuli past the last live cycle are never
+    decoded.
+    """
+    if lanes < 1:
+        raise FaultSimError("lanes must be >= 1")
+    detection: list[int | None] = [None] * len(faults)
+    live = []  # [first fault index, lane mask, alive lanes, advance]
+    for start in range(0, len(faults), lanes):
+        chunk = faults[start : start + lanes]
+        mask = (1 << len(chunk)) - 1
+        live.append([start, mask, mask, machine(chunk, mask)])
+    good_sim = SeqSimulator(netlist, engine=engine)
+    input_bits, outputs = netlist.input_bits, netlist.output_bits
+    for cycle, packed in enumerate(stimuli):
+        if not live:
+            break
+        single = unpack_patterns([packed], input_bits)
+        good = good_sim.step(single)
+        for entry in live:
+            start, mask, alive, advance = entry
+            inputs = {nid: mask if bit else 0 for nid, bit in single.items()}
+            words = advance(cycle, inputs, good)
+            diff = 0
+            for nid in outputs:
+                diff |= words[nid] ^ (mask if good[nid] else 0)
+            newly = diff & alive
+            entry[2] = alive & ~newly
+            while newly:
+                low = newly & -newly
+                detection[start + low.bit_length() - 1] = cycle
+                newly ^= low
+        live = [entry for entry in live if entry[2]]
+    return detection

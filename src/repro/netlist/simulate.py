@@ -103,10 +103,11 @@ class SeqSimulator:
     def step(self, input_words: dict[int, int]) -> dict[int, int]:
         """One clock cycle; returns net words *after* the clock edge."""
         words = self._comb.evaluate(input_words, self._mask, self._state)
-        next_state = {dff.q: words[dff.d] for dff in self._netlist.dffs}
-        self._state = next_state
-        words = self._comb.evaluate(input_words, self._mask, self._state)
-        return words
+        self._state = {dff.q: words[dff.d] for dff in self._netlist.dffs}
+        # Same inputs, complete state: nothing left to validate.
+        return self._comb.engine.eval_full(
+            self._netlist, {**input_words, **self._state}, self._mask
+        )
 
     def run_packed(self, stimuli: list[int]) -> list[int]:
         """Apply packed single-lane stimuli; returns packed outputs."""

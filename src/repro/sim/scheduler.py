@@ -38,6 +38,7 @@ class Simulator:
         self._design = design
         self._executor = executor or make_executor(design, patch, backend)
         self._max_delta = max_delta
+        self._outputs = [port.name for port in design.output_ports]
         # Signal store.
         self._values: dict[str, object] = {}
         for symbol in design.signal_like_symbols:
@@ -145,9 +146,7 @@ class Simulator:
 
     def snapshot_outputs(self) -> tuple:
         """Current values of the output ports, in declaration order."""
-        return tuple(
-            self._values[port.name] for port in self._design.output_ports
-        )
+        return tuple(self._values[name] for name in self._outputs)
 
     def require_port(self, name: str) -> None:
         if name not in self._values:

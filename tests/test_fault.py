@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FaultSimError
+from repro.engine import InjectionPlan
+from repro.engine.compiled import CompiledEngine
+from repro.errors import FaultSimError, SimulationError
 from repro.fault import (
     CombFaultSimulator,
     SeqFaultSimulator,
@@ -13,6 +15,7 @@ from repro.fault import (
     simulate_stuck_at,
 )
 from repro.fault.model import StuckAtFault
+from repro.fault.models import build_fault_model
 from repro.netlist.bench import C17_BENCH, parse_bench
 from repro.util import rng_stream
 from tests.conftest import netlist_of
@@ -86,13 +89,123 @@ def test_seq_and_comb_agree_on_combinational_circuit():
     assert comb.detection == seq.detection
 
 
-def test_seq_lane_chunking_invariance(b01_netlist):
-    faults = collapse_faults(b01_netlist)[:50]
-    rng = rng_stream(10, "lanes")
-    stimuli = [rng.getrandbits(2) for _ in range(64)]
-    wide = SeqFaultSimulator(b01_netlist, faults, lanes=64).simulate(stimuli)
-    narrow = SeqFaultSimulator(b01_netlist, faults, lanes=5).simulate(stimuli)
-    assert wide.detection == narrow.detection
+def _seq_case(model_name: str, circuit: str, count: int = 64):
+    """A model, a spread of its b0x faults and random stimuli."""
+    netlist = netlist_of(circuit)
+    model = build_fault_model(model_name)
+    faults = model.collapse(netlist)
+    faults = faults[:: max(1, len(faults) // 60)]
+    rng = rng_stream(10, f"lanes-{model_name}-{circuit}")
+    width = len(netlist.input_bits)
+    stimuli = [rng.getrandbits(width) for _ in range(count)]
+    return netlist, model, faults, stimuli
+
+
+def test_seq_lane_chunking_invariance():
+    """Detection cycles do not depend on how faults are cut into chunks."""
+    for model_name in ("stuck-at", "transition", "seu"):
+        for circuit in ("b01", "b03"):
+            netlist, model, faults, stimuli = _seq_case(model_name, circuit)
+            reference = model.simulate(
+                netlist, stimuli, faults, lanes=len(faults)
+            ).detection
+            assert any(cycle is not None for cycle in reference)
+            for lanes in (1, 5, 64, 256):
+                got = model.simulate(netlist, stimuli, faults, lanes=lanes)
+                assert got.detection == reference, (model_name, circuit,
+                                                    lanes)
+
+
+@pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
+def test_seq_early_detected_chunk_stops_alone(model_name):
+    """A chunk detected long before the others leaves them unchanged."""
+    netlist, model, faults, stimuli = _seq_case(model_name, "b03")
+    reference = model.simulate(netlist, stimuli, faults, lanes=256)
+    by_cycle = sorted(
+        range(len(faults)),
+        key=lambda i: (reference.detection[i] is None,
+                       reference.detection[i] or 0),
+    )
+    ordered = [faults[i] for i in by_cycle]
+    expected = [reference.detection[i] for i in by_cycle]
+    got = model.simulate(netlist, stimuli, ordered, lanes=5).detection
+    assert got == expected
+    # The first chunk is fully detected many cycles before the last
+    # detection of the run.
+    first_done = max(expected[:5])
+    assert first_done is not None
+    last = max(cycle for cycle in expected if cycle is not None)
+    assert last >= first_done + 5
+
+
+@pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
+def test_seq_empty_fault_list_decodes_no_stimulus(model_name):
+    netlist = netlist_of("b01")
+    bad = 1 << len(netlist.input_bits)
+    model = build_fault_model(model_name)
+    result = model.simulate(netlist, [bad, bad], [], lanes=5)
+    assert result.detection == []
+    assert result.num_patterns == 2
+
+
+@pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
+def test_seq_out_of_range_stimulus(model_name):
+    """A bad stimulus raises iff some chunk is still alive to decode it."""
+    netlist, model, faults, stimuli = _seq_case(model_name, "b03")
+    bad = 1 << len(netlist.input_bits)
+    detection = model.simulate(netlist, stimuli, faults, lanes=5).detection
+    assert None in detection
+    with pytest.raises(SimulationError):
+        model.simulate(netlist, stimuli[:20] + [bad], faults, lanes=5)
+    # Faults all detected by cycle `done` never reach a later stimulus.
+    early = [f for f, cycle in zip(faults, detection)
+             if cycle is not None and cycle < 10]
+    assert len(early) > 5  # two chunks or more
+    done = max(c for c in detection if c is not None and c < 10)
+    result = model.simulate(
+        netlist, stimuli[: done + 1] + [bad], early, lanes=5
+    )
+    assert None not in result.detection
+
+
+class _CountingEngine(CompiledEngine):
+    """A private compiled engine that counts good-machine evaluations."""
+
+    def __init__(self):
+        super().__init__()
+        self.good_evals = 0
+
+    def eval_full(self, netlist, words, mask):
+        if mask == 1:
+            self.good_evals += 1
+        return super().eval_full(netlist, words, mask)
+
+
+@pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
+def test_seq_good_machine_and_plan_key_once(model_name, monkeypatch):
+    """One good machine per stimulus sequence; one plan key per chunk."""
+    netlist, model, _faults, stimuli = _seq_case(model_name, "b01", 24)
+    # 3 chunks of 5, 5 and 4 lanes: no faulty chunk runs at mask 1.
+    faults = model.collapse(netlist)[:14]
+    keys = []
+    original = InjectionPlan.injection_key
+
+    def counted(plan):
+        keys.append(plan)
+        return original(plan)
+
+    monkeypatch.setattr(InjectionPlan, "injection_key", counted)
+    engine = _CountingEngine()
+    result = model.simulate(netlist, stimuli, faults, lanes=5,
+                            engine=engine)
+    if None in result.detection:
+        cycles = len(stimuli)
+    else:
+        cycles = max(result.detection) + 1
+    assert cycles > 1
+    assert engine.good_evals == 2 * cycles
+    # SEU chunks evolve freely: no injection plan at all.
+    assert len(keys) == (0 if model_name == "seu" else 3)
 
 
 def test_dispatcher_picks_engine(b01_netlist, c17_netlist):
