@@ -63,6 +63,7 @@ def weights_from_nlfce(nlfce_by_operator: dict[str, float]) -> dict[str, float]:
 class TestOrientedSampling:
     """The paper's sampling strategy."""
 
+    __test__ = False  # not a pytest test class, despite the name
     name = "test-oriented"
 
     def __init__(

@@ -246,35 +246,34 @@ class MutationTestGenerator:
             if n_chunks < 1:
                 break
             rounds += 1
-            candidates = [
-                (proposal, self._split_chunk(proposal))
-                for proposal in strategy.propose(n_chunks)
-            ]
+            # Each chunk is decoded once and shared by every machine.
+            candidates = []
+            for proposal in strategy.propose(n_chunks):
+                chunk = self._split_chunk(proposal)
+                candidates.append((proposal, chunk, [decode(p) for p in chunk]))
             tried += self._chunk_length * n_chunks
             ref_state = reference.save_state()
             states = {mid: benches[mid].save_state() for mid in live}
-            best: tuple[int, list[int], set[int]] | None = None
-            for proposal, chunk in candidates:
-                ref_outputs = []
+            best: tuple[list[int], list[dict], set[int]] | None = None
+            for proposal, chunk, stimuli in candidates:
                 reference.restore_state(ref_state)
-                for packed in chunk:
-                    ref_outputs.append(reference.step(decode(packed)))
+                ref_outputs = [reference.step(stim) for stim in stimuli]
                 kills: set[int] = set()
                 for mid in live:
                     bench = benches[mid]
                     bench.restore_state(states[mid])
                     try:
-                        for cycle, packed in enumerate(chunk):
-                            if bench.step(decode(packed)) != ref_outputs[cycle]:
+                        for cycle, stim in enumerate(stimuli):
+                            if bench.step(stim) != ref_outputs[cycle]:
                                 kills.add(mid)
                                 break
                     except (MutantRuntimeError, OscillationError):
                         kills.add(mid)
                 strategy.feedback([proposal], [len(kills)])
                 if best is None or len(kills) > len(best[2]):
-                    best = (len(kills), chunk, kills)
+                    best = (chunk, stimuli, kills)
             assert best is not None
-            _count, chunk, kills = best
+            chunk, stimuli, kills = best
             if not kills:
                 reference.restore_state(ref_state)
                 for mid in live:
@@ -284,13 +283,14 @@ class MutationTestGenerator:
             stall = 0
             # Commit the winning chunk on every live machine.
             reference.restore_state(ref_state)
-            ref_outputs = [reference.step(decode(p)) for p in chunk]
+            for stim in stimuli:
+                reference.step(stim)
             for mid in list(live):
                 bench = benches[mid]
                 bench.restore_state(states[mid])
                 try:
-                    for packed in chunk:
-                        bench.step(decode(packed))
+                    for stim in stimuli:
+                        bench.step(stim)
                 except (MutantRuntimeError, OscillationError):
                     kills.add(mid)
             selected.extend(chunk)

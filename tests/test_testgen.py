@@ -150,6 +150,22 @@ def test_generation_deterministic():
     assert r1.killed_mids == r2.killed_mids
 
 
+def test_seq_generation_decodes_each_candidate_chunk_once():
+    design = load_circuit("b01")
+    mutants = generate_mutants(design)
+    engine = MutationEngine(design)
+    encoder = engine.encoder
+    calls = []
+    decode = encoder.decode
+    encoder.decode = lambda packed: calls.append(packed) or decode(packed)
+    generator = MutationTestGenerator(
+        design, seed=5, engine=engine, chunk_length=4
+    )
+    result = generator.generate(mutants)
+    assert result.rounds > 1 and result.vectors
+    assert 0 < len(calls) <= result.candidates_tried + 4 * result.rounds
+
+
 def test_generation_empty_mutant_list():
     design = load_circuit("c17")
     result = MutationTestGenerator(design, seed=1).generate([])
