@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run a perf suite; append one run to its ``BENCH_*.json`` trajectory.
 
-Four suites, selected with ``--suite`` (default ``engine``):
+Five suites, selected with ``--suite`` (default ``engine``):
 
 * ``engine`` — ``bench_faultsim.py``: fault-simulation throughput per
   backend, appended to ``BENCH_engine.json`` with a per-circuit speedup
@@ -19,6 +19,11 @@ Four suites, selected with ``--suite`` (default ``engine``):
   per registered model (stuck-at, transition, seu), appended to
   ``BENCH_fault.json`` with a per-circuit cost multiple of every model
   against the ``stuck-at`` reference.
+* ``mutation`` — ``bench_mutation.py``: the comb kill sweep
+  (``MutationEngine.comb_kill_sets``) on c432 and a slice of c499's
+  population, a fresh candidate batch per round, appended to
+  ``BENCH_mutation.json`` with a per-circuit seconds-per-sweep summary
+  (each row records ``cpus``).
 
 All suites run under pytest-benchmark, so the numbers come from calibrated,
 warmed-up rounds — compilation cost of the ``compiled`` backend lands
@@ -27,7 +32,7 @@ suite's ``compiled-cold`` rows time it too (a new engine every round).
 
 Usage::
 
-    python benchmarks/run_benchmarks.py [--suite engine|search|all]
+    python benchmarks/run_benchmarks.py [--suite engine|search|...|all]
                                         [--json PATH] [--pytest-args ...]
 """
 
@@ -303,6 +308,40 @@ def grid_print(rows: list[dict], summary: dict) -> None:
         )
 
 
+# -- mutation suite -----------------------------------------------------------
+
+def mutation_rows(report: dict) -> list[dict]:
+    rows = []
+    for bench in report["benchmarks"]:
+        info = bench["extra_info"]
+        if "sweep" not in info:
+            continue  # the module's other benches are not in the trajectory
+        rows.append({
+            "circuit": info["circuit"],
+            "sweep": info["sweep"],
+            "mutants": info["mutants"],
+            "vectors": info["vectors"],
+            "cpus": info["cpus"],
+            "seconds_per_pass": bench["stats"]["mean"],
+        })
+    rows.sort(key=lambda r: (r["circuit"], r["sweep"]))
+    return rows
+
+
+def mutation_summary(rows: list[dict]) -> dict:
+    """circuit -> seconds per sweep."""
+    return {row["circuit"]: round(row["seconds_per_pass"], 4) for row in rows}
+
+
+def mutation_print(rows: list[dict], summary: dict) -> None:
+    for row in rows:
+        print(
+            f"{row['circuit']:5s} {row['sweep']} {row['mutants']} mutants"
+            f" x {row['vectors']} vectors (cpus={row['cpus']})"
+            f" {row['seconds_per_pass']:8.3f} s/sweep"
+        )
+
+
 SUITES = {
     "engine": {
         "bench": "bench_faultsim.py",
@@ -339,6 +378,15 @@ SUITES = {
         "summary": grid_summary,
         "summary_key": f"speedup_vs_{GRID_REFERENCE_WORKERS}_worker",
         "print": grid_print,
+    },
+    "mutation": {
+        "bench": "bench_mutation.py",
+        "out": REPO_ROOT / "BENCH_mutation.json",
+        "title": "comb kill-sweep time",
+        "rows": mutation_rows,
+        "summary": mutation_summary,
+        "summary_key": "seconds_per_sweep",
+        "print": mutation_print,
     },
 }
 

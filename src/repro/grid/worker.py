@@ -121,6 +121,7 @@ def execute_unit(unit: WorkUnit, config) -> dict:
             ("equiv", unit.circuit, config.equivalence_budget, config.seed),
             compute,
         )
+        lab.engine.cover(mutants)
         survivors: list[int] = []
         kill_cycle: dict[str, int | None] = {}
         for mutant in mutants:

@@ -3,7 +3,9 @@
 Strong mutation: a mutant is killed by a stimulus sequence when any
 sampled output differs from the original at any cycle, or when its
 execution raises a run-time error / fails to settle (observably
-different behaviour).  Sequences always start from reset.
+different behaviour).  Sequences always start from reset.  On the comb
+fast path a weak-mutation screen (see :class:`_CombSweep`) picks the
+(mutant, vector) pairs that need running; it never changes a result.
 """
 
 from __future__ import annotations
@@ -13,33 +15,58 @@ from dataclasses import dataclass
 from repro.errors import MutantRuntimeError, OscillationError
 from repro.hdl.design import Design
 from repro.mutation.mutant import Mutant
+from repro.obs import metrics as _metrics
 from repro.sim.compiler import MutantSchema
 from repro.sim.interp import Evaluator
 from repro.sim.testbench import StimulusEncoder, Testbench
 
 
-def _comb_outputs(design: Design, executor):
-    """Fast path for one-process combinational designs.
+_NO_EVENTS: frozenset[str] = frozenset()
+
+
+def _comb_step(process, names, executor, values, variables) -> tuple:
+    """One activation of a one-process combinational design.
 
     Such a process reads only input ports (the synthesizable-comb
     discipline), so one execution per vector replaces the delta-cycle
-    scheduler.  Returns ``outputs(values)`` for a full signal map;
-    variables persist across vectors, as across process activations.
+    scheduler.  ``values`` is a full signal map; ``variables`` carry
+    over from one vector to the next, as across process activations.
     """
-    process = design.processes[0]
-    variables = {var.name: var.init for var in process.variables}
-    names = [port.name for port in design.output_ports]
-    events: frozenset[str] = frozenset()
+    scheduled: dict[str, object] = {}
+    executor(process, values, variables, scheduled, _NO_EVENTS)
+    return _read_outputs(names, values, scheduled)
 
-    def outputs(values: dict[str, object]) -> tuple:
-        scheduled: dict[str, object] = {}
-        executor(process, values, variables, scheduled, events)
-        return tuple([
-            scheduled[name] if name in scheduled else values[name]
-            for name in names
-        ])
 
-    return outputs
+def _read_outputs(names, values, scheduled) -> tuple:
+    return tuple([
+        scheduled[name] if name in scheduled else values[name]
+        for name in names
+    ])
+
+
+def _initial_variables(process) -> dict:
+    return {var.name: var.init for var in process.variables}
+
+
+def _same_state(variables: dict, state: dict) -> bool:
+    """Whether two variable maps hold equal values of the same classes
+    (``True == 1``, but a mutant holding 1 is not on the original's
+    path).  Both maps are copies of one initial map, and writes only
+    replace values, so their values line up key by key."""
+    return variables == state and (
+        list(map(type, variables.values()))
+        == list(map(type, state.values()))
+    )
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """The original's pass over a vector list, with infection masks."""
+
+    slots: frozenset[int]      # the slots whose sites were probed
+    masks: dict[int, int]      # slot -> bit k set when infected on vector k
+    states: list[dict]         # variables entering vector k (one more: after)
+    outputs: list[tuple]       # the original's outputs per vector
 
 
 def _can_fast_path(design: Design) -> bool:
@@ -95,6 +122,13 @@ class MutationEngine:
             symbol.name: symbol.init for symbol in design.signal_like_symbols
         }
         self._memo: tuple | None = None
+        #: ``(stimuli, _Probe)`` of the last probed list (compiled only).
+        self._probe_memo: tuple | None = None
+        #: ``(probe, reference, mask)`` of the last caller reference.
+        self._agreement: tuple | None = None
+        #: Slots of the last covered population: ``run_mutant`` probes
+        #: their sites, so one probe serves a ``run_mutant`` loop.
+        self._population: frozenset[int] = frozenset()
 
     @property
     def design(self) -> Design:
@@ -107,11 +141,15 @@ class MutationEngine:
     def decode_all(self, stimuli: list[int]) -> list[dict[str, object]]:
         return [self._encoder.decode(packed) for packed in stimuli]
 
-    def cover(self, mutants: list[Mutant]) -> None:
+    def cover(self, mutants: list[Mutant]) -> list[int]:
         """Add ``mutants`` to the schema, compiled at the next execution
-        (sweeps cover first: one compile per population, not mutant)."""
-        if self._schema is not None:
-            self._schema.cover(mutant.patch() for mutant in mutants)
+        (sweeps cover first: one compile per population, not mutant).
+        Returns their slots (empty on the interpreter)."""
+        if self._schema is None:
+            return []
+        slots = self._schema.cover(mutant.patch() for mutant in mutants)
+        self._population = frozenset(slots)
+        return slots
 
     def executor(self, mutant: Mutant | None = None):
         """The process executor running ``mutant`` (None: the original)."""
@@ -144,19 +182,88 @@ class MutationEngine:
         """Original-design responses (no patch)."""
         decoded, rows = self._stimuli(stimuli)
         if self._fast:
-            outputs = _comb_outputs(self._design, self.executor())
-            return [outputs(values) for values in rows]
+            process = self._design.processes[0]
+            names = self._output_names()
+            executor = self.executor()
+            variables = _initial_variables(process)
+            return [_comb_step(process, names, executor, values, variables)
+                    for values in rows]
         return self.testbench().run_sequence(decoded)
+
+    def _output_names(self) -> list[str]:
+        return [port.name for port in self._design.output_ports]
+
+    def _probe(self, stimuli: list[int], slots: frozenset[int]) -> _Probe:
+        """The original's probed pass over ``stimuli`` (comb fast path,
+        compiled backend), memoized for the last list: a ``run_mutant``
+        loop over one list probes once."""
+        key = tuple(stimuli)
+        memo = self._probe_memo
+        if memo is not None and memo[0] == key and slots <= memo[1].slots:
+            return memo[1]
+        _, rows = self._stimuli(stimuli)
+        process = self._design.processes[0]
+        names = self._output_names()
+        probe = self._schema.prober(slots)
+        variables = _initial_variables(process)
+        states = [dict(variables)]
+        outputs = []
+        masks: dict[int, int] = {}
+        for index, values in enumerate(rows):
+            scheduled: dict[str, object] = {}
+            infected = probe(process, values, variables, scheduled,
+                             _NO_EVENTS)
+            outputs.append(_read_outputs(names, values, scheduled))
+            states.append(dict(variables))
+            bit = 1 << index
+            for slot in infected:
+                masks[slot] = masks.get(slot, 0) | bit
+        result = _Probe(slots, masks, states, outputs)
+        self._probe_memo = (key, result)
+        return result
+
+    def _disagreement(self, probe: _Probe, reference: list[tuple]) -> int:
+        """Mask of the vectors where a caller's ``reference`` is not the
+        original's output (never, from :meth:`reference_outputs`): a
+        mutant has to run there even on the original's path."""
+        if reference is probe.outputs:
+            return 0
+        cached = self._agreement
+        if cached and cached[0] is probe and cached[1] is reference:
+            return cached[2]
+        mask = 0
+        for index, (mine, theirs) in enumerate(zip(probe.outputs, reference)):
+            if mine != theirs:
+                mask |= 1 << index
+        self._agreement = (probe, reference, mask)
+        return mask
+
+    def _sweep(self, stimuli: list[int], reference: list[tuple] | None,
+               slots: frozenset[int]) -> _CombSweep:
+        """A comb fast-path sweep over ``stimuli``; the compiled backend
+        screens it with a probe over ``slots``."""
+        _, rows = self._stimuli(stimuli)
+        probe = mismatch = None
+        if self._schema is not None:
+            probe = self._probe(stimuli, slots)
+            if reference is None:
+                reference = probe.outputs
+            mismatch = self._disagreement(probe, reference)
+        elif reference is None:
+            reference = self.reference_outputs(stimuli)
+        return _CombSweep(self._design.processes[0], self._output_names(),
+                          rows, reference, probe, mismatch)
 
     def _fresh_bench(self, mutant: Mutant | None) -> tuple[Testbench, tuple]:
         """A reset bench plus its pristine state checkpoint.
 
-        Combinational vectors are independent by definition, but a
-        mutant may read an internal signal and thereby smuggle state
-        from one evaluation into the next when a bench is reused;
-        restoring the pristine checkpoint before every vector keeps the
-        per-vector semantics the fast path has (fresh evaluation), at a
-        state-copy rather than bench-construction price.
+        The bench path runs combinational designs the comb fast path
+        cannot (several processes, or a process reading an internal
+        signal), and restores the pristine checkpoint before every
+        vector, so a mutant cannot smuggle state from one vector into
+        the next through a reused bench; that costs a state copy, not
+        a bench construction.  The fast path differs: it carries
+        process variables from one vector to the next.
         """
         bench = self.testbench(mutant)
         bench.reset()
@@ -170,22 +277,36 @@ class MutationEngine:
     ) -> KillRecord:
         """Run one mutant, stopping at the first observable difference.
 
-        Sequential stimuli are one reset-started sequence; for
-        combinational designs every vector is evaluated from fresh
+        Sequential stimuli are one reset-started sequence.  On the comb
+        fast path, process variables carry from one vector to the next
+        (see :class:`_CombSweep`, which also screens the run); other
+        combinational designs evaluate every vector from the pristine
         state.
         """
+        if self._fast:
+            slot, slots = 0, self._population
+            if self._schema is not None:
+                slot = self._schema.slot(mutant.patch())
+                if slot not in slots:  # not covered by the last sweep
+                    slots = self._schema.covered()
+            sweep = self._sweep(stimuli, reference, slots)
+            record = KillRecord(mutant.mid, False, None, "survived")
+            for cycle, error in sweep.diffs(self.executor(mutant), slot):
+                if error is None:
+                    record = KillRecord(mutant.mid, True, cycle,
+                                        "output-diff")
+                elif isinstance(error, MutantRuntimeError):
+                    record = KillRecord(mutant.mid, True, None, "runtime")
+                else:
+                    record = KillRecord(mutant.mid, True, None,
+                                        "oscillation")
+                break
+            sweep.record()
+            return record
         if reference is None:
             reference = self.reference_outputs(stimuli)
-        decoded, rows = self._stimuli(stimuli)
+        decoded, _ = self._stimuli(stimuli)
         try:
-            if self._fast:
-                outputs = _comb_outputs(self._design, self.executor(mutant))
-                for cycle, values in enumerate(rows):
-                    if outputs(values) != reference[cycle]:
-                        return KillRecord(
-                            mutant.mid, True, cycle, "output-diff"
-                        )
-                return KillRecord(mutant.mid, False, None, "survived")
             bench, pristine = self._fresh_bench(mutant)
             sequential = self._design.is_sequential
             for cycle, stimulus in enumerate(decoded):
@@ -244,7 +365,8 @@ class MutationEngine:
 
         Computed once per stimulus set and shared across every
         survivor's triage; combinational designs restore the pristine
-        checkpoint before each vector, matching :meth:`run_mutant`.
+        checkpoint before each vector, as the bench path of
+        :meth:`run_mutant` does (the comb fast path carries variables).
         """
         decoded, _ = self._stimuli(stimuli)
         bench, pristine = self._fresh_bench(None)
@@ -318,26 +440,26 @@ class MutationEngine:
     ) -> dict[int, set[int]]:
         """For combinational designs: mid -> indexes of killing vectors.
 
-        Every vector is independent (no state), so the whole matrix
-        comes from one pass per mutant over the candidate list.
+        The whole matrix comes from one pass per mutant over the
+        candidate list.  On the comb fast path process variables carry
+        from one vector to the next, and the pass is screened (see
+        :class:`_CombSweep`); the bench path evaluates every vector
+        from the pristine state.
         """
-        self.cover(mutants)
-        if reference is None:
-            reference = self.reference_outputs(vectors)
-        decoded, rows = self._stimuli(vectors)
+        slots = self.cover(mutants)
         matrix: dict[int, set[int]] = {}
         if self._fast:
-            for mutant in mutants:
-                kills: set[int] = set()
-                outputs = _comb_outputs(self._design, self.executor(mutant))
-                for index, values in enumerate(rows):
-                    try:
-                        if outputs(values) != reference[index]:
-                            kills.add(index)
-                    except (MutantRuntimeError, OscillationError):
-                        kills.add(index)
-                matrix[mutant.mid] = kills
+            sweep = self._sweep(vectors, reference, frozenset(slots))
+            for mutant, slot in zip(mutants, slots or [0] * len(mutants)):
+                matrix[mutant.mid] = {
+                    index for index, _ in
+                    sweep.diffs(self.executor(mutant), slot)
+                }
+            sweep.record()
             return matrix
+        if reference is None:
+            reference = self.reference_outputs(vectors)
+        decoded, _ = self._stimuli(vectors)
         for mutant in mutants:
             kills: set[int] = set()
             try:
@@ -359,3 +481,74 @@ class MutationEngine:
                     bench, pristine = self._fresh_bench(mutant)
             matrix[mutant.mid] = kills
         return matrix
+
+
+class _CombSweep:
+    """Mutants against one vector list on the comb fast path.
+
+    Process variables carry from one vector to the next, as across
+    process activations.  With a probe (the compiled backend) the sweep
+    is screened: a mutant whose variables equal the original's entering
+    vector ``k`` and whose slot the probe did not infect on ``k`` takes
+    the original's path there, writing the original's outputs and
+    variables, so it skips ``k``.  Otherwise it runs ``k``, and it goes
+    back to skipping once its variables equal the original's after a
+    vector.  The interpreter (no probe) runs every pair.
+    """
+
+    def __init__(self, process, names: list[str], rows: list[dict],
+                 reference: list[tuple], probe: _Probe | None,
+                 mismatch: int | None):
+        self._process = process
+        self._names = names
+        self._rows = rows
+        self._reference = reference
+        self._probe = probe
+        self._mismatch = mismatch
+        self._runs = 0
+        self._skipped = 0
+
+    def diffs(self, executor, slot: int):
+        """Yield ``(index, error)`` for every vector on which the mutant
+        (``executor``, schema ``slot``) differs from the reference: its
+        outputs differ (``error`` None) or its execution raised."""
+        process, names, rows = self._process, self._names, self._rows
+        reference, probe = self._reference, self._probe
+        count = len(rows)
+        if probe is None:
+            variables, pending = _initial_variables(process), 0
+        else:
+            variables = None  # None: equal to the original's
+            pending = probe.masks.get(slot, 0) | self._mismatch
+        index = 0
+        while index < count:
+            if variables is None:
+                ahead = pending >> index
+                skip = (ahead & -ahead).bit_length() - 1 if ahead else (
+                    count - index
+                )
+                self._skipped += skip
+                index += skip
+                if index == count:
+                    return
+                variables = dict(probe.states[index])
+            self._runs += 1
+            try:
+                error = None
+                differs = _comb_step(process, names, executor, rows[index],
+                                     variables) != reference[index]
+            except (MutantRuntimeError, OscillationError) as caught:
+                error, differs = caught, True
+            if differs:
+                yield index, error
+            index += 1
+            if probe is not None and _same_state(variables,
+                                                 probe.states[index]):
+                variables = None
+
+    def record(self) -> None:
+        """Count the sweep's pairs and the runs the screen left."""
+        m = _metrics.active()
+        if m.enabled:
+            m.counter("mutation.screen.pairs", self._runs + self._skipped)
+            m.counter("mutation.screen.runs", self._runs)

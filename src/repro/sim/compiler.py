@@ -49,14 +49,27 @@ class MutantSchema:
         self._patches: list[dict[int, ast.Node]] = [{}]
         self._compiled = 0
         self._functions: dict = {}
+        #: process label -> (probe units, ``_Codegen.points``), built on
+        #: demand and dropped when the process recompiles.
+        self._probes: dict = {}
         #: process label -> {nid: (node, parent, role)}, built on compile.
         self._nodes: dict[str, dict] | None = None
 
-    def cover(self, patches) -> None:
-        """Give every patch a slot; compiled at the next execution."""
+    def cover(self, patches) -> list[int]:
+        """Give every patch a slot (returned, in order); compiled at the
+        next execution."""
         with self._lock:
-            for patch in patches:
-                self._slot(patch)
+            return [self._slot(patch) for patch in patches]
+
+    def slot(self, patch: dict[int, ast.Node] | None = None) -> int:
+        """``patch``'s slot (covering it first when it is new)."""
+        with self._lock:
+            return self._slot(patch)
+
+    def covered(self) -> frozenset[int]:
+        """Every mutant slot given out so far."""
+        with self._lock:
+            return frozenset(range(1, len(self._patches)))
 
     def executor(self, patch: dict[int, ast.Node] | None = None):
         """The executor (see :func:`make_executor`) running ``patch``."""
@@ -71,6 +84,43 @@ class MutantSchema:
                 unit(values, variables, scheduled, events, slot)
 
         return run
+
+    def prober(self, slots):
+        """An infection probe over the sites of covered ``slots``.
+
+        The probe is a callable ``(process, values, variables,
+        scheduled, events)`` that runs one activation of the original
+        (slot 0) and returns a set of slots that holds every probed
+        slot the activation infected: at a reached site, a replacement
+        whose value differs from the original's in class or value, or
+        raises, and every slot of a reached statement site.  A probed
+        slot outside the set took the original's path on that
+        activation, so running it would have made the same writes.
+        """
+        with self._lock:
+            if self._compiled < len(self._patches):
+                self._compile()
+            flags = {}
+            for process in self._design.processes:
+                label = process.label
+                if label not in self._probes:
+                    codegen = _Codegen(process, self._patches,
+                                       self._nodes[label], probe=True)
+                    units = codegen.functions(self._design.name)
+                    self._probes[label] = (units, codegen.points)
+                units, points = self._probes[label]
+                flags[label] = (units, [
+                    tuple(sorted(owners & slots)) for owners in points
+                ])
+
+        def probe(process: Process, values, variables, scheduled, events):
+            units, live = flags[process.label]
+            infected: set[int] = set()
+            for unit in units:
+                unit(values, variables, scheduled, events, live, infected)
+            return infected
+
+        return probe
 
     def _slot(self, patch) -> int:
         if not patch:
@@ -102,6 +152,7 @@ class MutantSchema:
                 self._functions[process.label] = _Codegen(
                     process, self._patches, nodes
                 ).functions(self._design.name)
+                self._probes.pop(process.label, None)
         self._compiled = len(self._patches)
 
 
@@ -175,12 +226,37 @@ def _bv_key(value):
     raise MutantRuntimeError("case selector/choice kind mismatch")
 
 
+def _infect(infected: set, value, slots, alternative) -> None:
+    """Probe: add the ``slots`` whose replacement differs from ``value``.
+
+    ``alternative(slot)`` evaluates a slot's replacement; one that
+    raises (any error: the mutant then raises the same way) infects.
+    """
+    for slot in slots:
+        try:
+            other = alternative(slot)
+        except Exception:
+            infected.add(slot)
+            continue
+        if other.__class__ is not value.__class__ or other != value:
+            infected.add(slot)
+
+
+def _infect_table(infected: set, value, slots, table: dict) -> None:
+    """:func:`_infect` over constant replacements (``{slot: value}``)."""
+    for slot in slots:
+        other = table[slot]
+        if other.__class__ is not value.__class__ or other != value:
+            infected.add(slot)
+
+
 _HELPERS = {
     "BV": BV, "_bv_key": _bv_key, "_mod": _mod, "_rem": _rem,
     "_Error": MutantRuntimeError,
     "_apply_logical": _apply_logical, "_bit_offset": _bit_offset,
     "_coerce": _coerce, "_concat": _concat,
     "_truth": Evaluator._truth, "_values_equal": Evaluator._values_equal,
+    "_infect": _infect, "_infect_table": _infect_table,
 }
 
 
@@ -193,12 +269,19 @@ def _member(slots) -> str:
     return f"_m in {{{', '.join(map(str, slots))}}}"
 
 
-def _select(orig: str, alts: list[tuple[int, str]]) -> str:
-    """Conditional expression picking one alternative per slot."""
+def _chain(alts: list[tuple[int, str]]) -> str:
+    """Conditional expression picking one alternative per slot (one of
+    ``alts``'s slots is ``_m``)."""
     chain = alts[-1][1]
     for slot, code in reversed(alts[:-1]):
         chain = f"{code} if _m == {slot} else {chain}"
-    return f"({orig} if not ({_member([s for s, _ in alts])}) else {chain})"
+    return chain
+
+
+def _select(orig: str, alts: list[tuple[int, str]]) -> str:
+    """:func:`_chain`, with ``orig`` for every other slot."""
+    member = _member([slot for slot, _ in alts])
+    return f"({orig} if not ({member}) else {_chain(alts)})"
 
 
 class _Codegen:
@@ -207,20 +290,30 @@ class _Codegen:
     Generation runs in one of two modes: *live* (the original tree,
     sites dispatch on ``_m``) or *static* under one slot's ``patch``
     (``{}`` for the pristine variant), where nodes resolve through the
-    patch exactly as the interpreter resolves them.
+    patch exactly as the interpreter resolves them.  A *probe* codegen
+    turns live sites into infection checks instead (see
+    :meth:`MutantSchema.prober`): its functions ``_probeK(R, V, S, E,
+    L, I)`` run the original and add infected slots to the set ``I``.
+    ``L[k]`` holds the probed slots among ``points[k]``, the slots of
+    one site or of the sites under one statement: a statement with no
+    probed slot under it runs its pristine variant, and a site checks
+    only its probed slots.
     """
 
     def __init__(self, process: Process, patches: list[dict],
-                 nodes: dict):
+                 nodes: dict, probe: bool = False):
         self._process = process
         self._patches = patches
         self._nodes = nodes
+        self._probe = probe
         self._sites: dict[int, list[int]] = {}
         for slot, patch in enumerate(patches):
             for nid, replacement in patch.items():
                 if nid in nodes:
                     site = _site_of(nodes, nid, replacement)
                     self._sites.setdefault(site, []).append(slot)
+        #: Probe flag index -> the slots it stands for.
+        self.points: list[frozenset[int]] = []
         self._under_memo: dict[int, tuple[int, ...]] = {}
         self._lines: list[str] = []
         self._size = 0
@@ -245,7 +338,9 @@ class _Codegen:
             self._stmt(stmt, {}, True, 1)
             if index + 1 < len(body) and self._size < _UNIT_CHARS:
                 continue
-            head = [f"def _run{len(units)}(R, V, S, E, _m):"]
+            unit = f"{'_probe' if self._probe else '_run'}{len(units)}"
+            params = "L, I" if self._probe else "_m"
+            head = [f"def {unit}(R, V, S, E, {params}):"]
             head += [f"    {local} = R[{name!r}]"
                      for name, local in self._reads.items()]
             head += [f"    {local} = V[{name!r}]"
@@ -256,7 +351,7 @@ class _Codegen:
             )
             filename = f"<schema {design_name}:{self._process.label}>"
             exec(compile(source, filename, "exec"), namespace)
-            units.append(namespace[f"_run{len(units)}"])
+            units.append(namespace[unit])
             self._lines, self._reads, self._vars = [], {}, {}
             self._size = 0
         return tuple(units)
@@ -276,6 +371,11 @@ class _Codegen:
         if key not in self._consts:
             self._consts[key] = (value, f"_K{len(self._consts)}")
         return self._consts[key][1]
+
+    def _point(self, slots) -> str:
+        """The probe flag (an ``L`` item) standing for ``slots``."""
+        self.points.append(frozenset(slots))
+        return f"L[{len(self.points) - 1}]"
 
     def _local(self, table: dict[str, str], prefix: str, name: str) -> str:
         if name not in table:
@@ -342,6 +442,18 @@ class _Codegen:
         if gen == self._choice_key:  # vector choices compare as keys
             values = {slot: (v.value, v.width) if isinstance(v, BV)
                       else _NOT_CONST for slot, v in values.items()}
+        if self._probe:
+            value, flag = self._tmp(), self._point(slots)
+            if _NOT_CONST not in values.values():
+                table = self._const(values)
+                scan = f"_infect_table(I, {value}, {flag}, {table})"
+            else:
+                chain = _chain([
+                    (slot, gen(node, self._patches[slot], False))
+                    for slot in slots
+                ])
+                scan = f"_infect(I, {value}, {flag}, lambda _m: {chain})"
+            return f"(({value} := {code}), {flag} and {scan})[0]"
         if len(slots) > 2 and _NOT_CONST not in values.values():
             # Constant replacements (CVR, CCR): one table lookup.
             table = self._const(values)
@@ -366,6 +478,15 @@ class _Codegen:
             self._emit_stmt(stmt, patch, False, indent)
             return
         own = self._sites.get(stmt.nid, [])
+        if self._probe:
+            self._emit(indent, f"if {self._point(under)}:")
+            if own:
+                flag = self._point(own)
+                self._emit(indent + 1, f"I.update({flag})")
+            self._emit_stmt(stmt, patch, True, indent + 1)
+            self._emit(indent, "else:")
+            self._emit_stmt(stmt, patch, False, indent + 1)
+            return
         self._emit(indent, f"if {_member(under)}:")
         for index, slot in enumerate(own):
             keyword = "if" if index == 0 else "elif"

@@ -3,7 +3,10 @@
 ``backend="interp"`` is the reference semantics.  Every mutant of the
 paper's small circuits (and a fixed slice of c499's) must produce the
 same kill records, kill matrices and triage categories on both, runtime
-errors and oscillation included.
+errors and oscillation included.  On the comb fast path the compiled
+sweeps are screened by an infection probe; every comparison there also
+checks that the screen skipped some pairs, and that the interpreter
+skipped none.
 """
 
 import sys
@@ -14,7 +17,9 @@ import pytest
 from repro.circuits import load_circuit
 from repro.hdl import load_design
 from repro.hdl.values import BV
-from repro.mutation import MutationEngine, generate_mutants
+from repro.mutation import KillRecord, MutationEngine, generate_mutants
+from repro.mutation.execution import _can_fast_path
+from repro.obs import metrics
 from repro.sim import StimulusEncoder
 from repro.util import rng_stream
 
@@ -30,14 +35,38 @@ def _engines(design):
             MutationEngine(design, backend="interp"))
 
 
+def _screened(run):
+    """``run()``'s result and its ``(pairs, runs)`` screen counters."""
+    with metrics.collecting() as registry:
+        result = run()
+    counters = registry.snapshot()["counters"]
+    return result, (counters.get("mutation.screen.pairs", 0),
+                    counters.get("mutation.screen.runs", 0))
+
+
 def _assert_same(design, mutants, vectors):
     schema, interp = _engines(design)
-    records = schema.run_all(mutants, vectors)
-    assert records == interp.run_all(mutants, vectors)
+    records, schema_counts = _screened(
+        lambda: schema.run_all(mutants, vectors)
+    )
+    interp_records, interp_counts = _screened(
+        lambda: interp.run_all(mutants, vectors)
+    )
+    assert records == interp_records
     if not design.is_sequential:
-        assert schema.comb_kill_sets(mutants, vectors) == (
-            interp.comb_kill_sets(mutants, vectors)
+        matrix, counts = _screened(
+            lambda: schema.comb_kill_sets(mutants, vectors)
         )
+        expected, unscreened = _screened(
+            lambda: interp.comb_kill_sets(mutants, vectors)
+        )
+        assert matrix == expected
+        if _can_fast_path(design):
+            # The screen is on (and skips something) only when compiled.
+            for pairs, runs in (schema_counts, counts):
+                assert 0 < runs < pairs
+            for pairs, runs in (interp_counts, unscreened):
+                assert 0 < runs == pairs
     survivors = [m for m, r in zip(mutants, records) if not r.killed]
     assert schema.triage_survivors(survivors, vectors) == (
         interp.triage_survivors(survivors, vectors)
@@ -113,6 +142,95 @@ def test_variable_writes_survive_a_runtime_error():
     _assert_same(design, mutants, _vectors(design, 16, "wt") + vectors)
 
 
+HOLD = """
+entity hold is
+  port ( a, b : in bit; y : out bit );
+end hold;
+architecture rtl of hold is
+begin
+  p : process (a, b)
+    variable n : bit;
+  begin
+    if b = '1' then
+      n := a;
+    end if;
+    y <= n;
+  end process p;
+end rtl;
+"""
+
+
+def test_comb_fast_path_carries_variables_across_vectors():
+    # ``n`` holds its value while b = '0': the fast path runs vectors in
+    # order on one variable map, as across process activations.
+    design = load_design(HOLD, "hold")
+    encode = StimulusEncoder(design).encode
+    vectors = [encode({"a": a, "b": b})
+               for a, b in ((0, 1), (1, 0), (0, 1), (1, 1), (0, 0))]
+    mutants = generate_mutants(design)
+    # CVR a -> '1' stores a wrong n on vectors 0 and 2; it kills on
+    # vector 1, where its site is not even reached, only by the value
+    # it carries in, and it agrees with the original again from 3 on.
+    stuck = next(m for m in mutants if m.description.endswith("a -> '1'"))
+    for engine in _engines(design):
+        assert engine.reference_outputs(vectors) == [
+            (0,), (0,), (0,), (1,), (1,)
+        ]
+        assert engine.comb_kill_sets([stuck], vectors) == {
+            stuck.mid: {0, 1, 2}
+        }
+        assert engine.run_mutant(stuck, vectors[1:]) == KillRecord(
+            stuck.mid, True, 1, "output-diff"
+        )
+        # A caller's reference is honoured where the screen would skip.
+        assert engine.run_mutant(stuck, vectors[4:], [(1,)]) == KillRecord(
+            stuck.mid, True, 0, "output-diff"
+        )
+    # Only vector 4 is skipped: the mutant diverges on 0 and re-joins
+    # the original's state only after 3.
+    _, counts = _screened(
+        lambda: MutationEngine(design).comb_kill_sets([stuck], vectors)
+    )
+    assert counts == (5, 4)
+    _assert_same(design, mutants, vectors + _vectors(design, 16, "hold"))
+
+
+SHORT_CIRCUIT = """
+entity sc is
+  port ( k : in integer range 0 to 3; v : in bit_vector(3 downto 0);
+         y : out bit );
+end sc;
+architecture rtl of sc is
+begin
+  p : process (k, v)
+  begin
+    y <= '0';
+    if k > 0 and v(k - 1) = '1' then
+      y <= '1';
+    end if;
+  end process p;
+end rtl;
+"""
+
+
+def test_screen_respects_short_circuit_and_partial_errors():
+    # ``v(k - 1)`` is only evaluated when k > 0 (at k = 0 the original
+    # itself would index out of range), and AOR k - 1 -> k + 1 raises
+    # only on the vectors with k = 3.
+    design = load_design(SHORT_CIRCUIT, "sc")
+    encode = StimulusEncoder(design).encode
+    vectors = [encode({"k": k, "v": BV(v, 4)})
+               for k in range(4) for v in (0b0000, 0b1111, 0b0101)]
+    mutants = generate_mutants(design)
+    plus = next(m for m in mutants if m.description.endswith("-> k + 1"))
+    for engine in _engines(design):
+        assert engine.comb_kill_sets([plus], vectors) == {
+            plus.mid: {9, 10, 11}
+        }
+    records = _assert_same(design, mutants, vectors)
+    assert any(r.reason == "runtime" for r in records)
+
+
 OSCILLATOR = """
 entity osc is
   port ( b, c : in bit; y : out bit );
@@ -174,8 +292,13 @@ def test_prefix_type_change_is_hoisted():
 def test_concurrent_sweeps_share_one_schema():
     # Threads sweeping disjoint mutant slices of one engine race to add
     # slots and recompile; a slot lost between two compiles would run
-    # as the original design and change its matrix.
-    design = load_circuit("c17")
+    # as the original design and change its matrix.  On c432 (the comb
+    # fast path) they also race to build and memoize the screen's probe.
+    for name in ("c17", "c432"):
+        _race_sweeps(load_circuit(name))
+
+
+def _race_sweeps(design):
     mutants = generate_mutants(design)
     vectors = _vectors(design, 3, "threads")
     slices = [mutants[start::8] for start in range(8)]
