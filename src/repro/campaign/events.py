@@ -19,14 +19,19 @@ Hook timing:
   before its ``on_unit_done`` — the hook live progress aggregation
   (:mod:`repro.obs.progress`) listens on.
 
-Visibility under parallelism: with per-circuit farming (``jobs > 1``
-and no grid) the stages run in worker processes, so only the
-circuit-level hooks are observable from the parent.  With a grid
-scheduler (``config.grid``) the circuits — and their stage hooks — run
-in the parent, and unit-level results are streamed back from the
-workers as they complete, so ``on_unit_done`` fires in the parent for
-every unit regardless of which process computed it (pooled backends
-fire ``on_unit_start`` at submission time).
+Visibility under parallelism: every worker process sits behind the
+one process boundary, the grid's ``process`` scheduler.  With
+per-circuit farming (``jobs > 1`` and no grid) each circuit is one
+``circuit`` work unit whose start and finish surface as
+``on_circuit_start`` (at submission) and ``on_circuit_done`` (as the
+result lands); its stages run in the worker, so only the circuit-level
+hooks are observable from the parent.  With a grid scheduler
+(``config.grid``) the circuits — and their stage hooks — run in the
+parent, and unit-level results are streamed back from the workers as
+they complete, so ``on_unit_done`` fires in the parent for every unit
+regardless of which process computed it (pooled backends fire
+``on_unit_start`` at submission time).  Either way a circuit is in the
+result cache before its ``on_circuit_done`` fires.
 
 Hooks must not break the science: the runner wraps the events object
 in :func:`guard_events`, which catches an :class:`Exception` escaping

@@ -5,14 +5,15 @@ whole mutation-sampling flow.  Per circuit it executes the configured
 stage pipeline over a fresh :class:`CircuitContext` and condenses the
 context into a plain-data :class:`CircuitResult`.
 
-Two parallelism axes, both bit-for-bit identical to serial:
+Two parallelism axes, both bit-for-bit identical to serial, and one
+process boundary (:class:`repro.grid.ProcessScheduler`) under both:
 
 * **Per-circuit** (``config.jobs > 1``): circuits are independent —
   every random stream is derived from ``(seed, labels...)`` with the
-  circuit name in the labels — so whole circuits are farmed out to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Results cross the
-  process boundary as dicts (the same payload the on-disk cache
-  stores).  Speedup caps at the circuit count.
+  circuit name in the labels — so whole circuits run as one wave of
+  ``circuit`` work units on the grid's process scheduler.  Results
+  cross the process boundary as dicts (the same payload the on-disk
+  cache stores).  Speedup caps at the circuit count.
 * **Within-circuit** (``config.grid``): the heavy axis-parallel
   operations (fault validation, kill analysis, the equivalence sweep)
   are sharded into :mod:`repro.grid` work units and executed on the
@@ -22,12 +23,16 @@ Two parallelism axes, both bit-for-bit identical to serial:
   stopped.  When both axes are requested, the grid wins: circuits run
   in the parent (nesting process pools would oversubscribe) and units
   fan out instead.
+
+Either way each finished circuit goes through one completion step:
+stored in the result cache, counted in the metrics, then reported
+through ``on_circuit_done`` — so a hook that aborts the run never
+loses a finished circuit.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 
 from repro.campaign.cache import ResultCache
@@ -181,32 +186,6 @@ def _build_result(ctx: CircuitContext) -> CircuitResult:
     )
 
 
-def _circuit_payload(circuit: str, config_data: dict) -> dict:
-    """Worker entry point: rebuild the config, return a plain dict.
-
-    The circuit's own runtime is measured in the worker so the parent
-    can report it (wall clock since pool start would be wrong for every
-    completion after the first).
-    """
-    config = CampaignConfig.from_dict(config_data)
-    started = time.monotonic()
-    if config.telemetry:
-        with _metrics.collecting() as registry:
-            result = run_circuit(circuit, config)
-        payload = {
-            "seconds": time.monotonic() - started,
-            "result": result.to_dict(),
-        }
-        if not registry.is_empty():
-            payload["metrics"] = registry.snapshot()
-        return payload
-    result = run_circuit(circuit, config)
-    return {
-        "seconds": time.monotonic() - started,
-        "result": result.to_dict(),
-    }
-
-
 class Campaign:
     """One composable, parallel, resumable mutation-sampling run."""
 
@@ -225,8 +204,8 @@ class Campaign:
     def run(self, circuits=None, resume: bool = False) -> CampaignResult:
         """Run the pipeline over ``circuits`` (default: the config's).
 
-        Cached circuits are loaded, the rest computed — serially, on a
-        process pool (``config.jobs > 1``), or sharded through a grid
+        Cached circuits are loaded, the rest computed — serially, on the
+        grid's process pool (``config.jobs > 1``), or sharded through a grid
         scheduler (``config.grid``) — and every freshly computed result
         is written back to the cache as it completes.  ``resume=True``
         (requires ``cache_dir``) additionally reuses finished work
@@ -288,30 +267,28 @@ class Campaign:
             else:
                 pending.append(name)
 
+        def complete(name: str, result: CircuitResult, seconds: float):
+            # Persist before reporting, so a hook that aborts the run
+            # cannot lose a finished circuit.
+            if cache is not None:
+                cache.store(result)
+            results[name] = result
+            if m.enabled:
+                m.counter("campaign.circuits_run")
+                m.observe("circuit.seconds", seconds)
+            events.on_circuit_done(name, result, seconds)
+
         try:
             if grid is None and config.jobs > 1 and len(pending) > 1:
-                self._run_parallel(pending, results, events)
-                if cache is not None:
-                    for name in pending:
-                        cache.store(results[name])
+                self._farm(pending, config, events, complete)
             else:
                 for name in pending:
                     events.on_circuit_start(name)
                     circuit_started = time.monotonic()
-                    results[name] = run_circuit(
-                        name, config, events, grid=grid
+                    result = run_circuit(name, config, events, grid=grid)
+                    complete(
+                        name, result, time.monotonic() - circuit_started
                     )
-                    circuit_seconds = time.monotonic() - circuit_started
-                    if m.enabled:
-                        m.counter("campaign.circuits_run")
-                        m.observe("circuit.seconds", circuit_seconds)
-                    events.on_circuit_done(
-                        name, results[name], circuit_seconds,
-                    )
-                    # Persist per circuit (not all at the end) so an
-                    # interrupted multi-circuit run keeps what finished.
-                    if cache is not None:
-                        cache.store(results[name])
         finally:
             if grid is not None:
                 grid.close()
@@ -328,29 +305,26 @@ class Campaign:
         events.on_campaign_end(result, campaign_seconds)
         return result
 
-    def _run_parallel(
-        self,
-        pending: list[str],
-        results: dict[str, CircuitResult],
-        events: CampaignEvents,
-    ) -> None:
-        config = self.config
-        config_data = config.to_dict()
-        workers = min(config.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_circuit_payload, name, config_data): name
-                for name in pending
-            }
-            for name in pending:
-                events.on_circuit_start(name)
-            for future in as_completed(futures):
-                name = futures[future]
-                payload = future.result()
-                results[name] = CircuitResult.from_dict(payload["result"])
-                snapshot = payload.get("metrics")
-                if snapshot:
-                    _metrics.active().merge(snapshot)
-                events.on_circuit_done(
-                    name, results[name], payload["seconds"]
-                )
+    @staticmethod
+    def _farm(pending, config, events, complete) -> None:
+        """Run whole circuits as one wave of ``circuit`` units on the
+        grid's process scheduler (the one local process boundary)."""
+        from repro.grid import CIRCUIT, ProcessScheduler, WorkUnit
+
+        units = [
+            WorkUnit(name, "campaign", "circuit", CIRCUIT, index,
+                     len(pending))
+            for index, name in enumerate(pending)
+        ]
+        scheduler = ProcessScheduler(min(config.jobs, len(pending)))
+        try:
+            scheduler.run(
+                units,
+                config,
+                on_start=lambda unit: events.on_circuit_start(unit.circuit),
+                on_done=lambda unit, seconds, data: complete(
+                    unit.circuit, CircuitResult.from_dict(data), seconds
+                ),
+            )
+        finally:
+            scheduler.close()

@@ -23,9 +23,13 @@ Pieces:
   partitions, sized by the fingerprinted ``grid_shard`` knob only
   (never by worker count), so resumes survive re-sizing the pool.
 * Schedulers (:mod:`repro.grid.scheduler`) — named registry:
-  ``serial`` reference, ``thread`` pool, ``process`` work-stealing
-  pool with a graceful ``KeyboardInterrupt`` drain, and ``remote``
-  (units dispatched to a :mod:`repro.net` coordinator over HTTP).
+  ``serial`` reference, ``process`` work-stealing pool with a graceful
+  ``KeyboardInterrupt`` drain, and ``remote`` (units dispatched to a
+  :mod:`repro.net` coordinator over HTTP).  ``process`` is the one
+  local process boundary: the campaign's ``jobs > 1`` circuit farming
+  runs whole-circuit (``circuit``) units on it as well, and
+  :func:`process_entry` builds the result envelope for both it and
+  the :mod:`repro.net` worker daemon.
 * :class:`JobStore` (:mod:`repro.grid.store`) — JSON-per-unit ledger
   under the campaign cache's fingerprint scheme; powers
   ``repro run --resume``.
@@ -49,7 +53,6 @@ from repro.grid.scheduler import (
     RemoteScheduler,
     Scheduler,
     SerialScheduler,
-    ThreadScheduler,
     build_scheduler,
     get_scheduler,
     register_scheduler,
@@ -57,6 +60,7 @@ from repro.grid.scheduler import (
 )
 from repro.grid.store import STORE_VERSION, JobStore
 from repro.grid.units import (
+    CIRCUIT,
     EQUIV_PART,
     FAULT_CHUNK,
     MUTANT_PART,
@@ -71,6 +75,7 @@ from repro.grid.worker import execute_unit, process_entry
 
 __all__ = [
     "AUTO_UNITS",
+    "CIRCUIT",
     "DEFAULT_SCHEDULER",
     "EQUIV_PART",
     "FAULT_CHUNK",
@@ -83,7 +88,6 @@ __all__ = [
     "STORE_VERSION",
     "Scheduler",
     "SerialScheduler",
-    "ThreadScheduler",
     "UNIT_KINDS",
     "WorkUnit",
     "build_scheduler",

@@ -1,21 +1,19 @@
 """Scheduler backends: how planned work units get executed.
 
-Four backends ship with the library, registered by name (mirroring
+Three backends ship with the library, registered by name (mirroring
 :mod:`repro.engine` and :mod:`repro.sampling.registry`):
 
 * ``serial`` — the reference: units run inline, in plan order.  Still
   worthwhile on one worker because every finished unit lands in the
   job store, making a killed campaign resumable at unit granularity.
-* ``thread`` — a persistent :class:`~concurrent.futures.ThreadPoolExecutor`:
-  an in-process pool whose units share the parent's already-built
-  labs.  No engine releases the GIL, so units serialize on the
-  interpreter lock; it pays off only once unit work is I/O-bound.
 * ``process`` — a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
   fed from one shared queue, so idle workers steal the next pending
   unit and stragglers never serialize the tail.  Workers rebuild
   per-circuit state through the memoized lab lookup (synthesis is paid
   once per circuit per worker) and stream ``(seconds, result)``
-  payloads back as futures complete.
+  payloads back as futures complete.  This is the library's one local
+  process boundary: ``jobs > 1`` circuit farming runs ``circuit``
+  units on it too.
 * ``remote`` — units go to a :mod:`repro.net` coordinator over HTTP
   and execute on whatever worker daemons are attached, on any machine.
   Needs ``config.coordinator`` (``--coordinator http://host:port``).
@@ -23,7 +21,7 @@ Four backends ship with the library, registered by name (mirroring
 All backends call ``on_done`` as each unit finishes — *before*
 returning — so the executor can persist results incrementally.  On
 any abort (:class:`KeyboardInterrupt`, a unit raising in its worker,
-a broken pool) the pools drain gracefully: pending units are
+a broken pool) the process pool drains gracefully: pending units are
 cancelled, already-finished futures are still harvested through
 ``on_done`` (and therefore reach the job store), and the exception is
 re-raised for the caller.
@@ -40,12 +38,10 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 
 from repro.errors import GridError
-from repro.grid.units import WorkUnit
 from repro.grid.worker import execute_unit, process_entry
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -108,6 +104,23 @@ def build_scheduler(name: str, workers: int = 1) -> Scheduler:
     return get_scheduler(name)(workers)
 
 
+def _harvest(envelope: dict) -> tuple[float, dict]:
+    """``(seconds, result)`` from a worker envelope.
+
+    Envelopes (:func:`~repro.grid.worker.process_entry`) may carry a
+    ``metrics`` snapshot (telemetry collected in the worker) and a
+    ``spans`` trace buffer; both are folded into the parent's active
+    registry/tracer here, at harvest time.
+    """
+    snapshot = envelope.get("metrics")
+    if snapshot:
+        _metrics.active().merge(snapshot)
+    spans = envelope.get("spans")
+    if spans:
+        _trace.active().absorb(spans)
+    return float(envelope.get("seconds") or 0.0), envelope["result"]
+
+
 @register_scheduler
 class SerialScheduler(Scheduler):
     """Units run inline, in plan order (the pinned reference)."""
@@ -125,127 +138,6 @@ class SerialScheduler(Scheduler):
                 on_done(unit, time.monotonic() - started, result)
             results.append(result)
         return results
-
-
-class _PooledScheduler(Scheduler):
-    """Shared future-draining logic for the thread/process pools."""
-
-    def _pool(self):
-        raise NotImplementedError
-
-    def _submit(self, pool, unit: WorkUnit, config) -> Future:
-        raise NotImplementedError
-
-    @staticmethod
-    def _payload(future: Future) -> tuple[float, dict]:
-        """(seconds, result) from a finished future.
-
-        Worker envelopes may carry a ``metrics`` snapshot (telemetry
-        collected in the worker process) and a ``spans`` trace buffer;
-        both are folded into the parent's active registry/tracer here,
-        at harvest time.
-        """
-        payload = future.result()
-        snapshot = payload.get("metrics")
-        if snapshot:
-            _metrics.active().merge(snapshot)
-        spans = payload.get("spans")
-        if spans:
-            _trace.active().absorb(spans)
-        return payload["seconds"], payload["result"]
-
-    def run(self, units, config, on_start=None, on_done=None) -> list[dict]:
-        units = list(units)
-        if not units:
-            return []
-        pool = self._pool()
-        futures: dict[Future, int] = {}
-        for index, unit in enumerate(units):
-            if on_start is not None:
-                on_start(unit)
-            futures[self._submit(pool, unit, config)] = index
-        results: list[dict | None] = [None] * len(units)
-        try:
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    seconds, result = self._payload(future)
-                    results[index] = result
-                    if on_done is not None:
-                        on_done(units[index], seconds, result)
-        except BaseException:
-            # KeyboardInterrupt, a unit raising in its worker, a
-            # broken pool: either way the wave is over — drain so
-            # every *finished* unit still reaches on_done (and hence
-            # the job store) before the exception propagates.
-            self._drain(units, futures, results, on_done)
-            raise
-        return results  # type: ignore[return-value]
-
-    def _drain(self, units, futures, results, on_done) -> None:
-        """Graceful abort: cancel the queue, harvest finished units."""
-        for future in futures:
-            future.cancel()
-        for future, index in futures.items():
-            if results[index] is not None or not future.done() or (
-                future.cancelled()
-            ):
-                continue
-            try:
-                seconds, result = self._payload(future)
-            except BaseException:
-                continue  # the worker itself was interrupted mid-unit
-            results[index] = result
-            if on_done is not None:
-                try:
-                    on_done(units[index], seconds, result)
-                except Exception:
-                    # Drain persistence is best-effort: a store that
-                    # fails mid-abort must neither stop the harvest of
-                    # the remaining finished units nor supplant the
-                    # original exception (the unit just recomputes on
-                    # resume).
-                    continue
-        self.close()
-
-
-@register_scheduler
-class ThreadScheduler(_PooledScheduler):
-    """A persistent thread pool sharing the parent's labs.
-
-    Units run in-process, so no worker rebuilds a lab; but no engine
-    releases the GIL, so CPU-bound units serialize on the interpreter
-    lock and should prefer ``process``.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int = 1):
-        super().__init__(workers)
-        self._executor: ThreadPoolExecutor | None = None
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-grid",
-            )
-        return self._executor
-
-    def _submit(self, pool, unit, config) -> Future:
-        def call() -> dict:
-            started = time.monotonic()
-            result = execute_unit(unit, config)
-            return {"seconds": time.monotonic() - started, "result": result}
-
-        return pool.submit(call)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
 
 @register_scheduler
@@ -320,20 +212,11 @@ class RemoteScheduler(Scheduler):
                             f"{record['worker']}: {record['error']}"
                         )
                         continue
-                    results[index] = record["result"]
+                    seconds, result = _harvest(record)
+                    results[index] = result
                     done += 1
-                    snapshot = record.get("metrics")
-                    if snapshot:
-                        _metrics.active().merge(snapshot)
-                    spans = record.get("spans")
-                    if spans:
-                        _trace.active().absorb(spans)
                     if on_done is not None:
-                        on_done(
-                            units[index],
-                            float(record.get("seconds") or 0.0),
-                            record["result"],
-                        )
+                        on_done(units[index], seconds, result)
                 if failure is not None:
                     raise failure
                 if done < len(units):
@@ -350,7 +233,7 @@ class RemoteScheduler(Scheduler):
 
 
 @register_scheduler
-class ProcessScheduler(_PooledScheduler):
+class ProcessScheduler(Scheduler):
     """A persistent work-stealing process pool.
 
     All units go onto one shared queue; idle workers pull (steal) the
@@ -362,21 +245,67 @@ class ProcessScheduler(_PooledScheduler):
     def __init__(self, workers: int = 1):
         super().__init__(workers)
         self._executor: ProcessPoolExecutor | None = None
-        self._config_data: dict | None = None
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
-
-    def _submit(self, pool, unit, config) -> Future:
-        if self._config_data is None:
-            self._config_data = config.to_dict()
-        return pool.submit(process_entry, unit.to_dict(), self._config_data)
 
     def run(self, units, config, on_start=None, on_done=None) -> list[dict]:
-        self._config_data = None  # re-serialize per wave, configs may differ
-        return super().run(units, config, on_start=on_start, on_done=on_done)
+        units = list(units)
+        if not units:
+            return []
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        config_data = config.to_dict()
+        futures: dict[Future, int] = {}
+        for index, unit in enumerate(units):
+            if on_start is not None:
+                on_start(unit)
+            future = self._executor.submit(
+                process_entry, unit.to_dict(), config_data
+            )
+            futures[future] = index
+        results: list[dict | None] = [None] * len(units)
+        try:
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures[future]
+                    seconds, result = _harvest(future.result())
+                    results[index] = result
+                    if on_done is not None:
+                        on_done(units[index], seconds, result)
+        except BaseException:
+            # KeyboardInterrupt, a unit raising in its worker, a
+            # broken pool: either way the wave is over — drain so
+            # every *finished* unit still reaches on_done (and hence
+            # the job store) before the exception propagates.
+            self._drain(units, futures, results, on_done)
+            raise
+        return results  # type: ignore[return-value]
+
+    def _drain(self, units, futures, results, on_done) -> None:
+        """Graceful abort: cancel the queue, harvest finished units."""
+        for future in futures:
+            future.cancel()
+        for future, index in futures.items():
+            if results[index] is not None or not future.done() or (
+                future.cancelled()
+            ):
+                continue
+            try:
+                seconds, result = _harvest(future.result())
+            except BaseException:
+                continue  # the worker itself was interrupted mid-unit
+            results[index] = result
+            if on_done is not None:
+                try:
+                    on_done(units[index], seconds, result)
+                except Exception:
+                    # Drain persistence is best-effort: a store that
+                    # fails mid-abort must neither stop the harvest of
+                    # the remaining finished units nor supplant the
+                    # original exception (the unit just recomputes on
+                    # resume).
+                    continue
+        self.close()
 
     def close(self) -> None:
         if self._executor is not None:

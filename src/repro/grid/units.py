@@ -2,8 +2,8 @@
 
 A :class:`WorkUnit` is one self-contained slice of a campaign
 operation — a fault chunk of a stuck-at validation, a mutant partition
-of a whole-population kill analysis, or a mutant partition of the
-budgeted equivalence sweep.  Units are *order-independent*: each one is
+of a whole-population kill analysis, a mutant partition of the
+budgeted equivalence sweep, or a whole circuit (the ``jobs`` axis).  Units are *order-independent*: each one is
 a pure function of ``(circuit, config, spec)``, and the per-operation
 merge is a pure union (mutant kinds) or an index-ordered concatenation
 (fault chunks), so any execution order on any scheduler reproduces the
@@ -29,8 +29,9 @@ from repro.errors import GridError
 FAULT_CHUNK = "fault-chunk"     #: a contiguous slice of the collapsed fault list
 MUTANT_PART = "mutant-part"     #: a subset of mutant ids for a kill sweep
 EQUIV_PART = "equiv-part"       #: a subset of mutant ids for the equivalence sweep
+CIRCUIT = "circuit"             #: one whole circuit's stage pipeline
 
-UNIT_KINDS = (FAULT_CHUNK, MUTANT_PART, EQUIV_PART)
+UNIT_KINDS = (FAULT_CHUNK, MUTANT_PART, EQUIV_PART, CIRCUIT)
 
 _SLUG = re.compile(r"[^A-Za-z0-9_.-]+")
 

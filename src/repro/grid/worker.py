@@ -4,13 +4,16 @@
 a plain JSON-serializable result dict.  It rebuilds per-circuit state
 through the memoized :func:`repro.experiments.context.get_lab`, so a
 process worker pays synthesis once per circuit and amortizes it over
-every subsequent unit, while the serial and thread schedulers share the
-parent's lab outright.
+every subsequent unit, while the serial scheduler shares the parent's
+lab outright.  A ``circuit`` unit runs one whole circuit's stage
+pipeline (``jobs > 1`` circuit farming) and returns the
+:class:`~repro.campaign.result.CircuitResult` payload.
 
-:func:`process_entry` is the top-level function a
-:class:`~concurrent.futures.ProcessPoolExecutor` pickles: it rebuilds
-the config from plain data, times the unit, and ships the timing back
-so the parent can stream accurate ``on_unit_done`` events.
+:func:`process_entry` is the one process boundary: the function a
+:class:`~concurrent.futures.ProcessPoolExecutor` pickles and the
+:mod:`repro.net` worker daemon calls.  It rebuilds unit and config from
+plain data, times the unit, and returns the envelope the parent
+harvests — ``seconds``, ``result``, and optional ``metrics``/``spans``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from collections import OrderedDict
 from contextlib import ExitStack
 
 from repro.errors import GridError
-from repro.grid.units import EQUIV_PART, FAULT_CHUNK, MUTANT_PART, WorkUnit
+from repro.grid.units import (
+    CIRCUIT,
+    EQUIV_PART,
+    FAULT_CHUNK,
+    MUTANT_PART,
+    WorkUnit,
+)
 
 #: Good-machine reference responses, shared by every unit of a wave.
 #: All units of one kill-analysis (or equivalence) wave replay the same
@@ -50,6 +59,11 @@ def _memoized_reference(key: tuple, compute):
 
 def execute_unit(unit: WorkUnit, config) -> dict:
     """Compute one work unit; returns a JSON-serializable result."""
+    if unit.kind == CIRCUIT:
+        from repro.campaign.runner import run_circuit
+
+        return run_circuit(unit.circuit, config).to_dict()
+
     from repro.experiments.context import get_lab
     from repro.mutation.score import equivalence_stimuli
 
@@ -140,8 +154,10 @@ def worker_pid() -> str:
     return f"worker-{os.getpid()}"
 
 
-def process_entry(unit_data: dict, config_data: dict) -> dict:
-    """Process-pool entry point: plain dicts in, plain dict out.
+def process_entry(
+    unit_data: dict, config_data: dict, pid: str | None = None
+) -> dict:
+    """Worker entry point: plain dicts in, plain dict out.
 
     When the config enables telemetry the unit runs under its own
     :mod:`repro.obs` registry and the envelope carries a ``metrics``
@@ -149,7 +165,8 @@ def process_entry(unit_data: dict, config_data: dict) -> dict:
     not through a side channel.  ``config.trace`` works the same way:
     the unit runs under a worker-local tracer whose span buffer rides
     the envelope as ``spans``, and the parent stitches it into the
-    campaign trace under this worker's ``pid`` lane.
+    campaign trace under the ``pid`` lane (default: this process's
+    :func:`worker_pid`).
     """
     from repro.campaign.config import CampaignConfig
     from repro.obs import metrics as _metrics
@@ -165,7 +182,7 @@ def process_entry(unit_data: dict, config_data: dict) -> dict:
             registry = stack.enter_context(_metrics.collecting())
         if config.trace:
             tracer = stack.enter_context(
-                _trace.tracing(_trace.Tracer(pid=worker_pid()))
+                _trace.tracing(_trace.Tracer(pid=pid or worker_pid()))
             )
             stack.enter_context(tracer.span(
                 f"unit:{unit.kind}", "unit",

@@ -1,10 +1,11 @@
 """The worker daemon behind ``repro worker <coordinator-url>``.
 
 A worker is a pull loop: register, then lease one unit at a time,
-execute it through the exact same :func:`repro.grid.worker.execute_unit`
-every local scheduler uses, and push the result back.  A background
-thread heartbeats while a unit is executing, so slow units (the whole
-point of distributing) never look like a dead worker.
+execute it through the same :func:`repro.grid.worker.process_entry`
+envelope the ``process`` scheduler's pool runs, and push the result
+back.  A background thread heartbeats while a unit is executing, so
+slow units (the whole point of distributing) never look like a dead
+worker.
 
 Failure duties are split with the coordinator: if the *worker* dies
 mid-unit, the coordinator reaps its lease and reassigns the unit; if
@@ -25,7 +26,7 @@ import time
 
 from repro.errors import NetError
 from repro.grid.units import WorkUnit
-from repro.grid.worker import execute_unit
+from repro.grid.worker import process_entry
 from repro.net.client import CoordinatorClient, WorkerGone
 from repro.net.protocol import require
 
@@ -156,11 +157,10 @@ class WorkerDaemon:
         return self.completed
 
     def _run_unit(self, lease: dict) -> None:
-        from repro.campaign.config import CampaignConfig
-
         jid = require(lease, "job", int)
-        unit = WorkUnit.from_dict(require(lease, "unit", dict))
-        config = CampaignConfig.from_dict(require(lease, "config", dict))
+        unit_data = require(lease, "unit", dict)
+        config_data = require(lease, "config", dict)
+        unit = WorkUnit.from_dict(unit_data)
         self._log(f"unit {unit.uid} leased (job {jid})")
         done = threading.Event()
         beat = threading.Thread(
@@ -172,49 +172,13 @@ class WorkerDaemon:
         beat.start()
         started = time.monotonic()
         try:
-            if config.telemetry or config.trace:
-                from contextlib import ExitStack
-
-                from repro.obs import metrics as _metrics
-                from repro.obs import trace as _trace
-
-                # Collect per-unit and attach the snapshot/spans to
-                # the completion: the coordinator folds them into its
-                # own registry/tracer and relays them to the
-                # submitting parent.
-                registry = None
-                tracer = None
-                with ExitStack() as stack:
-                    if config.telemetry:
-                        registry = stack.enter_context(
-                            _metrics.collecting()
-                        )
-                    if config.trace:
-                        tracer = stack.enter_context(_trace.tracing(
-                            _trace.Tracer(pid=f"worker-{self.name}")
-                        ))
-                        stack.enter_context(tracer.span(
-                            f"unit:{unit.kind}", "unit",
-                            {"uid": unit.uid, "circuit": unit.circuit,
-                             "stage": unit.stage},
-                        ))
-                    result = execute_unit(unit, config)
-                completion = {
-                    "job": jid,
-                    "seconds": time.monotonic() - started,
-                    "result": result,
-                }
-                if registry is not None and not registry.is_empty():
-                    completion["metrics"] = registry.snapshot()
-                if tracer is not None and len(tracer):
-                    completion["spans"] = tracer.export_buffer()
-            else:
-                result = execute_unit(unit, config)
-                completion = {
-                    "job": jid,
-                    "seconds": time.monotonic() - started,
-                    "result": result,
-                }
+            # The envelope's metrics snapshot and spans (when the
+            # config asks) ride the completion: the coordinator folds
+            # them into its own registry/tracer and relays them to the
+            # submitting parent.
+            completion = {"job": jid, **process_entry(
+                unit_data, config_data, pid=f"worker-{self.name}"
+            )}
         except Exception as exc:
             # Deterministic units fail deterministically: report, do
             # not retry.  The submitting client raises GridError.

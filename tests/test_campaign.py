@@ -236,6 +236,27 @@ def test_parallel_matches_serial():
     assert [c.circuit for c in parallel.circuits] == ["c17", "b01"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_finished_circuit_is_cached_before_it_is_reported(tmp_path, jobs):
+    """A hook aborting on the first completion keeps that circuit."""
+
+    class AbortOnDone(CampaignEvents):
+        def __init__(self):
+            self.reported = []
+
+        def on_circuit_done(self, circuit, result, seconds, cached=False):
+            self.reported.append(circuit)
+            raise KeyboardInterrupt
+
+    config = CampaignConfig(**FAST, jobs=jobs, cache_dir=str(tmp_path))
+    abort = AbortOnDone()
+    with pytest.raises(KeyboardInterrupt):
+        Campaign(config, abort).run(("c17", "b01"))
+    assert abort.reported, "the abort came from on_circuit_done"
+    cache = ResultCache(str(tmp_path), config)
+    assert cache.load(abort.reported[0]) is not None
+
+
 def test_events_fire_in_order():
     class Recorder(CampaignEvents):
         def __init__(self):

@@ -297,7 +297,7 @@ def test_campaign_grid_matches_serial(model_name, tmp_path):
     ).run(("b01",))
     grid = Campaign(
         CampaignConfig(
-            fault_model=model_name, grid="thread", grid_workers=2,
+            fault_model=model_name, grid="process", grid_workers=2,
             grid_shard=3, cache_dir=str(tmp_path), **FAST,
         )
     ).run(("b01",))

@@ -133,7 +133,7 @@ def test_planner_units_are_deterministic():
 
 
 def test_scheduler_registry():
-    assert set(scheduler_names()) >= {"serial", "thread", "process"}
+    assert set(scheduler_names()) == {"serial", "process", "remote"}
     assert get_scheduler("serial").name == "serial"
     with pytest.raises(GridError):
         get_scheduler("not-a-scheduler")
@@ -144,6 +144,13 @@ def test_scheduler_registry():
         @register_scheduler
         class Hijack:  # same name, different class
             name = "serial"
+
+
+def test_thread_scheduler_is_gone():
+    with pytest.raises(GridError):
+        get_scheduler("thread")
+    with pytest.raises(ConfigError):
+        CampaignConfig(grid="thread")
 
 
 # -- merge algebra on random netlists (satellite: property test) -------------
@@ -254,7 +261,7 @@ def test_grid_campaign_shard_sizes_match_serial_c17(serial_c17, shard):
     assert payload(grid) == payload(serial_c17)
 
 
-@pytest.mark.parametrize("scheduler", ["serial", "thread", "process"])
+@pytest.mark.parametrize("scheduler", ["serial", "process"])
 def test_grid_campaign_schedulers_match_serial_c432_b01(
     serial_reduced, scheduler
 ):
@@ -337,7 +344,7 @@ def test_resume_survives_worker_count_change(tmp_path, serial_c17):
     """Unit boundaries depend on grid_shard, never on grid_workers."""
     fresh_labs()
     config = CampaignConfig(
-        **FAST, grid="thread", grid_workers=1, cache_dir=str(tmp_path)
+        **FAST, grid="process", grid_workers=1, cache_dir=str(tmp_path)
     )
     Campaign(config).run(("c17",))
     # Drop the circuit-level entry, keep the unit ledger: the resumed
@@ -440,7 +447,7 @@ def test_worker_exception_drains_finished_units():
         0, 1, {"start": 0, "stop": 1, "num_faults": 999_999,
                "vectors": lab.random_vectors[:4]},
     )
-    scheduler = build_scheduler("thread", 1)
+    scheduler = build_scheduler("process", 1)
     done = []
     try:
         with pytest.raises(GridError):
@@ -462,7 +469,7 @@ def test_scheduler_interrupt_drains_finished_units():
     units = plan_fault_sim(
         "c17", "baseline", len(lab.faults), lab.random_vectors[:8], 2
     )
-    scheduler = build_scheduler("thread", 2)
+    scheduler = build_scheduler("process", 2)
     done = []
     first_done = {"raised": False}
 
@@ -636,7 +643,8 @@ def test_cli_run_grid_resume_and_listing(tmp_path, capsys):
 
     assert main(["grid"]) == 0
     out = capsys.readouterr().out
-    assert "serial" in out and "process" in out and "thread" in out
+    assert "serial" in out and "process" in out and "remote" in out
+    assert "thread" not in out
 
     assert main([
         "grid", "--store", str(cache_dir), "--config", str(config_path),

@@ -534,6 +534,49 @@ def test_process_grid_trace_stitches_worker_lanes():
     assert any(name.startswith("unit:") for name in worker_names)
 
 
+def test_jobs_records_the_same_campaign_metrics_as_serial():
+    """Circuit farming (jobs > 1) records every campaign.* and
+    circuit.* metric the serial loop records."""
+    names = {}
+    for jobs in (1, 2):
+        fresh_labs()
+        campaign = Campaign(
+            CampaignConfig(**REDUCED, telemetry=True, jobs=jobs)
+        )
+        campaign.run(("c17", "b01"))
+        snapshot = campaign.last_metrics.snapshot()
+        assert snapshot["counters"]["campaign.circuits_run"] == 2, jobs
+        names[jobs] = {
+            name
+            for section in ("counters", "gauges", "histograms")
+            for name in snapshot[section]
+            if name.startswith(("campaign.", "circuit."))
+        }
+    assert {"campaign.circuits_run", "circuit.seconds"} <= names[1]
+    assert names[2] == names[1]
+    assert obs_metrics.active() is NULL_METRICS
+
+
+def test_jobs_trace_stitches_circuit_units_from_worker_lanes():
+    """--jobs 2 --trace ships each worker's spans home: one valid trace
+    holding a unit:circuit span on a worker lane."""
+    fresh_labs()
+    baseline = Campaign(CampaignConfig(**REDUCED)).run(("c17", "b01"))
+    fresh_labs()
+    tracer = Tracer()
+    with obs_trace.tracing(tracer):
+        result = Campaign(
+            CampaignConfig(**REDUCED, trace=True, jobs=2),
+            TracingEvents(tracer),
+        ).run(("c17", "b01"))
+    assert payload(result) == payload(baseline)
+    events = assert_valid_trace(tracer.export())
+    worker_names = {
+        e["name"] for e in events if str(e["pid"]).startswith("worker-")
+    }
+    assert "unit:circuit" in worker_names, worker_names
+
+
 def test_campaign_without_telemetry_collects_nothing():
     fresh_labs()
     campaign = Campaign(CampaignConfig(**REDUCED))
