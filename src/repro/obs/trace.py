@@ -341,12 +341,17 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
     """Per-name self-time totals from an exported trace, descending.
 
     Duration spans (``B``/``E``) are matched with a per-``(pid, tid)``
-    stack; a span's self time is its duration minus the durations of
-    its direct children.  Async spans (``b``/``e``) are matched by
-    ``(cat, id, name)`` and treated as leaves (their whole duration is
-    self time), since work-unit execution happens in another process.
-    Returns up to ``top`` rows of ``{"name", "count", "total_us",
-    "self_us"}``.
+    stack.  A span's children are the spans nested under it on its own
+    lane; a span at the top of its lane is the child of the innermost
+    span of another lane of the same ``pid`` that encloses it (the
+    campaign span on its lane encloses the circuit spans on theirs).
+    Each span has at most one parent, and its self time is its duration
+    minus the time covered by the union of its children, so concurrent
+    lanes are not subtracted twice and self time is never negative.
+    Async spans (``b``/``e``) are matched by ``(cat, id, name)`` and
+    treated as leaves (their whole duration is self time), since
+    work-unit execution happens in another process.  Returns up to
+    ``top`` rows of ``{"name", "count", "total_us", "self_us"}``.
     """
     events = trace.get("traceEvents") or []
     totals: dict[str, dict] = {}
@@ -360,6 +365,7 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
         return entry
 
     stacks: dict[tuple, list] = {}
+    spans: list[dict] = []
     open_async: dict[tuple, float] = {}
     for event in events:
         ph = event.get("ph")
@@ -368,20 +374,17 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
         if ph == "B":
             key = (event.get("pid"), event.get("tid"))
             stacks.setdefault(key, []).append(
-                {"name": name, "ts": ts, "children_us": 0.0})
+                {"name": name, "lane": key, "ts": ts, "children": []})
         elif ph == "E":
-            key = (event.get("pid"), event.get("tid"))
-            stack = stacks.get(key)
+            stack = stacks.get((event.get("pid"), event.get("tid")))
             if not stack:
                 continue
             frame = stack.pop()
-            duration = max(0.0, ts - frame["ts"])
-            entry = row(frame["name"])
-            entry["count"] += 1
-            entry["total_us"] += duration
-            entry["self_us"] += max(0.0, duration - frame["children_us"])
+            frame["end"] = max(ts, frame["ts"])
+            frame["top"] = not stack
             if stack:
-                stack[-1]["children_us"] += duration
+                stack[-1]["children"].append(frame)
+            spans.append(frame)
         elif ph == "b":
             open_async[(event.get("cat"), event.get("id"), name)] = ts
         elif ph == "e":
@@ -397,6 +400,41 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
         elif ph == "i":
             entry = row(name)
             entry["count"] += 1
+    by_pid: dict[object, list[dict]] = {}
+    for span in spans:
+        by_pid.setdefault(span["lane"][0], []).append(span)
+    for group in by_pid.values():
+        for span in group:
+            if not span["top"]:
+                continue
+            parents = [
+                other for other in group
+                if other["lane"] != span["lane"]
+                and other["ts"] <= span["ts"] and span["end"] <= other["end"]
+                and (other["ts"], other["end"]) != (span["ts"], span["end"])
+            ]
+            if parents:
+                parent = min(parents,
+                             key=lambda p: (p["end"] - p["ts"], -p["ts"]))
+                parent["children"].append(span)
+    for span in spans:
+        duration = span["end"] - span["ts"]
+        entry = row(span["name"])
+        entry["count"] += 1
+        entry["total_us"] += duration
+        entry["self_us"] += max(0.0, duration - _covered(span["children"]))
     rows = sorted(totals.values(),
                   key=lambda r: (-r["self_us"], -r["total_us"], r["name"]))
     return rows[: max(0, int(top))]
+
+
+def _covered(spans: list[dict]) -> float:
+    """Microseconds covered by the union of ``spans``' intervals."""
+    covered = 0.0
+    reach = None
+    for span in sorted(spans, key=lambda s: s["ts"]):
+        start = span["ts"] if reach is None else max(span["ts"], reach)
+        if span["end"] > start:
+            covered += span["end"] - start
+        reach = span["end"] if reach is None else max(reach, span["end"])
+    return covered

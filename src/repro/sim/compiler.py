@@ -89,13 +89,16 @@ class MutantSchema:
         """An infection probe over the sites of covered ``slots``.
 
         The probe is a callable ``(process, values, variables,
-        scheduled, events)`` that runs one activation of the original
-        (slot 0) and returns a set of slots that holds every probed
-        slot the activation infected: at a reached site, a replacement
-        whose value differs from the original's in class or value, or
-        raises, and every slot of a reached statement site.  A probed
-        slot outside the set took the original's path on that
+        scheduled, events, infected=None)`` that runs one activation of
+        the original (slot 0) and returns a set of slots that holds
+        every probed slot the activation infected: at a reached site, a
+        replacement whose value differs from the original's in class or
+        value, or raises, and every slot of a reached statement site.
+        A probed slot outside the set took the original's path on that
         activation, so running it would have made the same writes.
+        Passing ``infected`` adds to that set instead of a new one, so
+        a bench can run the probe as its executor over many
+        activations.
         """
         with self._lock:
             if self._compiled < len(self._patches):
@@ -113,9 +116,11 @@ class MutantSchema:
                     tuple(sorted(owners & slots)) for owners in points
                 ])
 
-        def probe(process: Process, values, variables, scheduled, events):
+        def probe(process: Process, values, variables, scheduled, events,
+                  infected: set[int] | None = None):
             units, live = flags[process.label]
-            infected: set[int] = set()
+            if infected is None:
+                infected = set()
             for unit in units:
                 unit(values, variables, scheduled, events, live, infected)
             return infected

@@ -14,20 +14,24 @@ bit-for-bit; the coverage-guided strategies (``bitflip``, ``genetic``,
 * Sequential designs: the test set is a single reset-started sequence,
   grown chunk by chunk; each round the strategy proposes several
   candidate chunks and the one killing the most live mutants is
-  appended (state checkpoints avoid re-simulating the prefix).  Every
-  candidate chunk's kill count is fed back.
+  appended.  Every candidate chunk's kill count is fed back.  A
+  :class:`~repro.mutation.execution.SequenceSweep` keeps the state
+  checkpoints, so no chunk re-simulates the prefix: each candidate is
+  one probed pass of the original from the round's checkpoint, after
+  which a live mutant runs only the cycles where it is off the
+  original's path or its site is infected (on the compiled backend;
+  the interpreter runs them all).  Every survivor's state after the
+  winning chunk is kept, so appending it simulates nothing again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import MutantRuntimeError, OscillationError
 from repro.hdl.design import Design
-from repro.mutation.execution import MutationEngine
+from repro.mutation.execution import ChunkTrial, MutationEngine, SequenceSweep
 from repro.mutation.mutant import Mutant
 from repro.search import SearchBudget, SearchStrategy, build_search_strategy
-from repro.sim.testbench import Testbench
 
 
 @dataclass
@@ -212,28 +216,13 @@ class MutationTestGenerator:
         strategy = self._make_strategy(cycles=self._chunk_length)
         budget = self._budget
         decode = self._engine.encoder.decode
-        engine = self._engine
-        engine.cover(mutants)
-        reference = engine.testbench()
-        reference.reset()
-        benches: dict[int, Testbench] = {}
-        live: dict[int, Mutant] = {}
-        killed: set[int] = set()
-        for mutant in mutants:
-            bench = engine.testbench(mutant)
-            try:
-                bench.reset()
-            except (MutantRuntimeError, OscillationError):
-                killed.add(mutant.mid)
-                continue
-            benches[mutant.mid] = bench
-            live[mutant.mid] = mutant
-
+        sweep = SequenceSweep(self._engine, mutants)
+        killed = set(sweep.killed)
         selected: list[int] = []
         tried = 0
         stall = 0
         rounds = 0
-        while live and stall < self._stall_rounds and (
+        while sweep.live and stall < self._stall_rounds and (
             len(selected) < self._max_vectors
         ) and not budget.exhausted(tried, stall):
             # Propose as many whole chunks as the candidate cap allows.
@@ -252,52 +241,23 @@ class MutationTestGenerator:
                 chunk = self._split_chunk(proposal)
                 candidates.append((proposal, chunk, [decode(p) for p in chunk]))
             tried += self._chunk_length * n_chunks
-            ref_state = reference.save_state()
-            states = {mid: benches[mid].save_state() for mid in live}
-            best: tuple[list[int], list[dict], set[int]] | None = None
+            best: tuple[list[int], ChunkTrial] | None = None
             for proposal, chunk, stimuli in candidates:
-                reference.restore_state(ref_state)
-                ref_outputs = [reference.step(stim) for stim in stimuli]
-                kills: set[int] = set()
-                for mid in live:
-                    bench = benches[mid]
-                    bench.restore_state(states[mid])
-                    try:
-                        for cycle, stim in enumerate(stimuli):
-                            if bench.step(stim) != ref_outputs[cycle]:
-                                kills.add(mid)
-                                break
-                    except (MutantRuntimeError, OscillationError):
-                        kills.add(mid)
-                strategy.feedback([proposal], [len(kills)])
-                if best is None or len(kills) > len(best[2]):
-                    best = (chunk, stimuli, kills)
+                trial = sweep.trial(stimuli)
+                strategy.feedback([proposal], [len(trial.kills)])
+                if best is None or len(trial.kills) > len(best[1].kills):
+                    best = (chunk, trial)
             assert best is not None
-            chunk, stimuli, kills = best
-            if not kills:
-                reference.restore_state(ref_state)
-                for mid in live:
-                    benches[mid].restore_state(states[mid])
+            chunk, trial = best
+            if not trial.kills:
                 stall += 1
                 continue
             stall = 0
-            # Commit the winning chunk on every live machine.
-            reference.restore_state(ref_state)
-            for stim in stimuli:
-                reference.step(stim)
-            for mid in list(live):
-                bench = benches[mid]
-                bench.restore_state(states[mid])
-                try:
-                    for stim in stimuli:
-                        bench.step(stim)
-                except (MutantRuntimeError, OscillationError):
-                    kills.add(mid)
+            # The winner's end states are kept: committing simulates
+            # nothing again.
+            sweep.commit(trial)
             selected.extend(chunk)
-            killed.update(kills)
-            for mid in kills:
-                live.pop(mid, None)
-                benches.pop(mid, None)
+            killed.update(trial.kills)
         return TestGenResult(
             vectors=selected,
             killed_mids=killed,

@@ -371,6 +371,44 @@ def test_summarize_self_time_arithmetic():
     assert [r["name"] for r in summarize(trace, top=1)] == ["parent"]
 
 
+def test_summarize_subtracts_enclosed_lanes_once():
+    # A campaign lane enclosing two concurrent circuit lanes (10..70 and
+    # 20..90): it loses their union once, not their sum, and an
+    # enclosed span of another pid (a worker) is not its child.
+    def span(name, tid, start, end, pid="p"):
+        return [{"ph": "B", "ts": start, "pid": pid, "tid": tid,
+                 "name": name},
+                {"ph": "E", "ts": end, "pid": pid, "tid": tid,
+                 "name": name}]
+
+    c1, c2 = span("c1", "c1", 10, 70), span("c2", "c2", 20, 90)
+    stage = span("stage", "c1", 15, 60)
+    events = [*span("campaign", "campaign", 0, 100),
+              *span("unit", "unit", 30, 40, pid="worker-1"),
+              *span("twin", "twin", 15, 60)]
+    events[1:1] = [c1[0], stage[0], c2[0], stage[1], c1[1], c2[1]]
+    rows = {row["name"]: row for row in summarize({"traceEvents": events})}
+    assert rows["campaign"]["self_us"] == 100 - 80
+    assert rows["c1"]["self_us"] == 60 - 45
+    assert rows["c2"]["self_us"] == rows["c2"]["total_us"] == 70
+    assert rows["unit"]["self_us"] == 10
+    # Spans of equal extent on two lanes are not each other's parent.
+    assert rows["stage"]["self_us"] == rows["twin"]["self_us"] == 45
+
+
+def test_summarize_campaign_self_time_excludes_circuit_lanes():
+    fresh_labs()
+    tracer = Tracer()
+    Campaign(CampaignConfig(**REDUCED), TracingEvents(tracer)).run(
+        ("c17", "b01")
+    )
+    rows = summarize(tracer.export(), top=100)
+    campaign = next(row for row in rows if row["name"] == "campaign")
+    total = campaign["total_us"]
+    assert campaign["self_us"] < 0.05 * total
+    assert abs(sum(row["self_us"] for row in rows) - total) < 0.05 * total
+
+
 def test_trace_buffer_absorb_rebases_and_keeps_worker_lane():
     parent = Tracer()
     worker = Tracer(pid="worker-123")

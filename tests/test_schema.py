@@ -3,10 +3,15 @@
 ``backend="interp"`` is the reference semantics.  Every mutant of the
 paper's small circuits (and a fixed slice of c499's) must produce the
 same kill records, kill matrices and triage categories on both, runtime
-errors and oscillation included.  On the comb fast path the compiled
-sweeps are screened by an infection probe; every comparison there also
-checks that the screen skipped some pairs, and that the interpreter
-skipped none.
+errors and oscillation included; on the sequential circuits also the
+same equivalence estimates and generated test sets.  On the comb fast
+path and on sequential designs the compiled sweeps are screened by an
+infection probe; every comparison there also checks that the screen
+skipped some pairs, and that the interpreter skipped none.  Hand-built
+designs pin the sequential screen's edges: a reset-branch mutant, a
+mutant that leaves the original's path and rejoins it, a late runtime
+error, a post-edge settle, a caller reference or trace that differs
+from the original, and a state that differs only in class.
 """
 
 import sys
@@ -15,12 +20,25 @@ import threading
 import pytest
 
 from repro.circuits import load_circuit
-from repro.hdl import load_design
+from repro.hdl import ast, load_design
+from repro.hdl import types as ty
 from repro.hdl.values import BV
-from repro.mutation import KillRecord, MutationEngine, generate_mutants
-from repro.mutation.execution import _can_fast_path
+from repro.mutation import (
+    KillRecord,
+    Mutant,
+    MutationEngine,
+    estimate_equivalents,
+    generate_mutants,
+)
+from repro.mutation.execution import (
+    NEVER_ACTIVATED,
+    PROPAGATION_BLOCKED,
+    _can_fast_path,
+)
 from repro.obs import metrics
+from repro.search import SearchBudget
 from repro.sim import StimulusEncoder
+from repro.testgen.mutation_gen import MutationTestGenerator
 from repro.util import rng_stream
 
 
@@ -53,6 +71,10 @@ def _assert_same(design, mutants, vectors):
         lambda: interp.run_all(mutants, vectors)
     )
     assert records == interp_records
+    if design.is_sequential:
+        # Every cycle of every mutant is a pair; the screen skips some.
+        assert 0 < schema_counts[1] < schema_counts[0]
+        assert 0 < interp_counts[1] == interp_counts[0]
     if not design.is_sequential:
         matrix, counts = _screened(
             lambda: schema.comb_kill_sets(mutants, vectors)
@@ -75,7 +97,8 @@ def _assert_same(design, mutants, vectors):
 
 
 @pytest.mark.parametrize("name,count", [
-    ("c17", 24), ("c432", 12), ("b01", 40), ("b03", 40),
+    ("c17", 24), ("c432", 12), ("b01", 40), ("b02", 40), ("b03", 40),
+    ("b06", 40),
 ])
 def test_schema_matches_interp_on_every_mutant(name, count):
     design = load_circuit(name)
@@ -368,3 +391,298 @@ def test_vector_case_choices_dispatch_by_table():
     assert len(ccr) >= 6
     records = _assert_same(design, mutants, list(range(8)))
     assert any(r.killed for m, r in zip(mutants, records) if m in ccr)
+
+
+# -- the sequential screen --------------------------------------------------
+
+
+def _nth(mutants, text, nth=0):
+    """The ``nth`` mutant, in generation order, whose description ends
+    in ``text``."""
+    return [m for m in mutants if m.description.endswith(text)][nth]
+
+
+def test_sequential_run_all_records_screen_counters():
+    design = load_circuit("b03")
+    mutants = generate_mutants(design)
+    _, (pairs, runs) = _screened(
+        lambda: MutationEngine(design).run_all(
+            mutants, _vectors(design, 24, "counters")
+        )
+    )
+    assert pairs > runs > 0
+
+
+@pytest.mark.parametrize("name", ["b01", "b02", "b03", "b06"])
+def test_sequential_sweeps_match_interp(name):
+    # Equivalence estimates and generated test sets, on every mutant:
+    # the generator's candidate chunks and commits go through the same
+    # screen as run_mutant.
+    design = load_circuit(name)
+    mutants = generate_mutants(design)
+    analyses, generated = [], []
+    for engine in _engines(design):
+        analyses.append(_screened(lambda: estimate_equivalents(
+            design, mutants, budget=48, engine=engine
+        )))
+        generator = MutationTestGenerator(
+            design, seed=5, engine=engine, max_vectors=48,
+            search_budget=SearchBudget(max_candidates=144),
+        )
+        generated.append(_screened(lambda: generator.generate(mutants)))
+    for (result, counts), (expected, unscreened) in (analyses, generated):
+        assert result == expected
+        assert 0 < counts[1] < counts[0]
+        assert 0 < unscreened[1] == unscreened[0]
+    result = generated[0][0]
+    assert result.vectors and result.killed_mids
+
+
+RESET_BRANCH = """
+entity rb is
+  port ( clock, reset, d : in bit; y : out bit );
+end rb;
+architecture rtl of rb is
+  signal q : bit;
+begin
+  p : process (clock, reset)
+  begin
+    if reset = '1' then
+      q <= '0';
+      y <= '0';
+    elsif rising_edge(clock) then
+      if d = '1' then
+        q <= not q;
+      end if;
+      y <= q;
+    end if;
+  end process p;
+end rtl;
+"""
+
+
+def test_reset_branch_mutant_is_infected_during_reset():
+    # CR q <= '0' -> '1' sits in the reset branch: the reset sequence
+    # is its only infection, and its state leaves the original's there.
+    design = load_design(RESET_BRANCH, "rb")
+    mutants = generate_mutants(design)
+    stuck = _nth(mutants, "'0' -> '1'")
+    vectors = [0] * 6
+    for engine in _engines(design):
+        assert engine.run_mutant(stuck, vectors) == KillRecord(
+            stuck.mid, True, 0, "output-diff"
+        )
+        assert engine.triage_survivor(stuck, vectors) == PROPAGATION_BLOCKED
+    _assert_same(design, mutants, vectors + _vectors(design, 16, "rb"))
+
+
+REJOIN = """
+entity rj is
+  port ( clock, reset, load, d, e : in bit; y : out bit );
+end rj;
+architecture rtl of rj is
+  signal r : bit;
+begin
+  p : process (clock, reset)
+  begin
+    if reset = '1' then
+      r <= '0';
+      y <= '0';
+    elsif rising_edge(clock) then
+      if load = '1' then
+        r <= d;
+      end if;
+      y <= r and e;
+    end if;
+  end process p;
+end rtl;
+"""
+
+
+def test_mutant_rejoins_the_original_path():
+    design = load_design(REJOIN, "rj")
+    encode = StimulusEncoder(design).encode
+    vectors = [encode({"load": load, "d": d, "e": e}) for load, d, e in (
+        (1, 0, 0),  # 0: infected, r = 1 against 0: off the path
+        (0, 0, 0),  # 1: runs (off the path); e = 0 masks r
+        (1, 1, 0),  # 2: not infected, but runs; r = 1 on both: rejoins
+        (0, 0, 1),  # 3: skipped (site not reached)
+        (1, 1, 1),  # 4: skipped ('1' = d: not infected)
+        (1, 0, 0),  # 5: infected again: off the path
+        (0, 0, 1),  # 6: y = r: kills
+    )]
+    mutants = generate_mutants(design)
+    stuck = _nth(mutants, ": d -> '1'")
+    for engine in _engines(design):
+        assert engine.run_mutant(stuck, vectors) == KillRecord(
+            stuck.mid, True, 6, "output-diff"
+        )
+        assert engine.triage_survivor(stuck, vectors[:5]) == (
+            PROPAGATION_BLOCKED
+        )
+    record, counts = _screened(
+        lambda: MutationEngine(design).run_mutant(stuck, vectors)
+    )
+    assert counts == (7, 5)
+    _, counts = _screened(
+        lambda: MutationEngine(design, backend="interp").run_mutant(
+            stuck, vectors
+        )
+    )
+    assert counts == (7, 7)
+    _assert_same(design, mutants, vectors + _vectors(design, 24, "rj"))
+
+
+COUNTER = """
+entity ctr is
+  port ( clock, reset, en : in bit; y : out bit );
+end ctr;
+architecture rtl of ctr is
+  signal cnt : integer range 0 to 7;
+begin
+  p : process (clock, reset)
+  begin
+    if reset = '1' then
+      cnt <= 0;
+      y <= '0';
+    elsif rising_edge(clock) then
+      if en = '1' then
+        if cnt = 7 then
+          cnt <= 0;
+        else
+          cnt <= cnt + 1;
+        end if;
+      end if;
+      if cnt = 3 then
+        y <= '1';
+      else
+        y <= '0';
+      end if;
+    end if;
+  end process p;
+end rtl;
+"""
+
+
+def test_range_error_on_a_late_infected_cycle():
+    # ROR cnt = 7 -> cnt > 7 agrees with the original until cnt reaches
+    # 7 (cycle 7); there it takes the else branch and cnt + 1 = 8
+    # overflows the range.
+    design = load_design(COUNTER, "ctr")
+    mutants = generate_mutants(design)
+    late = _nth(mutants, "cnt = 7 -> cnt > 7")
+    vectors = [1] * 10
+    for engine in _engines(design):
+        assert engine.run_mutant(late, vectors) == KillRecord(
+            late.mid, True, None, "runtime"
+        )
+        assert engine.run_mutant(late, vectors[:7]).reason == "survived"
+    _, counts = _screened(
+        lambda: MutationEngine(design).run_mutant(late, vectors)
+    )
+    assert counts == (8, 1)
+    records = _assert_same(design, mutants,
+                           vectors + _vectors(design, 24, "ctr"))
+    assert any(r.reason == "runtime" for r in records)
+
+
+def test_caller_reference_and_trace_that_differ_from_the_original():
+    # With en = 0 the mutant's site is never reached, so the screen
+    # would skip every cycle: a caller's reference or trace that is not
+    # the original's makes it run where they differ.
+    design = load_design(COUNTER, "ctr")
+    mutants = generate_mutants(design)
+    late = _nth(mutants, "cnt = 7 -> cnt > 7")
+    vectors = [0] * 5
+    for engine in _engines(design):
+        reference = engine.reference_outputs(vectors)
+        assert engine.run_mutant(late, vectors, reference).reason == (
+            "survived"
+        )
+        wrong = list(reference)
+        wrong[2] = (1,)
+        assert engine.run_mutant(late, vectors, wrong) == KillRecord(
+            late.mid, True, 2, "output-diff"
+        )
+        trace = engine.reference_state_trace(vectors)
+        assert engine.triage_survivor(late, vectors, trace) == (
+            NEVER_ACTIVATED
+        )
+        values, variables = trace[3]
+        bent = list(trace)
+        bent[3] = ({**values, "cnt": 5}, variables)
+        assert engine.triage_survivor(late, vectors, bent) == (
+            PROPAGATION_BLOCKED
+        )
+    wrong = list(MutationEngine(design).reference_outputs(vectors))
+    wrong[2] = (1,)
+    _, counts = _screened(
+        lambda: MutationEngine(design).run_mutant(late, vectors, wrong)
+    )
+    assert counts == (3, 1)
+
+
+SETTLE = """
+entity cs is
+  port ( clock, reset, d : in bit; y : out bit );
+end cs;
+architecture rtl of cs is
+  signal q : bit;
+begin
+  seq : process (clock, reset)
+  begin
+    if reset = '1' then
+      q <= '0';
+    elsif rising_edge(clock) then
+      q <= d;
+    end if;
+  end process seq;
+  comb : process (q)
+  begin
+    if q = '1' then
+      y <= '1';
+    else
+      y <= '0';
+    end if;
+  end process comb;
+end rtl;
+"""
+
+
+def test_probe_covers_the_settle_after_the_clock_edge():
+    # ``comb`` runs only in the delta settle after an edge that changes
+    # q.  CR y <= '1' -> '0' (the second "'1' -> '0'": the first is in
+    # q = '1') is reached only once q = 1, and only there.
+    design = load_design(SETTLE, "cs")
+    mutants = generate_mutants(design)
+    dark = _nth(mutants, "comb: '1' -> '0'", 1)
+    vectors = [0, 0, 1, 1, 0]
+    for engine in _engines(design):
+        assert engine.run_mutant(dark, vectors) == KillRecord(
+            dark.mid, True, 2, "output-diff"
+        )
+    _, counts = _screened(
+        lambda: MutationEngine(design).run_mutant(dark, vectors)
+    )
+    assert counts == (3, 1)
+    _assert_same(design, mutants, vectors + _vectors(design, 16, "cs"))
+
+
+def test_state_equal_only_by_value_stays_off_the_path():
+    # A hand-built mutant writes True for s_b (index 1) into b02's enum
+    # state: equal to the original's 1, but not of its class, so the
+    # mutant stays off the path until stato is written again (cycle 1).
+    design = load_circuit("b02")
+    site = _nth(generate_mutants(design), ": s_b -> s_a")
+    truthy = Mutant(
+        mid=10_000, operator="test", site_nid=site.site_nid,
+        replacement=ast.BoolLit(value=True, ty=ty.BOOLEAN),
+        description="fsm: s_b -> true", process_label=site.process_label,
+    )
+    vectors = [1, 0, 0, 0, 0, 0]
+    for engine in _engines(design):
+        assert engine.run_mutant(truthy, vectors).reason == "survived"
+    _, counts = _screened(
+        lambda: MutationEngine(design).run_mutant(truthy, vectors)
+    )
+    assert counts == (6, 2)
