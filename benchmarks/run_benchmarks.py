@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run a perf suite; append one run to its ``BENCH_*.json`` trajectory.
 
-Five suites, selected with ``--suite`` (default ``engine``):
+Six suites, selected with ``--suite`` (default ``engine``):
 
 * ``engine`` — ``bench_faultsim.py``: fault-simulation throughput per
   backend, appended to ``BENCH_engine.json`` with a per-circuit speedup
@@ -24,6 +24,11 @@ Five suites, selected with ``--suite`` (default ``engine``):
   population, a fresh candidate batch per round, appended to
   ``BENCH_mutation.json`` with a per-circuit seconds-per-sweep summary
   (each row records ``cpus``).
+* ``atpg`` — ``bench_podem.py``: ``Podem.run`` on c432 (every 8th
+  collapsed fault) and c499 (every 16th) at ``backtrack_limit=24``,
+  appended to ``BENCH_atpg.json`` with a per-circuit seconds-per-run
+  summary (each row records ``cpus`` and the pinned decision and
+  backtrack counts).
 
 All suites run under pytest-benchmark, so the numbers come from calibrated,
 warmed-up rounds — compilation cost of the ``compiled`` backend lands
@@ -342,6 +347,36 @@ def mutation_print(rows: list[dict], summary: dict) -> None:
         )
 
 
+# -- atpg suite ---------------------------------------------------------------
+
+def atpg_rows(report: dict) -> list[dict]:
+    rows = []
+    for bench in report["benchmarks"]:
+        info = bench["extra_info"]
+        rows.append({
+            key: info[key]
+            for key in ("circuit", "stride", "backtrack_limit", "faults",
+                        "detected", "decisions", "backtracks", "cpus")
+        } | {"seconds_per_pass": bench["stats"]["mean"]})
+    rows.sort(key=lambda r: r["circuit"])
+    return rows
+
+
+def atpg_summary(rows: list[dict]) -> dict:
+    """circuit -> seconds per ``Podem.run``."""
+    return {row["circuit"]: round(row["seconds_per_pass"], 4) for row in rows}
+
+
+def atpg_print(rows: list[dict], summary: dict) -> None:
+    for row in rows:
+        print(
+            f"{row['circuit']:5s} {row['faults']} faults"
+            f" ({row['detected']} detected, {row['decisions']} decisions,"
+            f" {row['backtracks']} backtracks; cpus={row['cpus']})"
+            f" {row['seconds_per_pass']:8.3f} s/run"
+        )
+
+
 SUITES = {
     "engine": {
         "bench": "bench_faultsim.py",
@@ -387,6 +422,15 @@ SUITES = {
         "summary": mutation_summary,
         "summary_key": "seconds_per_sweep",
         "print": mutation_print,
+    },
+    "atpg": {
+        "bench": "bench_podem.py",
+        "out": REPO_ROOT / "BENCH_atpg.json",
+        "title": "PODEM run time",
+        "rows": atpg_rows,
+        "summary": atpg_summary,
+        "summary_key": "seconds_per_run",
+        "print": atpg_print,
     },
 }
 

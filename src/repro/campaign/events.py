@@ -296,7 +296,8 @@ class TracingEvents(CampaignEvents):
 
     def on_circuit_start(self, circuit) -> None:
         self._open_circuits.add(circuit)
-        self._tracer.begin(f"circuit:{circuit}", self._circuit_tid(circuit))
+        self._tracer.begin(f"circuit:{circuit}", self._circuit_tid(circuit),
+                           {"circuit": circuit})
 
     def on_circuit_done(self, circuit, result, seconds, cached=False) -> None:
         if circuit in self._open_circuits:

@@ -255,12 +255,14 @@ class ProcessScheduler(Scheduler):
         config_data = config.to_dict()
         futures: dict[Future, int] = {}
         for index, unit in enumerate(units):
-            if on_start is not None:
-                on_start(unit)
             future = self._executor.submit(
                 process_entry, unit.to_dict(), config_data
             )
             futures[future] = index
+            # After the submit, which starts the pool's workers on first
+            # use: a unit's span is its own work, not the pool start-up.
+            if on_start is not None:
+                on_start(unit)
         results: list[dict | None] = [None] * len(units)
         try:
             pending = set(futures)

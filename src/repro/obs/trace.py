@@ -42,6 +42,7 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 
 _PID = "repro"
@@ -345,9 +346,17 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
     lane; a span at the top of its lane is the child of the innermost
     span of another lane of the same ``pid`` that encloses it (the
     campaign span on its lane encloses the circuit spans on theirs).
-    Each span has at most one parent, and its self time is its duration
-    minus the time covered by the union of its children, so concurrent
-    lanes are not subtracted twice and self time is never negative.
+    Failing that, it is the child of the innermost overlapping span of
+    another ``pid`` that names the same work: the two spans' ``args``
+    agree on at least one key (a farmed circuit's worker span and the
+    parent's span of that circuit both carry ``circuit``).  Overlap,
+    not enclosure, because two processes' clocks and queues do not
+    order a worker's first event after the parent's.  Spans whose
+    ``args`` disagree on a shared key are never parent and child, so
+    concurrent circuit lanes stay siblings.  Each span has at most one
+    parent, and its self time is its duration minus the time covered
+    by the union of its children within it, so concurrent lanes are
+    not subtracted twice and self time is never negative.
     Async spans (``b``/``e``) are matched by ``(cat, id, name)`` and
     treated as leaves (their whole duration is self time), since
     work-unit execution happens in another process.  Returns up to
@@ -374,7 +383,8 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
         if ph == "B":
             key = (event.get("pid"), event.get("tid"))
             stacks.setdefault(key, []).append(
-                {"name": name, "lane": key, "ts": ts, "children": []})
+                {"name": name, "lane": key, "ts": ts, "children": [],
+                 "args": event.get("args") or {}})
         elif ph == "E":
             stack = stacks.get((event.get("pid"), event.get("tid")))
             if not stack:
@@ -400,41 +410,65 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
         elif ph == "i":
             entry = row(name)
             entry["count"] += 1
-    by_pid: dict[object, list[dict]] = {}
-    for span in spans:
-        by_pid.setdefault(span["lane"][0], []).append(span)
-    for group in by_pid.values():
-        for span in group:
-            if not span["top"]:
-                continue
-            parents = [
-                other for other in group
-                if other["lane"] != span["lane"]
-                and other["ts"] <= span["ts"] and span["end"] <= other["end"]
-                and (other["ts"], other["end"]) != (span["ts"], span["end"])
-            ]
-            if parents:
-                parent = min(parents,
-                             key=lambda p: (p["end"] - p["ts"], -p["ts"]))
-                parent["children"].append(span)
+    # A sweep in start order: the spans that can overlap a span are the
+    # ones still open where it starts plus the ones starting inside it.
+    spans.sort(key=lambda s: (s["ts"], -s["end"]))
+    starts = [span["ts"] for span in spans]
+    open_spans: list[dict] = []
+    for k, span in enumerate(spans):
+        open_spans = [o for o in open_spans if o["end"] > span["ts"]]
+        open_spans.append(span)
+        if not span["top"]:
+            continue
+        pid = span["lane"][0]
+        later = spans[k + 1:bisect_left(starts, span["end"], k + 1)]
+        overlapping = [o for o in open_spans + later if o is not span]
+        parents = [
+            other for other in overlapping
+            if other["lane"][0] == pid and other["lane"] != span["lane"]
+            and other["ts"] <= span["ts"] and span["end"] <= other["end"]
+            and (other["ts"], other["end"]) != (span["ts"], span["end"])
+            and _related(span["args"], other["args"]) is not False
+        ] or [
+            other for other in overlapping
+            if other["lane"][0] != pid
+            and _related(span["args"], other["args"])
+        ]
+        if parents:
+            parent = min(parents,
+                         key=lambda p: (p["end"] - p["ts"], -p["ts"]))
+            parent["children"].append(span)
     for span in spans:
         duration = span["end"] - span["ts"]
         entry = row(span["name"])
         entry["count"] += 1
         entry["total_us"] += duration
-        entry["self_us"] += max(0.0, duration - _covered(span["children"]))
+        entry["self_us"] += max(0.0, duration - _covered(span))
     rows = sorted(totals.values(),
                   key=lambda r: (-r["self_us"], -r["total_us"], r["name"]))
     return rows[: max(0, int(top))]
 
 
-def _covered(spans: list[dict]) -> float:
-    """Microseconds covered by the union of ``spans``' intervals."""
+def _related(args: dict, other: dict) -> bool | None:
+    """Whether two spans' args name the same work.
+
+    ``False`` when they disagree on a shared key, ``True`` when they
+    agree on at least one, ``None`` when they share no key.
+    """
+    shared = [key for key in args if key in other]
+    if any(args[key] != other[key] for key in shared):
+        return False
+    return True if shared else None
+
+
+def _covered(parent: dict) -> float:
+    """Microseconds of ``parent`` covered by the union of its children."""
     covered = 0.0
-    reach = None
-    for span in sorted(spans, key=lambda s: s["ts"]):
-        start = span["ts"] if reach is None else max(span["ts"], reach)
-        if span["end"] > start:
-            covered += span["end"] - start
-        reach = span["end"] if reach is None else max(reach, span["end"])
+    reach = parent["ts"]
+    for span in sorted(parent["children"], key=lambda s: s["ts"]):
+        start = max(span["ts"], reach)
+        end = min(span["end"], parent["end"])
+        if end > start:
+            covered += end - start
+        reach = max(reach, end)
     return covered

@@ -6,27 +6,125 @@ limit.  Used by the validation-data-reuse experiment to measure "ATPG
 effort" (backtracks, decisions) with and without a preloaded test set,
 and usable standalone as a coverage top-up.
 
-Values are encoded as (good, faulty) bit pairs with ``None`` for X:
-D = (1, 0), D' = (0, 1).  Implication is event-driven: the first
-implication of a fault is one full topological pass, every later one
-propagates only the primary inputs that changed since, through their
-fanout in topological order (see :meth:`Podem._imply`).
+Each net carries one 4-bit dual-rail code for both machines (see
+``_code``): D is good 1 / faulty 0, D' good 0 / faulty 1.  A gate is
+one lookup in a 256-entry table indexed by its two input codes, which
+evaluates the good and the faulty machine at once.  Implication is
+event-driven: the first implication of a fault is one full topological
+pass, every later one propagates only the primary inputs that changed
+since, through their fanout in topological order (see
+:meth:`Podem._imply`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from repro.errors import AtpgError
 from repro.fault.model import StuckAtFault
-from repro.netlist.cells import GateType
+from repro.netlist.cells import INVERTING, GateType
 from repro.netlist.levelize import topo_gates
-from repro.netlist.netlist import Gate, Netlist
+from repro.netlist.netlist import Netlist
 from repro.obs import metrics as _metrics
 
-_X = None
+
+# -- dual-rail codes ------------------------------------------------------------
+#
+# Bit 0 is "good = 1", bit 1 "faulty = 1", bit 2 "good != 0" and bit 3
+# "faulty != 0", so each machine reads 0 as (0, 0), 1 as (1, 1) and X as
+# (0, 1).  Kleene AND is ``&`` and OR is ``|`` over both machines at once.
+
+def _code(good: int | None, faulty: int | None) -> int:
+    """The code of a (good, faulty) pair; ``None`` is X."""
+    def rails(value):
+        return (0, 0) if value == 0 else (1, 1) if value == 1 else (0, 1)
+    g_one, g_maybe = rails(good)
+    f_one, f_maybe = rails(faulty)
+    return g_one | f_one << 1 | g_maybe << 2 | f_maybe << 3
+
+
+def _value(one: int, maybe: int) -> int | None:
+    return None if one != maybe else one
+
+
+#: code -> the good / faulty machine's value (``None`` for X).
+GOOD = tuple(_value(c & 1, c >> 2 & 1) for c in range(16))
+FAULTY = tuple(_value(c >> 1 & 1, c >> 3 & 1) for c in range(16))
+
+_X_CODE = _code(None, None)
+#: PI value -> its code in both machines.
+_PI_CODES = {None: _X_CODE, 0: _code(0, 0), 1: _code(1, 1)}
+#: Masks of the good machine's rails, and a stuck value's faulty rails.
+_GOOD_RAILS = 0b0101
+_STUCK_RAILS = (0b0000, 0b1010)
+
+
+def _not(c: int) -> int:
+    # Per machine: the output is 1 where the input cannot be nonzero,
+    # and may be nonzero where the input is not 1.
+    return (~c >> 2 & 3) | (~c & 3) << 2
+
+
+def _xor(x: int, y: int) -> int:
+    # Per machine: 1 where one input is 1 and the other 0; may be
+    # nonzero where one may be nonzero while the other is not 1.
+    x_one, x_maybe, y_one, y_maybe = x & 3, x >> 2, y & 3, y >> 2
+    one = (x_one & ~y_maybe) | (~x_maybe & y_one)
+    maybe = (x_maybe & ~y_one) | (~x_one & y_maybe)
+    return (one & 3) | (maybe & 3) << 2
+
+
+#: gate type -> (fold over the inputs, invert the result).
+_GATE_OPS = {
+    GateType.AND: (lambda x, y: x & y, False),
+    GateType.NAND: (lambda x, y: x & y, True),
+    GateType.OR: (lambda x, y: x | y, False),
+    GateType.NOR: (lambda x, y: x | y, True),
+    GateType.XOR: (_xor, False),
+    GateType.XNOR: (_xor, True),
+}
+
+
+def _pair_table(op, invert: bool) -> bytes:
+    """``op`` over every (x, y) code pair, indexed by ``x << 4 | y``."""
+    return bytes(
+        _not(op(x, y)) if invert else op(x, y)
+        for x in range(16) for y in range(16)
+    )
+
+
+def _unary_table(op) -> bytes:
+    """A one-input gate's table; it reads only the low operand ``y``."""
+    return bytes(op(y) for x in range(16) for y in range(16))
+
+
+_FOLD_TABLES = {
+    gate_type: _pair_table(op, False)
+    for gate_type, (op, _) in _GATE_OPS.items()
+}
+#: gate type -> its table at two or more inputs (constants: at none).
+_TABLES = {
+    **{gate_type: _pair_table(op, invert)
+       for gate_type, (op, invert) in _GATE_OPS.items()},
+    GateType.CONST0: _unary_table(lambda y: _code(0, 0)),
+    GateType.CONST1: _unary_table(lambda y: _code(1, 1)),
+}
+#: Tables of every one-input gate: BUF and NOT, or an n-ary type at one.
+_BUFFER = _unary_table(lambda y: y)
+_INVERTER = _unary_table(_not)
+
+#: code -> both machines known.
+_RESOLVED = tuple(
+    GOOD[c] is not None and FAULTY[c] is not None for c in range(16)
+)
+#: code -> the good machine known.
+_GOOD_KNOWN = tuple(GOOD[c] is not None for c in range(16))
+#: code -> the line carries a (possibly partial) fault effect: X against
+#: a value may still diverge, X against X may not.
+_DIFFERS = tuple(GOOD[c] != FAULTY[c] for c in range(16))
+#: code -> a primary output with this code detects the fault.
+_DETECTS = tuple(_RESOLVED[c] and _DIFFERS[c] for c in range(16))
 
 
 @dataclass
@@ -74,8 +172,12 @@ class Podem:
     """PODEM engine bound to one combinational netlist.
 
     Gates are addressed by their index in topological order.  Per gate
-    the engine keeps its evaluator, input nets and output net; per net,
-    the sorted indices of the gates that read it.
+    the engine keeps a spec ``(table, a, b, fold, out)``: the output
+    code is ``table[codes[a] << 4 | codes[b]]``, where a gate of three
+    or more inputs first folds all but its last input into the ``a``
+    operand (``fold`` is then ``(fold table, nets)``, else ``None``).
+    One-input gates read ``b`` only; constants read nothing.  Per net
+    the engine keeps the sorted indices of the gates that read it.
     """
 
     def __init__(self, netlist: Netlist, backtrack_limit: int = 2000):
@@ -89,18 +191,32 @@ class Podem:
         self._input_set = frozenset(self._inputs)
         self._outputs = frozenset(netlist.output_bits)
         self._backtrack_limit = backtrack_limit
-        self._drivers: dict[int, Gate] = {
-            gate.output: gate for gate in netlist.gates
-        }
         self._index = {gate.gid: i for i, gate in enumerate(self._order)}
-        self._evals = [_EVALUATORS[gate.gate_type] for gate in self._order]
+        #: gate-output net -> the driver's topo index
+        self._driven = {gate.output: i for i, gate in enumerate(self._order)}
         self._ins = [tuple(gate.inputs) for gate in self._order]
         self._outs = [gate.output for gate in self._order]
+        #: (PI net, value -> code) in input order
+        self._pi_codes = [(nid, _PI_CODES) for nid in self._inputs]
+        self._specs = [
+            _spec(gate.gate_type, ins, out)
+            for gate, ins, out in zip(self._order, self._ins, self._outs)
+        ]
         loads: list[set[int]] = [set() for _ in range(netlist.num_nets)]
         for i, ins in enumerate(self._ins):
             for nid in ins:
                 loads[nid].add(i)
         self._loads = [tuple(sorted(s)) for s in loads]
+        #: gate-output net -> (inverts, inputs), for the backtrace
+        self._drivers = {
+            gate.output: (INVERTING.get(gate.gate_type, False),
+                          tuple(gate.inputs) if not gate.gate_type.is_const
+                          else None)
+            for gate in netlist.gates
+        }
+        #: per topo index: 1 once queued in the current wave
+        self._pending = bytearray(len(self._order))
+        self._idle = bytes(len(self._order))
         #: origin -> _Cone; an origin is a topo index (gate) or ~net (PI)
         self._cones: dict[int, _Cone] = {}
         #: gate evaluations so far, for the ``gate_evals`` counter
@@ -165,18 +281,46 @@ class Podem:
     # -- implication ----------------------------------------------------------
 
     def _new_state(self, fault: StuckAtFault) -> "_PodemState":
+        """A fault's search state, with the fault injected.
+
+        A stem fault on a gate output masks that gate's table to
+        ``(code & good rails) | stuck rails``, so the faulty output is
+        the stuck value even while the good one is X.  A branch fault
+        moves the faulted pin to the ``b`` slot (every multi-input gate
+        is commutative) and masks only that operand the same way.  A
+        primary-input stem is injected where the PI's code is set, and
+        only once the PI is assigned.
+        """
         if fault.dff is not None:
             raise AtpgError("PODEM has no flip-flops to fault")
         if fault.gate is not None:
             origin = self._index[fault.gate]
-        elif fault.net in self._drivers:
-            origin = self._index[self._drivers[fault.net].gid]
+        elif fault.net in self._driven:
+            origin = self._driven[fault.net]
         else:
             origin = ~fault.net
         cone = self._cones.get(origin)
         if cone is None:
             cone = self._cones[origin] = self._cone(origin)
-        return _PodemState(fault, cone, origin)
+        specs, pi_codes = self._specs, self._pi_codes
+        if origin >= 0:
+            specs = list(specs)
+            specs[origin] = _faulted_spec(
+                self._order[origin].gate_type, self._ins[origin],
+                self._outs[origin], fault,
+            )
+        else:
+            stuck = _STUCK_RAILS[fault.stuck]
+            faulted = {
+                value: code if value is None
+                else (code & _GOOD_RAILS) | stuck
+                for value, code in _PI_CODES.items()
+            }
+            pi_codes = [
+                (nid, faulted if nid == fault.net else to_code)
+                for nid, to_code in pi_codes
+            ]
+        return _PodemState(fault, cone, origin, specs, pi_codes)
 
     def _cone(self, origin: int) -> "_Cone":
         """The gates and outputs a fault at ``origin`` can reach."""
@@ -197,182 +341,145 @@ class Podem:
         gates = tuple(i for i, flag in enumerate(flags) if flag)
         nets.extend(self._outs[i] for i in gates)
         outputs = tuple(nid for nid in nets if nid in self._outputs)
-        return _Cone(flags, gates, outputs)
+        return _Cone(gates, outputs)
 
     def _imply(self, state: "_PodemState") -> None:
-        """Bring ``state.good``/``state.faulty`` up to the assignments.
+        """Bring ``state.codes`` up to the assignments.
 
         The first call per fault is the full pass (:meth:`_imply_full`).
-        Later calls diff the PI assignment against the values implied
-        last time (a PI changes X->v on a decision, v->v^1 on a flip
-        and v->X on a pop) and re-evaluate only the gates those changes
-        reach, in topological order.  A gate whose (good, faulty) pair
-        comes out unchanged schedules none of its loads, which stops
-        the wave there; undoing a decision is just another wave.
+        Later calls diff each PI's code against the one implied last
+        time (a PI changes X->v on a decision, v->v^1 on a flip and
+        v->X on a pop) and re-evaluate only the gates those changes
+        reach.  Queued gates are flags in a bytearray indexed by topo
+        index, taken in ascending order with ``find``; since a gate's
+        loads come after it, one forward scan is a topological wave,
+        and the flags are cleared only when it ends.  A gate whose code
+        comes out unchanged queues none of its loads, which stops the
+        wave there; undoing a decision is just another wave.
         """
-        good, faulty = state.good, state.faulty
-        if good is None:
+        codes = state.codes
+        if codes is None:
             self._imply_full(state)
             return
-        assignments = state.assignments
-        loads = self._loads
-        scheduled: set[int] = set()
-        heap: list[int] = []
-        for nid in self._inputs:
-            value = assignments.get(nid, _X)
-            if value == good[nid]:
-                continue
-            good[nid] = value
-            faulty[nid] = state.pi_faulty(nid, value)
-            for i in loads[nid]:
-                if i not in scheduled:
-                    scheduled.add(i)
-                    heappush(heap, i)
-        evals, ins_of, outs = self._evals, self._ins, self._outs
-        flags, origin = state.cone.flags, state.origin
-        while heap:
-            i = heappop(heap)
-            ins = ins_of[i]
-            g_out = evals[i](good, ins)
-            if i == origin:
-                f_out = state.origin_faulty(evals[i], faulty, ins)
-            elif flags[i]:
-                f_out = evals[i](faulty, ins)
+        loads, pending = self._loads, self._pending
+        value = state.assignments.get
+        for nid, to_code in state.pi_codes:
+            code = to_code[value(nid)]
+            if code != codes[nid]:
+                codes[nid] = code
+                for j in loads[nid]:
+                    pending[j] = 1
+        specs = state.specs
+        i = pending.find(1)
+        while i >= 0:
+            table, a, b, fold, out = specs[i]
+            if fold is None:
+                code = table[codes[a] << 4 | codes[b]]
             else:
-                f_out = g_out
-            out = outs[i]
-            if g_out == good[out] and f_out == faulty[out]:
-                continue
-            good[out] = g_out
-            faulty[out] = f_out
-            for j in loads[out]:
-                if j not in scheduled:
-                    scheduled.add(j)
-                    heappush(heap, j)
-        self._gate_evals += len(scheduled)
+                code = table[_fold(fold, codes) << 4 | codes[b]]
+            if code != codes[out]:
+                codes[out] = code
+                for j in loads[out]:
+                    pending[j] = 1
+            i = pending.find(1, i + 1)
+        # Every queued gate was evaluated once; clear the queue whole.
+        self._gate_evals += pending.count(1)
+        pending[:] = self._idle
 
     def _imply_full(self, state: "_PodemState") -> None:
-        """One topological pass over every gate, from the assignments.
-
-        Injection rules: a branch fault replaces only the faulted
-        gate's view of its pin; a gate-output stem fault forces the
-        faulty output to the stuck value even while the good value is
-        X; a primary-input stem fault makes the faulty PI the stuck
-        value once the PI is assigned and X while it is not.  Outside
-        the gates only detection and the D-frontier read that value,
-        and both read a PI stem only once it is assigned.
-        """
-        size = self._netlist.num_nets
-        good: list[int | None] = [_X] * size
-        faulty: list[int | None] = [_X] * size
-        for nid in self._inputs:
-            value = state.assignments.get(nid, _X)
-            good[nid] = value
-            faulty[nid] = state.pi_faulty(nid, value)
-        flags, origin = state.cone.flags, state.origin
-        for i, (evaluate, ins, out) in enumerate(
-            zip(self._evals, self._ins, self._outs)
-        ):
-            g_out = good[out] = evaluate(good, ins)
-            if i == origin:
-                faulty[out] = state.origin_faulty(evaluate, faulty, ins)
-            elif flags[i]:
-                faulty[out] = evaluate(faulty, ins)
+        """One topological pass over every gate, from the assignments."""
+        codes = [_X_CODE] * self._netlist.num_nets
+        value = state.assignments.get
+        for nid, to_code in state.pi_codes:
+            codes[nid] = to_code[value(nid)]
+        for table, a, b, fold, out in state.specs:
+            if fold is None:
+                codes[out] = table[codes[a] << 4 | codes[b]]
             else:
-                faulty[out] = g_out
+                codes[out] = table[_fold(fold, codes) << 4 | codes[b]]
         self._gate_evals += len(self._order)
-        state.good = good
-        state.faulty = faulty
+        state.codes = codes
 
     # -- search ---------------------------------------------------------------
 
     def _fault_detected(self, state: "_PodemState") -> bool:
-        good, faulty = state.good, state.faulty
-        for nid in state.cone.outputs:
-            g_val = good[nid]
-            if g_val is not _X and faulty[nid] is not _X \
-                    and g_val != faulty[nid]:
-                return True
-        return False
-
-    def _fault_activated(self, state: "_PodemState") -> bool:
-        fault = state.fault
-        site_good = state.good[fault.net]
-        return site_good is not _X and site_good != fault.stuck
+        codes = state.codes
+        return any(_DETECTS[codes[nid]] for nid in state.cone.outputs)
 
     def _objective(self, state: "_PodemState") -> tuple[int, int] | None:
         """Next (net, value) objective, or None when stuck."""
         fault = state.fault
-        site = fault.net
-        if state.good[site] is _X:
-            return site, fault.stuck ^ 1
-        if not self._fault_activated(state):
+        site_good = GOOD[state.codes[fault.net]]
+        if site_good is None:
+            return fault.net, fault.stuck ^ 1
+        if site_good == fault.stuck:
             return None  # site fixed at the stuck value: backtrack
         # Propagate: take the lowest-level D-frontier gate and set one
         # of its X inputs to the non-controlling value.
-        gate = self._d_frontier(state)
-        if gate is None:
+        i = self._d_frontier(state)
+        if i is None:
             return None
-        for nid in gate.inputs:
-            if state.good[nid] is _X:
-                return nid, _non_controlling(gate.gate_type)
+        codes = state.codes
+        for nid in self._ins[i]:
+            if not _GOOD_KNOWN[codes[nid]]:
+                return nid, _non_controlling(self._order[i].gate_type)
         return None
 
-    def _d_frontier(self, state: "_PodemState") -> Gate | None:
-        """The first D-frontier gate in topological order, if any.
+    def _d_frontier(self, state: "_PodemState") -> int | None:
+        """The topo index of the first D-frontier gate, if any.
 
         Only the fault's output cone can carry a fault effect (outside
         it the two machines agree net for net), so only it is scanned.
         """
-        good, faulty = state.good, state.faulty
+        codes, outs, ins_of = state.codes, self._outs, self._ins
         fault = state.fault
         branch = state.origin if fault.gate is not None else -1
         for i in state.cone.gates:
-            out = self._outs[i]
             # Resolved outputs (both machines known) need no help; the
             # half-known case (one machine pinned by a controlling value
             # on the faulty side only) still belongs to the frontier.
-            if good[out] is not _X and faulty[out] is not _X:
+            if _RESOLVED[codes[outs[i]]]:
                 continue
-            ins = self._ins[i]
-            if all(good[nid] is not _X for nid in ins):
+            ins = ins_of[i]
+            if all(_GOOD_KNOWN[codes[nid]] for nid in ins):
                 continue
             for pin, nid in enumerate(ins):
+                code = codes[nid]
                 # Branch faults inject only into the faulted gate's view
-                # of its pin, so the net's faulty value is not enough.
-                faulty_in = (
-                    fault.stuck if i == branch and pin == fault.pin
-                    else faulty[nid]
-                )
-                if _differs(good[nid], faulty_in):
-                    return self._order[i]
+                # of its pin, so the net's own code is not enough.
+                if i == branch and pin == fault.pin:
+                    code = (code & _GOOD_RAILS) | state.stuck_rails
+                if _DIFFERS[code]:
+                    return i
         return None
 
     def _backtrace(
         self, state: "_PodemState", net: int, value: int
     ) -> tuple[int, int]:
         """Walk the objective back to an unassigned primary input."""
+        codes = state.codes
         current, want = net, value
         guard = 0
         while current not in self._input_set:
             guard += 1
             if guard > 10 * len(self._order) + 10:
                 raise AtpgError("backtrace did not reach a primary input")
-            gate = self._drivers.get(current)
-            if gate is None:
+            driver = self._drivers.get(current)
+            if driver is None:
                 raise AtpgError(
                     f"net {self._netlist.net_name(current)!r} has no driver"
                 )
-            if gate.gate_type.is_const:
+            inverts, inputs = driver
+            if inputs is None:
                 raise AtpgError("objective requires changing a constant")
-            want = want ^ (1 if _inverts(gate.gate_type) else 0)
-            x_inputs = [
-                nid for nid in gate.inputs if state.good[nid] is _X
-            ]
-            if not x_inputs:
+            want ^= inverts
+            for nid in inputs:
+                if not _GOOD_KNOWN[codes[nid]]:
+                    current = nid
+                    break
+            else:
                 # Shouldn't happen (objective net was X); pick input 0.
-                x_inputs = [gate.inputs[0]]
-            current = x_inputs[0]
+                current = inputs[0]
         return current, want
 
     def _pack_vector(self, state: "_PodemState") -> int:
@@ -387,7 +494,6 @@ class Podem:
 class _Cone:
     """A fault origin's output cone, memoised per :class:`Podem`."""
 
-    flags: bytearray            # per topo index: 1 if in the cone
     gates: tuple[int, ...]      # the cone's topo indices, ascending
     outputs: tuple[int, ...]    # primary outputs inside the cone
 
@@ -397,101 +503,63 @@ class _PodemState:
 
     ``origin`` is the topo index of the gate that injects the fault
     (the faulted gate of a branch fault, the driver of a stem), or
-    ``~net`` for a primary-input stem.  ``good``/``faulty`` are indexed
-    by net id and stay ``None`` until the first implication.
+    ``~net`` for a primary-input stem.  ``specs`` and ``pi_codes`` are
+    the engine's, with the fault injected: the origin gate's spec is
+    its faulted spec, and a faulted PI maps an assigned value to the
+    stuck value in the faulty machine.  ``codes`` is indexed by net id
+    and stays ``None`` until the first implication.
     """
 
-    def __init__(self, fault: StuckAtFault, cone: _Cone, origin: int):
+    def __init__(self, fault: StuckAtFault, cone: _Cone, origin: int,
+                 specs: list, pi_codes: list):
         self.fault = fault
         self.cone = cone
         self.origin = origin
+        self.specs = specs
+        self.pi_codes = pi_codes
+        self.stuck_rails = _STUCK_RAILS[fault.stuck]
         self.assignments: dict[int, int] = {}
-        self.good: list[int | None] | None = None
-        self.faulty: list[int | None] | None = None
-
-    def pi_faulty(self, nid: int, value: int | None) -> int | None:
-        """The faulty machine's value of primary input ``nid``."""
-        if value is not _X and ~nid == self.origin:
-            return self.fault.stuck
-        return value
-
-    def origin_faulty(self, evaluate, faulty, ins) -> int | None:
-        """The faulty output of the origin gate."""
-        fault = self.fault
-        if fault.gate is None:
-            return fault.stuck
-        view = [faulty[nid] for nid in ins]
-        view[fault.pin] = fault.stuck
-        return evaluate(view, range(len(view)))
+        self.codes: list[int] | None = None
 
 
-def _differs(good: int | None, faulty: int | None) -> bool:
-    """Whether a line carries a (possibly partial) fault effect."""
-    if good is _X and faulty is _X:
-        return False
-    if good is _X or faulty is _X:
-        return True  # may still diverge: worth driving through
-    return good != faulty
+def _spec(gate_type: GateType, ins: tuple[int, ...], out: int) -> tuple:
+    """A gate's ``(table, a, b, fold, out)`` evaluation spec."""
+    if not ins:                         # constants read no operand
+        return _TABLES[gate_type], out, out, None, out
+    if len(ins) == 1:
+        table = _INVERTER if INVERTING[gate_type] else _BUFFER
+        return table, ins[0], ins[0], None, out
+    table = _TABLES[gate_type]
+    if len(ins) == 2:
+        return table, ins[0], ins[1], None, out
+    return table, ins[0], ins[-1], (_FOLD_TABLES[gate_type], ins[:-1]), out
 
 
-# -- three-valued gate evaluation (X = None) ---------------------------------
-#
-# Each evaluator reads ``values[nid]`` for every input net ``nid`` of
-# ``ins``.  AND/OR return on the first controlling input; XOR on the
-# first X.
+def _faulted_spec(gate_type: GateType, ins: tuple[int, ...], out: int,
+                  fault: StuckAtFault) -> tuple:
+    """A gate's spec with ``fault`` injected (see ``Podem._new_state``)."""
+    stuck = _STUCK_RAILS[fault.stuck]
+    if fault.gate is None:
+        table, a, b, fold, out = _spec(gate_type, ins, out)
+        return (bytes((c & _GOOD_RAILS) | stuck for c in table),
+                a, b, fold, out)
+    order = list(ins)
+    order[fault.pin], order[-1] = order[-1], order[fault.pin]
+    table, a, b, fold, out = _spec(gate_type, tuple(order), out)
+    masked = bytes(
+        table[x << 4 | (y & _GOOD_RAILS) | stuck]
+        for x in range(16) for y in range(16)
+    )
+    return masked, a, b, fold, out
 
 
-def _and(values, ins):
-    out = 1
-    for nid in ins:
-        value = values[nid]
-        if value == 0:
-            return 0
-        if value is _X:
-            out = _X
-    return out
-
-
-def _or(values, ins):
-    out = 0
-    for nid in ins:
-        value = values[nid]
-        if value == 1:
-            return 1
-        if value is _X:
-            out = _X
-    return out
-
-
-def _xor(values, ins):
-    parity = 0
-    for nid in ins:
-        value = values[nid]
-        if value is _X:
-            return _X
-        parity ^= value
-    return parity
-
-
-def _inverted(evaluate):
-    def inverted(values, ins):
-        out = evaluate(values, ins)
-        return _X if out is _X else out ^ 1
-    return inverted
-
-
-_EVALUATORS = {
-    GateType.AND: _and,
-    GateType.NAND: _inverted(_and),
-    GateType.OR: _or,
-    GateType.NOR: _inverted(_or),
-    GateType.XOR: _xor,
-    GateType.XNOR: _inverted(_xor),
-    GateType.BUF: _xor,
-    GateType.NOT: _inverted(_xor),
-    GateType.CONST0: lambda values, ins: 0,
-    GateType.CONST1: lambda values, ins: 1,
-}
+def _fold(fold: tuple, codes: list[int]) -> int:
+    """All but the last input of a 3+ input gate, folded to one code."""
+    table, nets = fold
+    code = codes[nets[0]]
+    for nid in nets[1:]:
+        code = table[code << 4 | codes[nid]]
+    return code
 
 
 def _non_controlling(gate_type: GateType) -> int:
@@ -500,8 +568,3 @@ def _non_controlling(gate_type: GateType) -> int:
     if gate_type in (GateType.OR, GateType.NOR):
         return 0
     return 1  # XOR-ish: either value can help; pick 1
-
-
-def _inverts(gate_type: GateType) -> bool:
-    return gate_type in (GateType.NAND, GateType.NOR, GateType.NOT,
-                         GateType.XNOR)

@@ -615,6 +615,56 @@ def test_jobs_trace_stitches_circuit_units_from_worker_lanes():
     assert "unit:circuit" in worker_names, worker_names
 
 
+def test_jobs_trace_counts_each_farmed_circuit_once():
+    """Under jobs=2 a circuit's work is its worker's unit:circuit span;
+    the parent's circuit:<name> span encloses it, so summarize leaves
+    circuit:* only the dispatch around it as self time.  The circuits
+    run long enough (about 0.3 and 1 s) that dispatch, a few ms each,
+    is well under the bound."""
+    fresh_labs()
+    tracer = Tracer()
+    config = dict(REDUCED, random_budget_seq=384)
+    with obs_trace.tracing(tracer):
+        Campaign(
+            CampaignConfig(**config, trace=True, jobs=2),
+            TracingEvents(tracer),
+        ).run(("b01", "b03"))
+    rows = summarize(tracer.export(), top=100)
+    circuits = [row for row in rows if row["name"].startswith("circuit:")]
+    assert len(circuits) == 2
+    total = sum(row["total_us"] for row in circuits)
+    assert sum(row["self_us"] for row in circuits) < 0.05 * total
+    units = next(row for row in rows if row["name"] == "unit:circuit")
+    assert units["count"] == 2
+
+
+def test_summarize_links_worker_spans_by_shared_args():
+    # Two concurrent circuit lanes on the parent pid and one worker span
+    # per circuit: each worker span nests under the span of its own
+    # circuit, and the circuit lanes do not nest under each other.
+    def span(name, tid, start, end, pid="p", **args):
+        begin = {"ph": "B", "ts": start, "pid": pid, "tid": tid,
+                 "name": name}
+        if args:
+            begin["args"] = args
+        return [begin, {"ph": "E", "ts": end, "pid": pid, "tid": tid,
+                        "name": name}]
+
+    events = [
+        *span("campaign", "campaign", 0, 100, circuits=["a", "b"]),
+        *span("circuit:a", "circuit:a", 10, 90, circuit="a"),
+        *span("circuit:b", "circuit:b", 20, 60, circuit="b"),
+        *span("unit", "unit", 15, 85, pid="w1", circuit="a"),
+        *span("unit", "unit", 25, 55, pid="w2", circuit="b"),
+    ]
+    events.sort(key=lambda e: e["ts"])
+    rows = {row["name"]: row for row in summarize({"traceEvents": events})}
+    assert rows["circuit:a"]["self_us"] == 80 - 70
+    assert rows["circuit:b"]["self_us"] == 40 - 30
+    assert rows["unit"]["self_us"] == 70 + 30
+    assert rows["campaign"]["self_us"] == 100 - 80
+
+
 def test_campaign_without_telemetry_collects_nothing():
     fresh_labs()
     campaign = Campaign(CampaignConfig(**REDUCED))
