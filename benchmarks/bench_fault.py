@@ -5,7 +5,7 @@ the ``stuck-at`` reference, the two-pattern ``transition`` model and
 the cycle-sampled ``seu`` model are measured side by side on one comb
 and one seq circuit; ``benchmarks/run_benchmarks.py --suite fault``
 turns the results into the ``BENCH_fault.json`` trajectory at the repo
-root.
+root.  Each row records ``cpus``.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.circuits import load_circuit
 from repro.fault.models import build_fault_model, fault_model_names
 from repro.sim import StimulusEncoder
 from repro.util import rng_stream
+from benchmarks.conftest import cpus
 from tests.conftest import netlist_of
 
 
@@ -33,7 +34,7 @@ def test_fault_model_throughput(benchmark, name, model_name):
     rng = rng_stream(1, name, "bench-fault", model_name)
     stimuli = [rng.getrandbits(width) for _ in range(count)]
     benchmark.extra_info.update(
-        circuit=name, model=model_name, style=style,
+        circuit=name, model=model_name, style=style, cpus=cpus(),
         patterns=len(stimuli), faults=len(faults),
     )
     result = benchmark(
@@ -67,7 +68,7 @@ def test_fault_model_throughput_pruned(benchmark, name):
     rng = rng_stream(1, name, "bench-fault", "stuck-at")
     stimuli = [rng.getrandbits(width) for _ in range(count)]
     benchmark.extra_info.update(
-        circuit=name, model="stuck-at+prune", style=style,
+        circuit=name, model="stuck-at+prune", style=style, cpus=cpus(),
         patterns=len(stimuli), faults=len(testable), pruned=len(pruned),
     )
     result = benchmark(

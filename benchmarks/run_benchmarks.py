@@ -18,7 +18,7 @@ Six suites, selected with ``--suite`` (default ``engine``):
 * ``fault`` — ``bench_fault.py``: fault-model simulation throughput
   per registered model (stuck-at, transition, seu), appended to
   ``BENCH_fault.json`` with a per-circuit cost multiple of every model
-  against the ``stuck-at`` reference.
+  against the ``stuck-at`` reference (each row records ``cpus``).
 * ``mutation`` — ``bench_mutation.py``: the comb kill sweep
   (``MutationEngine.comb_kill_sets``) on c432 and a slice of c499's
   population, a fresh candidate batch per round, appended to
@@ -211,6 +211,7 @@ def fault_rows(report: dict) -> list[dict]:
             "circuit": info["circuit"],
             "model": info["model"],
             "style": info["style"],
+            "cpus": info["cpus"],
             "patterns": info["patterns"],
             "faults": info["faults"],
             "seconds_per_pass": seconds,

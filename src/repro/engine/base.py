@@ -18,11 +18,19 @@ An engine implements three operations, all over bit-lane words (lane
   machine over the fault's output cone against the good words; returns
   the primary-output difference word (bit *i* set iff pattern *i*
   detects the fault).
-* ``injected(netlist, plan)`` — the evaluator ``fn(words, mask)`` of
-  one chunk of faulty machines: full evaluation with an
-  :class:`InjectionPlan`'s stem/branch overrides applied (fault-parallel
-  sequential simulation; one faulty machine per lane).  Callers resolve
-  it once per chunk and call it every cycle.
+* ``cycle(netlist, plan=None, observe=None)`` — the clock-cycle kernel
+  of one machine chunk (the good machine without a plan, one faulty
+  machine per lane with an :class:`InjectionPlan`): a pair of
+  functions ``next_state(I, S, mask)`` and ``observe(I, S, mask)``
+  over tuples — ``I`` in ``netlist.input_bits`` order, ``S`` and the
+  ``next_state`` result in ``netlist.dffs`` order, the ``observe``
+  result in ``observe`` order (default: the primary outputs).  A state
+  word is the captured ``d`` word with ``plan.dff_branch`` applied;
+  stem overrides apply wherever a net is read, so a stem fault on a Q
+  net forces the state element on every read.  Only the fan-in cone
+  of what a function returns has to be evaluated.  Callers resolve the
+  pair once per chunk and call it every cycle: ``next_state`` on the
+  state before the clock edge, ``observe`` on the state after it.
 
 Determinism contract: for identical inputs every registered engine must
 produce **bit-identical** words to the ``interp`` reference backend —
@@ -71,15 +79,11 @@ class InjectionPlan:
     dff_branch: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def injection_key(self) -> tuple:
-        """Hashable identity of the word-rewriting overrides.
-
-        ``dff_branch`` is excluded: it acts at the clock edge, outside
-        combinational evaluation, so engines may share work across plans
-        that differ only there.
-        """
+        """Hashable identity of every override the plan applies."""
         return (
             tuple(sorted(self.stem.items())),
             tuple(sorted(self.branch.items())),
+            tuple(sorted(self.dff_branch.items())),
         )
 
 
@@ -133,9 +137,11 @@ class EngineBase:
     ) -> dict[int, int]:
         raise NotImplementedError
 
-    def injected(
-        self, netlist: Netlist, plan: InjectionPlan
-    ) -> Callable[[dict[int, int], int], dict[int, int]]:
+    def cycle(
+        self, netlist: Netlist, plan: InjectionPlan | None = None,
+        observe: tuple[int, ...] | None = None,
+    ) -> tuple[Callable, Callable]:
+        """``(next_state, observe)`` of one machine chunk (see above)."""
         raise NotImplementedError
 
     def fault_diff(

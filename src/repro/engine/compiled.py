@@ -10,12 +10,18 @@ per-gate function calls:
 * the *flip evaluator* is the full evaluator with every fanout-free
   region (FFR) stem's word XORed with a per-stem flip word, returning
   the primary-output words;
-* an *injected evaluator* per fault chunk bakes the chunk's stem and
-  branch ``(clear, set)`` masks into the source as integer literals.
-  :meth:`CompiledEngine.injected` returns it, looked up by
-  :meth:`InjectionPlan.injection_key` once per chunk, so re-simulating
-  the same chunk never recompiles and the cycle loop never rebuilds the
-  key.
+* a *cycle kernel* per machine chunk (:meth:`CompiledEngine.cycle`):
+  one generated source holding ``_next(I, S, mask)``, which evaluates
+  only the fan-in cone of the DFF ``d`` nets and returns the captured
+  state words, and ``_observe(I, S, mask)``, which evaluates only the
+  fan-in cone of the observed nets.  The chunk's stem, branch and
+  DFF-branch ``(clear, set)`` masks are baked into the source as
+  integer literals.  Kernels sit in a per-netlist LRU keyed by
+  :meth:`InjectionPlan.injection_key` and the observed nets, resolved
+  once per chunk, so re-simulating the same chunk never recompiles and
+  the cycle loop never rebuilds the key.  On b01 and b03 every
+  primary output is a flip-flop output, so the post-edge ``_observe``
+  evaluates no gate at all.
 
 Single-fault propagation compiles nothing per fault.  A net that is not
 a primary output and whose loads all sit on one gate passes a
@@ -91,10 +97,10 @@ def _override_expr(source: str, override: tuple[int, int]) -> str:
     return f"(({source}) & {~clear}) | {setm}"
 
 
-def _compile_fn(source: str, filename: str) -> Callable:
+def _compile(source: str, filename: str) -> dict:
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["_run"]
+    return namespace
 
 
 class _CompiledProgram:
@@ -114,6 +120,9 @@ class _CompiledProgram:
         self.sources.extend(dff.q for dff in netlist.dffs)
         self.outputs = netlist.output_bits
         self.output_set = frozenset(self.outputs)
+        self.input_bits = list(netlist.input_bits)
+        #: per DFF, in netlist order: (fid, d net, q net)
+        self.dffs = [(dff.fid, dff.d, dff.q) for dff in netlist.dffs]
         #: non-PO net -> the one gate all its loads sit on (FFR chains)
         self.single_load: dict[int, Gate] = {}
         for nid, loads in netlist.fanout_map().items():
@@ -131,8 +140,8 @@ class _CompiledProgram:
         }
         self._full_fn: Callable | None = None
         self._flip_fn: Callable | None = None
-        self._injected_fns: OrderedDict[tuple, Callable] = OrderedDict()
-        self._injected_built = 0
+        self._cycle_fns: OrderedDict[tuple, tuple] = OrderedDict()
+        self._cycle_built = 0
 
     @property
     def netlist(self) -> Netlist | None:
@@ -142,14 +151,14 @@ class _CompiledProgram:
 
     def full_fn(self) -> Callable:
         if self._full_fn is None:
-            self._full_fn = _compile_fn(
-                self._emit_eval(stem={}, branch={}),
+            self._full_fn = _compile(
+                self._emit_eval(),
                 f"<engine.compiled {self.name} full>",
-            )
+            )["_run"]
         return self._full_fn
 
-    def _emit_eval(self, stem: dict, branch: dict, flip: bool = False) -> str:
-        """Source of a full evaluator, optionally with baked injections.
+    def _emit_eval(self, flip: bool = False) -> str:
+        """Source of the full evaluator ``_run(W, mask)``.
 
         With ``flip`` it is the flip evaluator ``_run(W, F, mask)``:
         each FFR stem's word is XORed with ``F[k]`` (``k`` its index in
@@ -159,9 +168,6 @@ class _CompiledProgram:
         lines = ["def _run(W, F, mask):" if flip else "def _run(W, mask):"]
 
         def assign(nid: int, expr: str) -> None:
-            override = stem.get(nid)
-            if override is not None:
-                expr = _override_expr(expr, override)
             if flip and nid in self.stems:
                 expr = f"({expr}) ^ F[{self.stems[nid]}]"
             lines.append(f"    v{nid} = {expr}")
@@ -169,13 +175,7 @@ class _CompiledProgram:
         for nid in self.sources:
             assign(nid, f"W[{nid}]")
         for gate in self.order:
-            operands = []
-            for pin, nid in enumerate(gate.inputs):
-                operand = f"v{nid}"
-                override = branch.get((gate.gid, pin))
-                if override is not None:
-                    operand = f"({_override_expr(operand, override)})"
-                operands.append(operand)
+            operands = [f"v{nid}" for nid in gate.inputs]
             assign(gate.output, _gate_expr(gate.gate_type, operands))
         if flip:
             items = "".join(f"v{nid}, " for nid in self.outputs)
@@ -190,10 +190,10 @@ class _CompiledProgram:
 
     def flip_fn(self) -> Callable:
         if self._flip_fn is None:
-            self._flip_fn = _compile_fn(
-                self._emit_eval(stem={}, branch={}, flip=True),
+            self._flip_fn = _compile(
+                self._emit_eval(flip=True),
                 f"<engine.compiled {self.name} flip>",
-            )
+            )["_run"]
         return self._flip_fn
 
     def reach(
@@ -264,31 +264,107 @@ class _CompiledProgram:
                 obs[nid] = (diff >> (j * stride)) & mask
         return obs
 
-    # -- injected evaluators -------------------------------------------------
+    # -- cycle kernels -------------------------------------------------------
 
-    #: Retained injected evaluators per netlist.  Fault simulators
-    #: resolve one evaluator per chunk when a pass starts and hold it
+    #: Retained cycle kernels per netlist.  Sequential fault simulation
+    #: resolves one kernel per chunk when a pass starts and holds it
     #: for the pass; the LRU lets later passes over the same chunks
     #: (one per validation set) reuse the compiled code without letting
     #: a caller that builds ever-new plans accumulate it without bound.
-    INJECTED_CACHE_MAX = 64
+    CYCLE_CACHE_MAX = 64
 
-    def injected_fn(self, plan: InjectionPlan) -> Callable:
-        key = plan.injection_key()
-        fn = self._injected_fns.get(key)
-        if fn is None:
-            fn = _compile_fn(
-                self._emit_eval(stem=plan.stem, branch=plan.branch),
-                f"<engine.compiled {self.name} "
-                f"chunk:{self._injected_built}>",
+    def cycle_fns(
+        self, plan: InjectionPlan | None, observe: tuple[int, ...]
+    ) -> tuple[Callable, Callable]:
+        key = (None if plan is None else plan.injection_key(), observe)
+        fns = self._cycle_fns.get(key)
+        if fns is None:
+            namespace = _compile(
+                self._emit_cycle(plan, observe),
+                f"<engine.compiled {self.name} cycle:{self._cycle_built}>",
             )
-            self._injected_built += 1
-            self._injected_fns[key] = fn
-            while len(self._injected_fns) > self.INJECTED_CACHE_MAX:
-                self._injected_fns.popitem(last=False)
+            fns = namespace["_next"], namespace["_observe"]
+            self._cycle_built += 1
+            self._cycle_fns[key] = fns
+            while len(self._cycle_fns) > self.CYCLE_CACHE_MAX:
+                self._cycle_fns.popitem(last=False)
         else:
-            self._injected_fns.move_to_end(key)
-        return fn
+            self._cycle_fns.move_to_end(key)
+        return fns
+
+    def _emit_cycle(
+        self, plan: InjectionPlan | None, observe: tuple[int, ...]
+    ) -> str:
+        """Source of ``_next`` and ``_observe`` with ``plan`` baked in."""
+        if plan is None:
+            plan = InjectionPlan(faults=[])
+        captured = []
+        for fid, d, _q in self.dffs:
+            word = f"v{d}"
+            override = plan.dff_branch.get(fid)
+            if override is not None:
+                word = _override_expr(word, override)
+            captured.append(word)
+        d_nets = [d for _fid, d, _q in self.dffs]
+        driver = {gate.output: gate for gate in self.order}
+        return (
+            self._emit_cone("_next", d_nets, captured, plan, driver)
+            + self._emit_cone(
+                "_observe", list(observe), [f"v{n}" for n in observe],
+                plan, driver,
+            )
+        )
+
+    def _emit_cone(
+        self, name: str, targets: list[int], results: list[str],
+        plan: InjectionPlan, driver: dict[int, Gate],
+    ) -> str:
+        """``def name(I, S, mask)`` over the fan-in cone of ``targets``.
+
+        Stem overrides apply where a source is read and after a gate
+        computes; branch overrides on the reading gate's operand.
+        """
+        cone: set[int] = set()
+        stack = list(targets)
+        while stack:
+            nid = stack.pop()
+            if nid not in cone:
+                cone.add(nid)
+                gate = driver.get(nid)
+                if gate is not None:
+                    stack.extend(gate.inputs)
+        lines = [f"def {name}(I, S, mask):"]
+        if self.input_bits:
+            lines.append(
+                "    " + "".join(f"v{n}, " for n in self.input_bits) + "= I"
+            )
+        if self.dffs:
+            lines.append(
+                "    " + "".join(f"v{q}, " for *_, q in self.dffs) + "= S"
+            )
+        stem, branch = plan.stem, plan.branch
+        for nid in self.sources:
+            override = stem.get(nid)
+            if nid in cone and override is not None:
+                expr = _override_expr(f"v{nid}", override)
+                lines.append(f"    v{nid} = {expr}")
+        for gate in self.order:
+            if gate.output not in cone:
+                continue
+            operands = []
+            for pin, nid in enumerate(gate.inputs):
+                operand = f"v{nid}"
+                override = branch.get((gate.gid, pin))
+                if override is not None:
+                    operand = f"({_override_expr(operand, override)})"
+                operands.append(operand)
+            expr = _gate_expr(gate.gate_type, operands)
+            override = stem.get(gate.output)
+            if override is not None:
+                expr = _override_expr(expr, override)
+            lines.append(f"    v{gate.output} = {expr}")
+        lines.append("    return (" + "".join(f"{r}, " for r in results) + ")")
+        return "\n".join(lines) + "\n"
 
 
 @register_engine
@@ -325,5 +401,11 @@ class CompiledEngine(EngineBase):
             hit[1] & obs[hit[0]] if hit else 0 for hit in reached
         ]
 
-    def injected(self, netlist: Netlist, plan: InjectionPlan) -> Callable:
-        return self._program(netlist).injected_fn(plan)
+    def cycle(
+        self, netlist: Netlist, plan: InjectionPlan | None = None,
+        observe: tuple[int, ...] | None = None,
+    ) -> tuple[Callable, Callable]:
+        program = self._program(netlist)
+        if observe is None:
+            observe = tuple(program.outputs)
+        return program.cycle_fns(plan, tuple(observe))

@@ -4,8 +4,8 @@ This is the seed implementation extracted verbatim from the simulators
 and kept as the reference every other backend is pinned against: a topo
 walk with enum dispatch for good-machine evaluation, an event-driven
 level-ordered cone walk (with early exit when the frontier dies out)
-for single-fault propagation, and per-gate override lookups for
-fault-parallel injected evaluation.
+for single-fault propagation, and a clock-cycle kernel whose two
+functions are full evaluations with per-gate override lookups.
 """
 
 from __future__ import annotations
@@ -107,28 +107,36 @@ class InterpEngine(EngineBase):
                 detect |= faulty[nid] ^ good[nid]
         return detect
 
-    def injected(self, netlist: Netlist, plan: InjectionPlan):
+    def cycle(
+        self, netlist: Netlist, plan: InjectionPlan | None = None,
+        observe: tuple[int, ...] | None = None,
+    ):
+        """Both kernel functions as full evaluations (the reference)."""
         order = self._program(netlist).order
+        if plan is None:
+            plan = InjectionPlan(faults=[])
         stem, branch = plan.stem, plan.branch
+        input_bits = list(netlist.input_bits)
+        dffs = [(dff.fid, dff.d, dff.q) for dff in netlist.dffs]
+        observe = tuple(netlist.output_bits if observe is None else observe)
 
-        def run(words: dict[int, int], mask: int) -> dict[int, int]:
-            words = dict(words)
+        def evaluate(inputs: tuple, state: tuple, mask: int) -> dict:
+            words = dict(zip(input_bits, inputs))
+            words.update((q, word) for (_fid, _d, q), word
+                         in zip(dffs, state))
             for nid, (clear, setm) in stem.items():
                 if nid in words:
                     words[nid] = (words[nid] & ~clear) | setm
             for gate in order:
-                if branch:
-                    inputs = []
-                    for pin, nid in enumerate(gate.inputs):
-                        word = words[nid]
-                        override = branch.get((gate.gid, pin))
-                        if override is not None:
-                            clear, setm = override
-                            word = (word & ~clear) | setm
-                        inputs.append(word)
-                else:
-                    inputs = [words[nid] for nid in gate.inputs]
-                out = eval_gate(gate.gate_type, inputs, mask)
+                operands = []
+                for pin, nid in enumerate(gate.inputs):
+                    word = words[nid]
+                    override = branch.get((gate.gid, pin))
+                    if override is not None:
+                        clear, setm = override
+                        word = (word & ~clear) | setm
+                    operands.append(word)
+                out = eval_gate(gate.gate_type, operands, mask)
                 override = stem.get(gate.output)
                 if override is not None:
                     clear, setm = override
@@ -136,4 +144,20 @@ class InterpEngine(EngineBase):
                 words[gate.output] = out
             return words
 
-        return run
+        def next_state(inputs: tuple, state: tuple, mask: int) -> tuple:
+            words = evaluate(inputs, state, mask)
+            captured = []
+            for fid, d, _q in dffs:
+                word = words[d]
+                override = plan.dff_branch.get(fid)
+                if override is not None:
+                    clear, setm = override
+                    word = (word & ~clear) | setm
+                captured.append(word)
+            return tuple(captured)
+
+        def observed(inputs: tuple, state: tuple, mask: int) -> tuple:
+            words = evaluate(inputs, state, mask)
+            return tuple(words[nid] for nid in observe)
+
+        return next_state, observed

@@ -3,10 +3,11 @@
 A *fault model* decides what can break in a netlist: it enumerates the
 fault universe, collapses structurally equivalent faults, and simulates
 a fault list over packed stimuli by lowering each fault to the word
-operations (``fault_diff`` cone diffs, static ``InjectionPlan``
-overrides, plain ``eval_full`` sweeps) the :mod:`repro.engine` backends
-already execute.  Models are pluggable by name — mirroring
-:func:`repro.engine.register_engine` — so the campaign pipeline, the
+operations (``fault_diff`` cone diffs, ``eval_full`` sweeps, clock-cycle
+kernels with or without a static ``InjectionPlan``) the
+:mod:`repro.engine` backends already execute.  Models are pluggable by
+name — mirroring :func:`repro.engine.register_engine` — so the
+campaign pipeline, the
 grid workers and the CLI select one from configuration without
 importing concrete classes.
 

@@ -23,8 +23,8 @@ Execution:
   :class:`repro.fault.SeqFaultSimulator`, but no
   :class:`~repro.engine.InjectionPlan` is needed at all: each
   lane's state bit is XOR-flipped once, at its scheduled cycle, and the
-  corrupted state then evolves freely through plain ``eval_full``
-  sweeps — transient by construction, persistent only through real
+  corrupted state then evolves freely through the plan-less clock-cycle
+  kernel — transient by construction, persistent only through real
   feedback paths.
 * **Combinational**: a single-event transient on one driven net during
   one pattern.  Pattern-parallel: per net, both stuck-at polarity
@@ -43,7 +43,7 @@ from repro.errors import FaultError
 from repro.fault.coverage import FaultSimResult
 from repro.fault.model import StuckAtFault
 from repro.fault.models.base import FaultModel, register_fault_model
-from repro.fault.seq_sim import simulate_chunks
+from repro.fault.seq_sim import reset_state, simulate_chunks
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import unpack_patterns
 
@@ -175,23 +175,26 @@ class SeuModel(FaultModel):
         return FaultSimResult(list(faults), detection, len(stimuli))
 
     def _machine(self, netlist: Netlist, engine, chunk: list, mask: int):
-        # cycle -> {state net -> lane bits to flip when entering it}
+        index = {dff.q: k for k, dff in enumerate(netlist.dffs)}
+        # cycle -> {state index -> lane bits to flip when entering it}
         flips: dict[int, dict[int, int]] = {}
         for lane, fault in enumerate(chunk):
-            per_net = flips.setdefault(fault.cycle, {})
-            per_net[fault.net] = per_net.get(fault.net, 0) | (1 << lane)
-        dffs = netlist.dffs
-        state = {dff.q: mask if dff.reset_value else 0 for dff in dffs}
+            per_dff = flips.setdefault(fault.cycle, {})
+            k = index[fault.net]
+            per_dff[k] = per_dff.get(k, 0) | (1 << lane)
+        next_state, observe = engine.cycle(netlist)
+        state = reset_state(netlist, mask)
 
-        def advance(cycle: int, inputs: dict[int, int],
-                    good: dict[int, int]) -> dict[int, int]:
+        def advance(cycle: int, inputs: tuple, good: tuple) -> tuple:
             nonlocal state
             # The upset strikes the state entering this cycle (cycle 0
             # flips the reset state).
-            for nid, bits in flips.get(cycle, {}).items():
-                state[nid] ^= bits
-            words = engine.eval_full(netlist, {**inputs, **state}, mask)
-            state = {dff.q: words[dff.d] for dff in dffs}
-            return engine.eval_full(netlist, {**inputs, **state}, mask)
+            upsets = flips.get(cycle)
+            if upsets:
+                state = tuple(
+                    word ^ upsets.get(k, 0) for k, word in enumerate(state)
+                )
+            state = next_state(inputs, state, mask)
+            return observe(inputs, state, mask)
 
         return advance

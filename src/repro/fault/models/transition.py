@@ -20,12 +20,13 @@ initial value.  That lowering is what this model executes:
   (:func:`repro.fault.seq_sim.simulate_chunks`) with one *static*
   :class:`~repro.engine.InjectionPlan` per chunk forcing each lane's
   net to its initial value — so the compiled backend bakes the chunk
-  into code once, exactly like stuck-at chunks.  The launch condition
-  is evaluated per cycle per lane against the *good* machine (the
-  classical fault-free-launch approximation: a slow net misbehaves in
-  a cycle iff its previous settled good value was the edge's initial
-  value; cycle 0 has no launch), and each cycle's faulty evaluation
-  merges the injected and the free words lane-wise under that
+  into one cycle kernel, exactly like stuck-at chunks.  The launch
+  condition is evaluated per cycle per lane against the *good* machine
+  (the classical fault-free-launch approximation: a slow net
+  misbehaves in a cycle iff its previous settled good value was the
+  edge's initial value; cycle 0 has no launch), which therefore also
+  observes every fault net, and each cycle merges the injected and
+  the free kernels' state and output words lane-wise under that
   activation mask.  The faulty machine's state is persistent: a
   corrupted value captured into a flip-flop keeps propagating through
   later (possibly inactive) cycles until it reaches an output, exactly
@@ -51,7 +52,7 @@ from repro.fault.models.base import (
     first_lane,
     register_fault_model,
 )
-from repro.fault.seq_sim import simulate_chunks
+from repro.fault.seq_sim import reset_state, simulate_chunks
 from repro.netlist.cells import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import unpack_patterns
@@ -183,62 +184,70 @@ class TransitionModel(FaultModel):
                       faults: list, lanes: int,
                       engine) -> FaultSimResult:
         engine = build_engine(engine)
+        # The good machine also observes every fault net: the launch
+        # condition reads its previous settled value.
+        watch = tuple(dict.fromkeys(fault.net for fault in faults))
+        base = len(netlist.output_bits)
+        slot = {nid: base + k for k, nid in enumerate(watch)}
         detection = simulate_chunks(
             netlist, engine, faults, lanes, stimuli,
-            lambda chunk, mask: self._machine(netlist, engine, chunk, mask),
+            lambda chunk, mask: self._machine(
+                netlist, engine, chunk, mask, slot),
+            watch=watch,
         )
         return FaultSimResult(list(faults), detection, len(stimuli))
 
-    def _machine(self, netlist: Netlist, engine, chunk: list, mask: int):
+    def _machine(self, netlist: Netlist, engine, chunk: list, mask: int,
+                 slot: dict[int, int]):
         # One static plan per chunk: every lane's net forced to its
         # initial value.  Activation is applied afterwards as a lane
-        # mask on the output difference, so the plan (and the compiled
-        # backend's generated code) never varies per cycle.
+        # merge, so the plan (and the compiled backend's generated
+        # code) never varies per cycle.
         plan = InjectionPlan(faults=list(chunk))
+        # (good-word slot, initial value) -> lanes launched by it
+        launch: dict[tuple[int, int], int] = {}
         for lane, fault in enumerate(chunk):
             clear, setm = plan.stem.get(fault.net, (0, 0))
             clear |= 1 << lane
             if fault.initial:
                 setm |= 1 << lane
             plan.stem[fault.net] = (clear, setm)
-        run = engine.injected(netlist, plan)
-        dffs, outputs = netlist.dffs, netlist.output_bits
-        state = {dff.q: mask if dff.reset_value else 0 for dff in dffs}
-        prev_good: dict[int, int] | None = None  # settled values, cycle t-1
+            key = (slot[fault.net], fault.initial)
+            launch[key] = launch.get(key, 0) | (1 << lane)
+        launch_items = list(launch.items())
+        free_next, free_observe = engine.cycle(netlist)
+        inj_next, inj_observe = engine.cycle(netlist, plan)
+        state = reset_state(netlist, mask)
+        prev_good: tuple | None = None  # settled values, cycle t-1
 
-        def advance(cycle: int, inputs: dict[int, int],
-                    good: dict[int, int]) -> dict[int, int]:
+        def advance(cycle: int, inputs: tuple, good: tuple) -> tuple:
             nonlocal state, prev_good
             # Launch condition: the previous cycle's settled good value
             # was the slow edge's initial value.  Cycle 0 has no launch.
             act = 0
             if prev_good is not None:
-                for lane, fault in enumerate(chunk):
-                    if prev_good[fault.net] == fault.initial:
-                        act |= 1 << lane
+                for (index, initial), lanes in launch_items:
+                    if prev_good[index] == initial:
+                        act |= lanes
             prev_good = good
-            nact = mask & ~act
-
-            # Pre-clock: active lanes see their site forced; the merge
-            # under ``act`` keeps the plan static per chunk.
-            free = engine.eval_full(netlist, {**inputs, **state}, mask)
-            if act:
-                inj = run({**inputs, **state}, mask)
-                state = {
-                    dff.q: (inj[dff.d] & act) | (free[dff.d] & nact)
-                    for dff in dffs
-                }
-            else:
-                state = {dff.q: free[dff.d] for dff in dffs}
-            # Post-clock: captured corruption is now ordinary state
-            # divergence and propagates on inactive lanes too.
-            free = engine.eval_full(netlist, {**inputs, **state}, mask)
             if not act:
-                return free
-            inj = run({**inputs, **state}, mask)
-            return {
-                nid: (inj[nid] & act) | (free[nid] & nact)
-                for nid in outputs
-            }
+                state = free_next(inputs, state, mask)
+                return free_observe(inputs, state, mask)
+            nact = mask & ~act
+            # Pre-clock: active lanes see their site forced.  Post-clock:
+            # captured corruption is now ordinary state divergence and
+            # propagates on inactive lanes too.
+            state = tuple(
+                (inj & act) | (free & nact) for inj, free in zip(
+                    inj_next(inputs, state, mask),
+                    free_next(inputs, state, mask),
+                )
+            )
+            return tuple(
+                (inj & act) | (free & nact) for inj, free in zip(
+                    inj_observe(inputs, state, mask),
+                    free_observe(inputs, state, mask),
+                )
+            )
 
         return advance

@@ -4,20 +4,23 @@ Each bit lane of a net word is one faulty machine, and faults are
 processed in chunks of ``lanes`` machines.  Injection masks are
 pre-compiled per chunk:
 
-* stem faults override the net word after its driver evaluates;
+* stem faults override the net word wherever it is read, a flip-flop
+  output included, so a stuck Q forces its state element every cycle;
 * branch faults override one gate's (or one DFF's) view of its input.
 
 Simulation is cycle-major (:func:`simulate_chunks`, shared with the
 transition and SEU models): every chunk is built up front, then each
-cycle steps one single-lane good machine
-(:class:`repro.netlist.simulate.SeqSimulator`) and advances every chunk
-that still has undetected lanes against it, until all chunks are fully
-detected.  Every cycle performs the evaluate / clock / re-evaluate
-sequence that matches :class:`repro.sim.testbench.Testbench`, so
-detection cycles are directly comparable with behavioural runs.  The
-per-gate work runs on a pluggable :mod:`repro.engine` backend; each
-chunk resolves its injected evaluator once (the ``compiled`` backend
-bakes the chunk's masks into generated straight-line code).
+cycle steps one single-lane good machine and advances every chunk that
+still has undetected lanes against it, until all chunks are fully
+detected.  Every cycle captures the next state from the pre-edge
+evaluation and samples the outputs from the post-edge one, which
+matches :class:`repro.sim.testbench.Testbench`, so detection cycles are
+directly comparable with behavioural runs.  The per-gate work runs on
+a pluggable :mod:`repro.engine` backend's clock-cycle kernel
+(``engine.cycle``), resolved once per chunk: ``next_state`` before the
+edge, ``observe`` after it, over tuples of words.  The ``compiled``
+backend evaluates only the fan-in cone each of them reads, with the
+chunk's masks baked into generated straight-line code.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.fault.collapse import collapse_faults
 from repro.fault.coverage import FaultSimResult
 from repro.fault.model import StuckAtFault
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import SeqSimulator, unpack_patterns
+from repro.netlist.simulate import unpack_patterns
 from repro.obs import metrics as _metrics
 
 
@@ -113,61 +116,40 @@ class SeqFaultSimulator:
         return plan
 
     def _machine(self, chunk: list[StuckAtFault], mask: int):
-        plan = self._compile(chunk)
-        run = self._engine.injected(self._netlist, plan)
-        state = {
-            dff.q: mask if dff.reset_value else 0
-            for dff in self._netlist.dffs
-        }
-        # Stem faults on DFF outputs must corrupt the reset state too.
-        for q in state:
-            if q in plan.stem:
-                clear, setm = plan.stem[q]
-                state[q] = (state[q] & ~clear) | setm
+        next_state, observe = self._engine.cycle(
+            self._netlist, self._compile(chunk)
+        )
+        state = reset_state(self._netlist, mask)
 
-        def advance(cycle: int, inputs: dict[int, int],
-                    good: dict[int, int]) -> dict[int, int]:
+        def advance(cycle: int, inputs: tuple, good: tuple) -> tuple:
             nonlocal state
-            words = run({**inputs, **state}, mask)
-            state = self._next_state(plan, words, mask)
-            return run({**inputs, **state}, mask)
+            state = next_state(inputs, state, mask)
+            return observe(inputs, state, mask)
 
         return advance
 
-    def _next_state(
-        self, plan: InjectionPlan, words: dict[int, int], mask: int
-    ) -> dict[int, int]:
-        next_state: dict[int, int] = {}
-        for dff in self._netlist.dffs:
-            word = words[dff.d]
-            override = plan.dff_branch.get(dff.fid)
-            if override is not None:
-                clear, setm = override
-                word = (word & ~clear) | setm
-            next_state[dff.q] = word
-            # Stem faults on the Q net keep forcing the state element.
-            stem = plan.stem.get(dff.q)
-            if stem is not None:
-                clear, setm = stem
-                next_state[dff.q] = (next_state[dff.q] & ~clear) | setm
-        return next_state
+
+def reset_state(netlist: Netlist, mask: int) -> tuple[int, ...]:
+    """Every DFF's reset value in all lanes of ``mask``, in DFF order."""
+    return tuple(mask if dff.reset_value else 0 for dff in netlist.dffs)
 
 
 def simulate_chunks(
     netlist: Netlist, engine, faults: list, lanes: int,
-    stimuli: list[int], machine,
+    stimuli: list[int], machine, watch: tuple[int, ...] = (),
 ) -> list[int | None]:
     """First-detection cycle per fault, simulated cycle-major.
 
     ``machine(chunk, mask)`` builds the faulty machines of one chunk
     (one per lane of ``mask``) and returns its ``advance(cycle, inputs,
-    good)``: one clock cycle over the lane-replicated input words,
-    returning the chunk's post-clock net words (at least the primary
-    outputs).  ``good`` is the good machine's post-clock words for the
-    same cycle.  Lanes are independent machines, so detection cycles
-    match a chunk-by-chunk run bit for bit; a fully detected chunk
-    stops advancing, and stimuli past the last live cycle are never
-    decoded.
+    good)``: one clock cycle over the lane-replicated input words (a
+    tuple in ``netlist.input_bits`` order), returning the chunk's
+    post-clock primary-output words in ``netlist.output_bits`` order.
+    ``good`` is the single-lane good machine's post-clock words of the
+    primary outputs followed by the ``watch`` nets, for the same cycle.
+    Lanes are independent machines, so detection cycles match a
+    chunk-by-chunk run bit for bit; a fully detected chunk stops
+    advancing, and stimuli past the last live cycle are never decoded.
     """
     if lanes < 1:
         raise FaultSimError("lanes must be >= 1")
@@ -177,20 +159,33 @@ def simulate_chunks(
         chunk = faults[start : start + lanes]
         mask = (1 << len(chunk)) - 1
         live.append([start, mask, mask, machine(chunk, mask)])
-    good_sim = SeqSimulator(netlist, engine=engine)
-    input_bits, outputs = netlist.input_bits, netlist.output_bits
+    input_bits, width = netlist.input_bits, len(netlist.output_bits)
+    good_next, good_observe = engine.cycle(
+        netlist, None, tuple(netlist.output_bits) + tuple(watch)
+    )
+    good_state = reset_state(netlist, 1)
     for cycle, packed in enumerate(stimuli):
         if not live:
             break
         single = unpack_patterns([packed], input_bits)
-        good = good_sim.step(single)
+        bits = tuple(single[nid] for nid in input_bits)
+        good_state = good_next(bits, good_state, 1)
+        good = good_observe(bits, good_state, 1)
+        # lane mask -> (replicated inputs, replicated good outputs)
+        replicated: dict[int, tuple] = {}
         for entry in live:
             start, mask, alive, advance = entry
-            inputs = {nid: mask if bit else 0 for nid, bit in single.items()}
+            pair = replicated.get(mask)
+            if pair is None:
+                pair = replicated[mask] = (
+                    tuple(mask if bit else 0 for bit in bits),
+                    tuple(mask if bit else 0 for bit in good[:width]),
+                )
+            inputs, expected = pair
             words = advance(cycle, inputs, good)
             diff = 0
-            for nid in outputs:
-                diff |= words[nid] ^ (mask if good[nid] else 0)
+            for word, want in zip(words, expected):
+                diff |= word ^ want
             newly = diff & alive
             entry[2] = alive & ~newly
             while newly:

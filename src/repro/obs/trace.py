@@ -358,8 +358,11 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
     by the union of its children within it, so concurrent lanes are
     not subtracted twice and self time is never negative.
     Async spans (``b``/``e``) are matched by ``(cat, id, name)`` and
-    treated as leaves (their whole duration is self time), since
-    work-unit execution happens in another process.  Returns up to
+    count toward ``count`` and ``total_us`` with zero self time: they
+    mark a work unit's dispatch, overlap each other, and enclose the
+    unit's own span (a worker's, carrying the same ``uid``, or the
+    parent's stage span when the unit ran in-process), which owns the
+    time.  Returns up to
     ``top`` rows of ``{"name", "count", "total_us", "self_us"}``.
     """
     events = trace.get("traceEvents") or []
@@ -402,11 +405,9 @@ def summarize(trace: dict, top: int = 15) -> list[dict]:
                 (event.get("cat"), event.get("id"), name), None)
             if start is None:
                 continue
-            duration = max(0.0, ts - start)
             entry = row(name)
             entry["count"] += 1
-            entry["total_us"] += duration
-            entry["self_us"] += duration
+            entry["total_us"] += max(0.0, ts - start)
         elif ph == "i":
             entry = row(name)
             entry["count"] += 1

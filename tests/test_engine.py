@@ -254,6 +254,90 @@ def test_differential_sequential(engine):
         assert cand_out == ref_out, f"case {case}"
 
 
+def random_seq_netlist(rng) -> Netlist:
+    """A random sequential netlist with the cycle kernel's edge cases.
+
+    Outputs: a primary input, the last gate's output (a combinational
+    cone) and a flip-flop output.  The first DFF's ``d`` is wired
+    straight to a primary input, the second's (if any) to a Q.
+    """
+    netlist = random_netlist(
+        rng,
+        num_inputs=rng.randint(1, 5),
+        num_gates=rng.randint(1, 24),
+        num_dffs=rng.randint(1, 4),
+    )
+    inputs = netlist.input_bits
+    qs = [dff.q for dff in netlist.dffs]
+    netlist.dffs[0].d = rng.choice(inputs)
+    if len(qs) > 1:
+        netlist.dffs[1].d = rng.choice(qs)
+    outs = [rng.choice(inputs), netlist.gates[-1].output, rng.choice(qs)]
+    netlist.output_ports = [
+        (f"o{j}", [nid]) for j, nid in enumerate(dict.fromkeys(outs))
+    ]
+    netlist.validate()
+    return netlist
+
+
+def check_seq_kernel_random(seed: int) -> dict:
+    """``interp`` vs ``compiled`` on one random sequential netlist.
+
+    Every sequential fault model runs its whole uncollapsed universe
+    (Q-stem and DFF-branch stuck-at faults included) at an odd lane
+    width on both backends, and the detection cycles must match; then
+    both backends' cycle kernels, with and without a stuck-at plan,
+    must return the same words for one random cycle, observed on every
+    net.
+    """
+    from repro.fault.models import build_fault_model
+
+    rng = rng_stream(seed, "seq-kernel-diff")
+    netlist = random_seq_netlist(rng)
+    width = len(netlist.input_bits)
+    stimuli = [rng.getrandbits(width) for _ in range(rng.randint(1, 24))]
+    lanes = rng.choice((1, 3, 7, 64))
+    faults_checked = 0
+    for model_name in ("stuck-at", "transition", "seu"):
+        model = build_fault_model(model_name)
+        faults = model.generate(netlist)
+        reference = model.simulate(
+            netlist, stimuli, faults, lanes=lanes, engine="interp"
+        ).detection
+        candidate = model.simulate(
+            netlist, stimuli, faults, lanes=lanes, engine="compiled"
+        ).detection
+        assert candidate == reference, (
+            f"seed {seed}: {model_name} detections differ at lanes={lanes}"
+        )
+        faults_checked += len(faults)
+    faults = generate_faults(netlist)[:61]
+    plan = SeqFaultSimulator(netlist, faults)._compile(faults)
+    observe = list(netlist.input_bits) + [dff.q for dff in netlist.dffs]
+    observe += [gate.output for gate in netlist.gates]
+    rng.shuffle(observe)
+    mask = (1 << len(faults)) - 1
+    inputs = tuple(rng.getrandbits(61) & mask for _ in netlist.input_bits)
+    state = tuple(rng.getrandbits(61) & mask for _ in netlist.dffs)
+    for chunk_plan in (None, plan):
+        reference = build_engine("interp").cycle(
+            netlist, chunk_plan, tuple(observe))
+        candidate = build_engine("compiled").cycle(
+            netlist, chunk_plan, tuple(observe))
+        for ref_fn, cand_fn in zip(reference, candidate):
+            assert cand_fn(inputs, state, mask) == ref_fn(
+                inputs, state, mask), f"seed {seed}: kernel words differ"
+    return {"faults": faults_checked}
+
+
+def test_differential_sequential_models_on_random_netlists():
+    """Stuck-at, transition and SEU: compiled kernels match interp."""
+    faults = 0
+    for seed in range(24):
+        faults += check_seq_kernel_random(seed)["faults"]
+    assert faults > 0
+
+
 @pytest.mark.parametrize("engine", ALTERNATES)
 @pytest.mark.parametrize("name", ["c17", "c432", "b01"])
 def test_differential_real_circuits(engine, name):

@@ -169,16 +169,25 @@ def test_seq_out_of_range_stimulus(model_name):
 
 
 class _CountingEngine(CompiledEngine):
-    """A private compiled engine that counts good-machine evaluations."""
+    """A private compiled engine that counts good-machine kernel steps."""
 
     def __init__(self):
         super().__init__()
-        self.good_evals = 0
+        self.good_steps = {"next_state": 0, "observe": 0}
 
-    def eval_full(self, netlist, words, mask):
-        if mask == 1:
-            self.good_evals += 1
-        return super().eval_full(netlist, words, mask)
+    def cycle(self, netlist, plan=None, observe=None):
+        fns = super().cycle(netlist, plan, observe)
+
+        def counted(kind, fn):
+            def run(inputs, state, mask):
+                if mask == 1:
+                    self.good_steps[kind] += 1
+                return fn(inputs, state, mask)
+            return run
+
+        return tuple(
+            counted(kind, fn) for kind, fn in zip(self.good_steps, fns)
+        )
 
 
 @pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
@@ -203,7 +212,9 @@ def test_seq_good_machine_and_plan_key_once(model_name, monkeypatch):
     else:
         cycles = max(result.detection) + 1
     assert cycles > 1
-    assert engine.good_evals == 2 * cycles
+    # One good-machine step per cycle: next state before the edge,
+    # outputs after it.
+    assert engine.good_steps == {"next_state": cycles, "observe": cycles}
     # SEU chunks evolve freely: no injection plan at all.
     assert len(keys) == (0 if model_name == "seu" else 3)
 

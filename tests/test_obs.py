@@ -365,10 +365,35 @@ def test_summarize_self_time_arithmetic():
     assert rows["parent"]["total_us"] == 100
     assert rows["parent"]["self_us"] == 80
     assert rows["child"]["total_us"] == rows["child"]["self_us"] == 20
-    assert rows["unit:fault"]["self_us"] == 40
+    assert rows["unit:fault"]["total_us"] == 40
+    assert rows["unit:fault"]["self_us"] == 0
     assert rows["mark"]["count"] == 1
     # top-k really truncates, ranked by self time.
     assert [r["name"] for r in summarize(trace, top=1)] == ["parent"]
+
+
+def test_summarize_async_unit_span_has_no_self_time():
+    # The parent's async dispatch span of a unit (5..95) encloses the
+    # worker's span of the same unit (10..90, same uid): the worker owns
+    # the time, and the async span still counts toward count and total.
+    uid = "c17/fault-validation/3"
+    trace = {"traceEvents": [
+        {"ph": "b", "ts": 5, "pid": "p", "tid": "unit", "cat": "unit",
+         "id": uid, "name": "unit:fault-validation",
+         "args": {"uid": uid}},
+        {"ph": "B", "ts": 10, "pid": "worker-1", "tid": "unit",
+         "name": "unit:fault-chunk", "args": {"uid": uid}},
+        {"ph": "E", "ts": 90, "pid": "worker-1", "tid": "unit",
+         "name": "unit:fault-chunk"},
+        {"ph": "e", "ts": 95, "pid": "p", "tid": "unit", "cat": "unit",
+         "id": uid, "name": "unit:fault-validation"},
+    ]}
+    rows = {row["name"]: row for row in summarize(trace)}
+    dispatch = rows["unit:fault-validation"]
+    assert (dispatch["count"], dispatch["total_us"]) == (1, 90)
+    assert dispatch["self_us"] == 0
+    assert rows["unit:fault-chunk"]["self_us"] == 80
+    assert sum(row["self_us"] for row in rows.values()) == 80
 
 
 def test_summarize_subtracts_enclosed_lanes_once():
