@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignConfig
 from repro.experiments.context import get_lab
 from repro.grid import GridExecutor
 from repro.sim import StimulusEncoder
@@ -40,11 +39,8 @@ def _stimuli(name: str, count: int) -> list[int]:
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("name", CIRCUITS)
 def test_grid_fault_validation_throughput(benchmark, name, workers):
-    lab_config = bench_config()
-    config = CampaignConfig.from_lab(
-        lab_config, grid="process", grid_workers=workers
-    )
-    lab = get_lab(name, lab_config)
+    config = bench_config().replace(grid="process", grid_workers=workers)
+    lab = get_lab(name, config)
     sequential = lab.design.is_sequential
     # Campaign-scale pattern counts, so each unit carries enough work
     # to amortize dispatch (the baseline validation uses 1024-2048).

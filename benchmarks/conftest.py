@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.context import LabConfig
+from repro.campaign import CampaignConfig
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -23,13 +23,13 @@ def full_scale() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 
-def bench_config() -> LabConfig:
+def bench_config() -> CampaignConfig:
     if full_scale():
-        return LabConfig(
+        return CampaignConfig(
             random_budget_comb=2048, random_budget_seq=1024,
             equivalence_budget=192,
         )
-    return LabConfig(
+    return CampaignConfig(
         random_budget_comb=512, random_budget_seq=256,
         equivalence_budget=64,
     )

@@ -12,8 +12,8 @@ Run:  python examples/validation_reuse_flow.py [comb-circuit]
 
 import sys
 
-from repro import generate_mutants, load_circuit
-from repro.experiments.context import LabConfig, get_lab
+from repro import CampaignConfig, generate_mutants, load_circuit
+from repro.experiments.context import get_lab
 from repro.testgen import MutationTestGenerator, Podem, reverse_order_compaction
 
 
@@ -22,7 +22,7 @@ def main() -> None:
     design = load_circuit(circuit)
     if design.is_sequential:
         raise SystemExit("pick a combinational circuit (c17/c432/c499)")
-    lab = get_lab(circuit, LabConfig(random_budget_comb=512))
+    lab = get_lab(circuit, CampaignConfig(random_budget_comb=512))
 
     print(f"== {circuit}: {lab.netlist.stats()['gates']} gates, "
           f"{len(lab.faults)} collapsed faults ==")

@@ -1,8 +1,9 @@
 """Typed, JSON-round-trippable configuration for campaign runs.
 
 :class:`CampaignConfig` is the one object that governs the whole
-mutation-sampling flow: the lab budgets that used to live in
-``LabConfig``, the test-generation knobs that used to be
+mutation-sampling flow: the lab budgets and seed (:data:`LAB_FIELDS`,
+the slice a :func:`repro.experiments.get_lab` lab is built from), the
+test-generation knobs that used to be
 ``MutationTestGenerator`` keyword arguments, the sampling strategy
 selection, the stage pipeline, and the execution policy (parallel jobs,
 on-disk result cache).  It serializes to plain JSON (``to_json`` /
@@ -33,12 +34,9 @@ from repro.fault.models import (
 )
 from repro.search import DEFAULT_SEARCH, search_strategy_names
 
-#: The four circuits of the paper's evaluation (the canonical
-#: definition; ``repro.experiments.context.PAPER_CIRCUITS`` re-exports
-#: it).
+#: The four circuits of the paper's evaluation.
 DEFAULT_CIRCUITS = ("b01", "b03", "c432", "c499")
-#: The operators of the paper's Table 1 (canonical; re-exported as
-#: ``repro.experiments.context.PAPER_OPERATORS``).
+#: The operators of the paper's Table 1.
 DEFAULT_OPERATORS = ("LOR", "VR", "CVR", "CR")
 
 #: The default stage pipeline.  Stages are incremental — each processes
@@ -76,6 +74,16 @@ EXECUTION_FIELDS = frozenset(
      "coordinator", "telemetry", "trace"}
 )
 
+#: The fields a per-circuit lab (:class:`repro.experiments.CircuitLab`:
+#: netlist, fault list, random baseline, equivalence sweep) is built
+#: from.  They key the :func:`repro.experiments.get_lab` memo, so
+#: campaigns that differ only outside this slice share one lab.
+LAB_FIELDS = (
+    "seed", "random_budget_comb", "random_budget_seq", "equivalence_budget",
+    "fault_lanes", "engine", "fault_model", "fault_model_knobs",
+    "prune_untestable",
+)
+
 _TUPLE_FIELDS = ("operators", "strategies", "sample_labels", "stages",
                  "circuits")
 
@@ -101,7 +109,7 @@ class CampaignConfig:
     testgen_seed: int = _flag(7, "mutation-adequate generator seed")
     sampling_seed: int = _flag(13, "mutant sampling seed")
 
-    # -- lab budgets (the LabConfig slice) -----------------------------------
+    # -- lab budgets (part of LAB_FIELDS) -------------------------------------
     random_budget_comb: int = 2048
     random_budget_seq: int = 1024
     equivalence_budget: int = _flag(
@@ -345,19 +353,11 @@ class CampaignConfig:
         self.prune_untestable = bool(self.prune_untestable)
         self.static_prescreen = bool(self.static_prescreen)
 
-    # -- bridges -------------------------------------------------------------
-
-    def lab_config(self):
-        """The :class:`repro.experiments.context.LabConfig` slice."""
-        from repro.experiments.context import LabConfig
-
-        return LabConfig.from_campaign(self)
-
-    @classmethod
-    def from_lab(cls, lab_config, **overrides) -> "CampaignConfig":
-        """Lift a ``LabConfig`` into a campaign configuration."""
-        lab = {f.name: getattr(lab_config, f.name) for f in fields(lab_config)}
-        return cls(**lab, **overrides)
+    def lab_config(self) -> "CampaignConfig":
+        """The :data:`LAB_FIELDS` slice: every other field at its default."""
+        return CampaignConfig(
+            **{name: getattr(self, name) for name in LAB_FIELDS}
+        )
 
     # -- serialization -------------------------------------------------------
 

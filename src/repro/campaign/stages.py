@@ -100,10 +100,6 @@ class CircuitContext:
             return self.grid.fault_sim(lab, vectors, key)
         return lab.fault_sim(vectors)
 
-    def killed_mids(self, mutants, vectors: list[int], key: str) -> set[int]:
-        """Kill analysis over ``mutants`` (sharded under a grid)."""
-        return self.kill_analysis(mutants, vectors, key)[0]
-
     def kill_analysis(
         self, mutants, vectors: list[int], key: str
     ) -> tuple[set[int], dict[int, tuple[int | None, str]]]:
@@ -205,7 +201,7 @@ class SynthStage(Stage):
             return
         from repro.experiments.context import get_lab
 
-        ctx.lab = get_lab(ctx.circuit, ctx.config.lab_config())
+        ctx.lab = get_lab(ctx.circuit, ctx.config)
 
 
 @register_stage

@@ -54,10 +54,10 @@ search or grid registry.  Each command names the fields it accepts:
 * ``table1`` / ``table2`` take the seeds, budgets, simulation, search
   and execution fields (``--jobs``, ``--grid*``, ``--cache-dir``, ...);
 * the lab-based commands (``atpg-reuse``, ``ablation``,
-  ``search-compare``) take only the fields they read — the
-  :class:`repro.experiments.LabConfig` slice plus the seeds and
-  ``--max-vectors`` their facade takes — so any other flag is an
-  argparse error rather than silently dropped;
+  ``search-compare``) take only the fields they read — the flags
+  among ``LAB_FIELDS`` (the fields a per-circuit lab is built from)
+  plus the seeds and ``--max-vectors`` their facade takes — so any
+  other flag is an argparse error rather than silently dropped;
 * ``repro run`` replays a campaign described entirely by a JSON config
   file, overriding a fixed set of its fields from the same flags.
 
@@ -74,6 +74,7 @@ from dataclasses import fields
 from repro.campaign.config import (
     DEFAULT_CIRCUITS,
     DEFAULT_OPERATORS,
+    LAB_FIELDS,
     CampaignConfig,
 )
 
@@ -98,11 +99,13 @@ _RUN_OVERRIDES = (
 
 
 def _lab_flags(*facade_fields: str) -> tuple[str, ...]:
-    """The ``LabConfig`` fields that are flags, plus ``facade_fields``."""
-    from repro.experiments.context import LabConfig
+    """The ``LAB_FIELDS`` that are flags, plus ``facade_fields``.
 
+    The facade takes ``facade_fields`` as keyword arguments, which win
+    over the config fields of the same name.
+    """
     return tuple(
-        f.name for f in fields(LabConfig) if "help" in _FIELDS[f.name].metadata
+        name for name in LAB_FIELDS if "help" in _FIELDS[name].metadata
     ) + facade_fields
 
 
@@ -574,7 +577,7 @@ def _main(argv: list[str] | None = None) -> int:
 
         config = _campaign_config(args)
         rows = run_atpg_reuse(
-            circuits=tuple(args.circuits), config=config.lab_config(),
+            circuits=tuple(args.circuits), config=config,
             testgen_seed=config.testgen_seed,
             max_vectors=config.max_vectors,
         )
@@ -603,7 +606,7 @@ def _main(argv: list[str] | None = None) -> int:
             run_weight_ablation
         )
         rows = runner(
-            circuit=args.circuit, config=config.lab_config(),
+            circuit=args.circuit, config=config,
             sampling_seed=config.sampling_seed,
             testgen_seed=config.testgen_seed,
             max_vectors=config.max_vectors,
@@ -948,7 +951,7 @@ def _cmd_search_compare(args) -> int:
         circuits=tuple(args.circuits or DEFAULT_SEARCH_CIRCUITS),
         strategies=tuple(args.strategies) if args.strategies else None,
         budget=args.budget,
-        config=config.lab_config(),
+        config=config,
         testgen_seed=config.testgen_seed,
         max_vectors=config.max_vectors,
     )

@@ -17,7 +17,7 @@ result types are kept as the stable facade:
   baseline)
 """
 
-from repro.experiments.context import CircuitLab, LabConfig, get_lab
+from repro.experiments.context import CircuitLab, get_lab
 from repro.experiments.table1 import Table1Result, Table1Row, run_table1
 from repro.experiments.table2 import Table2Result, Table2Row, run_table2
 from repro.experiments.atpg_reuse import AtpgReuseRow, run_atpg_reuse
@@ -32,7 +32,6 @@ __all__ = [
     "AtpgReuseRow",
     "SearchCompareRow",
     "CircuitLab",
-    "LabConfig",
     "Table1Result",
     "Table1Row",
     "Table2Result",

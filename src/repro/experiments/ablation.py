@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.campaign.config import CampaignConfig
 from repro.campaign.runner import Campaign
-from repro.experiments.context import LabConfig
 from repro.experiments.table1 import run_table1
 from repro.sampling.weighted import PAPER_RANK_WEIGHTS, weights_from_nlfce
 
@@ -33,7 +32,7 @@ class AblationRow:
 
 
 def _calibrated_weights(
-    circuit: str, config: LabConfig, testgen_seed: int, max_vectors: int
+    circuit: str, config: CampaignConfig, testgen_seed: int, max_vectors: int
 ) -> dict[str, float]:
     calibration = run_table1(
         circuits=(circuit,), config=config, testgen_seed=testgen_seed,
@@ -47,7 +46,7 @@ def _calibrated_weights(
 
 def _evaluate(
     circuit: str,
-    config: LabConfig,
+    config: CampaignConfig,
     strategy: str,
     fraction: float,
     weights: dict[str, float],
@@ -57,8 +56,7 @@ def _evaluate(
     max_vectors: int,
 ) -> "tuple[int, float, float]":
     """(selected, MS%, NLFCE) of one strategy/fraction/weights variant."""
-    campaign_config = CampaignConfig.from_lab(
-        config,
+    campaign_config = config.replace(
         operators=(),
         strategies=(strategy,),
         fraction=fraction,
@@ -76,12 +74,18 @@ def _evaluate(
 def run_rate_ablation(
     circuit: str = "b01",
     rates: tuple[float, ...] = (0.05, 0.10, 0.20, 0.40),
-    config: LabConfig | None = None,
+    config: CampaignConfig | None = None,
     sampling_seed: int = 13,
     testgen_seed: int = 7,
     max_vectors: int = 256,
 ) -> list[AblationRow]:
-    config = config or LabConfig()
+    """Test-oriented vs random sampling at each of ``rates``.
+
+    ``sampling_seed``, ``testgen_seed`` and ``max_vectors`` win over the
+    ``config`` fields of the same name; each variant sets ``operators``,
+    ``strategies``, ``fraction``, ``weights`` and ``sample_labels``.
+    """
+    config = config or CampaignConfig()
     weights = _calibrated_weights(circuit, config, testgen_seed, max_vectors)
     rows: list[AblationRow] = []
     for rate in rates:
@@ -106,12 +110,16 @@ def run_rate_ablation(
 def run_weight_ablation(
     circuit: str = "b01",
     fraction: float = 0.10,
-    config: LabConfig | None = None,
+    config: CampaignConfig | None = None,
     sampling_seed: int = 13,
     testgen_seed: int = 7,
     max_vectors: int = 256,
 ) -> list[AblationRow]:
-    config = config or LabConfig()
+    """Calibrated vs paper-rank vs uniform weights at ``fraction``.
+
+    Same overrides as :func:`run_rate_ablation`.
+    """
+    config = config or CampaignConfig()
     calibration = run_table1(
         circuits=(circuit,), config=config, testgen_seed=testgen_seed,
         max_vectors=max_vectors,

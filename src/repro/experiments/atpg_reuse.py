@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.campaign.config import CampaignConfig
 from repro.campaign.runner import Campaign
 from repro.circuits import get_circuit
-from repro.experiments.context import LabConfig, get_lab
+from repro.experiments.context import get_lab
 from repro.testgen.atpg import Podem
 
 
@@ -44,7 +44,7 @@ class AtpgReuseRow:
 
 def run_atpg_reuse(
     circuits: tuple[str, ...] = ("c17", "c432", "c499"),
-    config: LabConfig | None = None,
+    config: CampaignConfig | None = None,
     testgen_seed: int = 7,
     backtrack_limit: int = 500,
     max_vectors: int = 256,
@@ -54,16 +54,18 @@ def run_atpg_reuse(
 
     ``fault_stride`` deterministically subsamples the deterministic
     target lists (every n-th fault, applied identically to both modes)
-    so quick runs stay a paired comparison.
+    so quick runs stay a paired comparison.  ``testgen_seed`` and
+    ``max_vectors`` win over the ``config`` fields of the same name;
+    ``operators``, ``strategies`` and ``stages`` are fixed to the
+    exhaustive-sampling vector pipeline.
     """
-    config = config or LabConfig()
+    config = config or CampaignConfig()
     comb = tuple(
         name for name in circuits if not get_circuit(name).sequential
     )  # PODEM is combinational
     if not comb:
         return []
-    campaign_config = CampaignConfig.from_lab(
-        config,
+    campaign_config = config.replace(
         operators=(),
         strategies=("exhaustive",),
         testgen_seed=testgen_seed,

@@ -2,19 +2,19 @@
 
 Synthesis, fault collapsing, the random fault-coverage baseline, the
 mutant population and the equivalence analysis are all deterministic
-given (circuit, seed, budgets) — :func:`get_lab` memoizes them so Table
+given the circuit and the :data:`repro.campaign.config.LAB_FIELDS` of a
+:class:`repro.campaign.CampaignConfig` (seed, budgets, engine, fault
+model) — :func:`get_lab` memoizes them on exactly those fields, so Table
 1, Table 2 and the ablations never recompute each other's inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from repro.analyze.prune import split_untestable
+from repro.campaign.config import LAB_FIELDS, CampaignConfig
 from repro.circuits import get_circuit, load_circuit
-from repro.engine import DEFAULT_ENGINE
 from repro.fault.coverage import FaultSimResult
-from repro.fault.models import DEFAULT_FAULT_MODEL, build_fault_model
+from repro.fault.models import build_fault_model
 from repro.hdl.design import Design
 from repro.mutation.execution import MutationEngine
 from repro.mutation.generator import generate_mutants
@@ -26,50 +26,25 @@ from repro.synth import synthesize
 from repro.testgen.random_gen import RandomVectorGenerator
 
 
-@dataclass
-class LabConfig:
-    """Budgets and seeds shared by the experiments.
-
-    This is the lab-level slice of the full campaign configuration; the
-    pipeline derives one via :meth:`from_campaign` (see
-    :class:`repro.campaign.CampaignConfig`, which callers should prefer
-    as the single configuration object).  Its fields are the
-    :func:`get_lab` memo key, so Table 1, Table 2 and the ablation
-    variants — campaign configs that differ only outside this slice —
-    share one lab.
-    """
-
-    seed: int = 20050301
-    random_budget_comb: int = 2048
-    random_budget_seq: int = 1024
-    equivalence_budget: int = 256
-    fault_lanes: int = 256
-    engine: str = DEFAULT_ENGINE
-    fault_model: str = DEFAULT_FAULT_MODEL
-    fault_model_knobs: dict | None = None
-    #: Skip simulating provably untestable faults (repro.analyze.prune).
-    #: Payloads stay bit-identical: pruned faults are still reported,
-    #: as undetected, in every result.
-    prune_untestable: bool = False
-
-    def random_budget(self, sequential: bool) -> int:
-        return (
-            self.random_budget_seq if sequential else self.random_budget_comb
-        )
-
-    @classmethod
-    def from_campaign(cls, config) -> "LabConfig":
-        """The lab slice of a :class:`repro.campaign.CampaignConfig`."""
-        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
+#: Kept for ``perfbench/workloads.py``, which still imports the name.
+LabConfig = CampaignConfig
 
 
 class CircuitLab:
-    """Everything the experiments need about one benchmark circuit."""
+    """Everything the experiments need about one benchmark circuit.
 
-    def __init__(self, name: str, config: LabConfig | None = None):
+    ``config`` is stored as its :meth:`~CampaignConfig.lab_config`
+    slice, so a shared lab never carries the non-lab fields of the
+    caller that first built it.  ``engine`` selects the netlist engine
+    only (fault simulation); the RTL mutant backend below is always the
+    compiled schema, and ``tests/test_schema.py`` is its oracle check
+    against the RTL interpreter.
+    """
+
+    def __init__(self, name: str, config: CampaignConfig | None = None):
         self.name = name
         self.info = get_circuit(name)
-        self.config = config or LabConfig()
+        self.config = (config or CampaignConfig()).lab_config()
         self.design: Design = load_circuit(name)
         self.netlist: Netlist = synthesize(self.design)
         self.fault_model = build_fault_model(
@@ -99,7 +74,10 @@ class CircuitLab:
     def random_vectors(self) -> list[int]:
         """The pseudo-random baseline test set (fixed per lab)."""
         if self._random_vectors is None:
-            budget = self.config.random_budget(self.design.is_sequential)
+            budget = (
+                self.config.random_budget_seq if self.design.is_sequential
+                else self.config.random_budget_comb
+            )
             gen = RandomVectorGenerator(
                 self.encoder.width, self.config.seed, self.name,
                 "random-baseline",
@@ -194,25 +172,14 @@ class CircuitLab:
 _LABS: dict[tuple, CircuitLab] = {}
 
 
-def get_lab(name: str, config: LabConfig | None = None) -> CircuitLab:
-    """Memoized :class:`CircuitLab` lookup."""
-    config = config or LabConfig()
+def get_lab(name: str, config: CampaignConfig | None = None) -> CircuitLab:
+    """Memoized :class:`CircuitLab` lookup, keyed on ``LAB_FIELDS``."""
+    config = config or CampaignConfig()
     # Knob dicts key as sorted item tuples, so equal knobs share a lab.
     key = (name,) + tuple(
         tuple(sorted(value.items())) if isinstance(value, dict) else value
-        for value in (getattr(config, f.name) for f in fields(config))
+        for value in (getattr(config, field) for field in LAB_FIELDS)
     )
     if key not in _LABS:
         _LABS[key] = CircuitLab(name, config)
     return _LABS[key]
-
-
-from repro.campaign.config import (  # noqa: E402  (single source of truth)
-    DEFAULT_CIRCUITS,
-    DEFAULT_OPERATORS,
-)
-
-#: The four circuits of the paper's evaluation.
-PAPER_CIRCUITS = DEFAULT_CIRCUITS
-#: The operators of Table 1.
-PAPER_OPERATORS = DEFAULT_OPERATORS

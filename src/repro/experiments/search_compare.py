@@ -20,7 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.experiments.context import LabConfig, get_lab
+from repro.campaign.config import CampaignConfig
+from repro.experiments.context import get_lab
 from repro.search import SearchBudget, search_strategy_names
 from repro.testgen.mutation_gen import MutationTestGenerator
 
@@ -63,12 +64,17 @@ def run_search_compare(
     circuits: tuple[str, ...] = DEFAULT_SEARCH_CIRCUITS,
     strategies: tuple[str, ...] | None = None,
     budget: int = 512,
-    config: LabConfig | None = None,
+    config: CampaignConfig | None = None,
     testgen_seed: int = DEFAULT_SEARCH_SEED,
     max_vectors: int = 128,
 ) -> list[SearchCompareRow]:
-    """Run every strategy on every circuit at an equal candidate budget."""
-    config = config or LabConfig()
+    """Run every strategy on every circuit at an equal candidate budget.
+
+    Only the lab fields of ``config`` are read: the generator takes
+    ``testgen_seed``, ``max_vectors``, the swept strategy and ``budget``
+    from the arguments, never from the config fields of the same name.
+    """
+    config = config or CampaignConfig()
     names = tuple(strategies) if strategies else search_strategy_names()
     rows: list[SearchCompareRow] = []
     for circuit in circuits:

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.campaign.config import CampaignConfig
+from repro.campaign.config import (
+    DEFAULT_CIRCUITS,
+    DEFAULT_OPERATORS,
+    CampaignConfig,
+)
 from repro.campaign.runner import Campaign
-from repro.experiments.context import LabConfig, PAPER_CIRCUITS, PAPER_OPERATORS
 
 
 @dataclass
@@ -57,17 +60,21 @@ class Table1Result:
 
 
 def run_table1(
-    circuits: tuple[str, ...] = PAPER_CIRCUITS,
-    operators: tuple[str, ...] = PAPER_OPERATORS,
-    config: LabConfig | None = None,
+    circuits: tuple[str, ...] = DEFAULT_CIRCUITS,
+    operators: tuple[str, ...] = DEFAULT_OPERATORS,
+    config: CampaignConfig | None = None,
     testgen_seed: int = 7,
     max_vectors: int = 256,
     jobs: int = 1,
     cache_dir: str | None = None,
 ) -> Table1Result:
-    """Regenerate Table 1 (a calibration-only campaign)."""
-    campaign_config = CampaignConfig.from_lab(
-        config or LabConfig(),
+    """Regenerate Table 1 (a calibration-only campaign).
+
+    ``operators``, ``testgen_seed``, ``max_vectors``, ``jobs`` and
+    ``cache_dir`` win over the ``config`` fields of the same name, and
+    ``strategies`` is always empty.
+    """
+    campaign_config = (config or CampaignConfig()).replace(
         operators=tuple(operators),
         strategies=(),
         testgen_seed=testgen_seed,

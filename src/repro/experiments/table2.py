@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.campaign.config import CampaignConfig
+from repro.campaign.config import (
+    DEFAULT_CIRCUITS,
+    DEFAULT_OPERATORS,
+    CampaignConfig,
+)
 from repro.campaign.runner import Campaign
-from repro.experiments.context import LabConfig, PAPER_CIRCUITS, PAPER_OPERATORS
 
 
 @dataclass
@@ -66,9 +69,9 @@ class Table2Result:
 
 
 def run_table2(
-    circuits: tuple[str, ...] = PAPER_CIRCUITS,
+    circuits: tuple[str, ...] = DEFAULT_CIRCUITS,
     fraction: float = 0.10,
-    config: LabConfig | None = None,
+    config: CampaignConfig | None = None,
     sampling_seed: int = 13,
     testgen_seed: int = 7,
     max_vectors: int = 256,
@@ -76,10 +79,15 @@ def run_table2(
     jobs: int = 1,
     cache_dir: str | None = None,
 ) -> Table2Result:
-    """Regenerate Table 2 (the default campaign pipeline)."""
-    campaign_config = CampaignConfig.from_lab(
-        config or LabConfig(),
-        operators=PAPER_OPERATORS if calibrate else (),
+    """Regenerate Table 2 (the default campaign pipeline).
+
+    ``fraction``, ``sampling_seed``, ``testgen_seed``, ``max_vectors``,
+    ``jobs`` and ``cache_dir`` win over the ``config`` fields of the same
+    name; ``calibrate`` sets ``operators`` and ``weight_scheme``, and
+    ``strategies`` is always random plus test-oriented.
+    """
+    campaign_config = (config or CampaignConfig()).replace(
+        operators=DEFAULT_OPERATORS if calibrate else (),
         strategies=("random", "test-oriented"),
         fraction=fraction,
         weight_scheme="calibrated" if calibrate else "paper-ranks",

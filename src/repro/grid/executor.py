@@ -79,10 +79,6 @@ class GridExecutor:
             list(lab.sim_faults), merge_detections(results), len(vectors)
         ))
 
-    def killed_mids(self, lab, mutants, vectors: list[int], key: str) -> set[int]:
-        """Sharded kill analysis over an explicit mutant list."""
-        return self.kill_analysis(lab, mutants, vectors, key)[0]
-
     def kill_analysis(
         self, lab, mutants, vectors: list[int], key: str
     ) -> tuple[set[int], dict[int, tuple[int | None, str]]]:

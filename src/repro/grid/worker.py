@@ -67,7 +67,7 @@ def execute_unit(unit: WorkUnit, config) -> dict:
     from repro.experiments.context import get_lab
     from repro.mutation.score import equivalence_stimuli
 
-    lab = get_lab(unit.circuit, config.lab_config())
+    lab = get_lab(unit.circuit, config)
 
     if unit.kind == FAULT_CHUNK:
         spec = unit.spec

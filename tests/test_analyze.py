@@ -30,7 +30,7 @@ from repro.analyze.scoap import eval_ternary
 from repro.campaign import Campaign, CampaignConfig
 from repro.cli import main
 from repro.errors import SamplingError
-from repro.experiments.context import CircuitLab, LabConfig
+from repro.experiments.context import CircuitLab
 from repro.fault.model import StuckAtFault
 from repro.fault.models.seu import SeuFault
 from repro.fault.models.transition import TransitionFault
@@ -395,7 +395,7 @@ def test_b01_pruned_faults_are_empirically_undetected():
     """The soundness check: simulate the pruned faults anyway."""
     lab = CircuitLab(
         "b01",
-        LabConfig(seed=7, random_budget_seq=128, prune_untestable=True),
+        CampaignConfig(seed=7, random_budget_seq=128, prune_untestable=True),
     )
     assert lab.pruned_faults, "b01 is expected to have untestable faults"
     victims = [fault for fault, _ in lab.pruned_faults]
@@ -408,8 +408,8 @@ def test_b01_pruned_faults_are_empirically_undetected():
 
 def test_pruned_lab_results_are_bit_identical():
     config = dict(seed=7, random_budget_comb=96, random_budget_seq=96)
-    off = CircuitLab("b01", LabConfig(**config))
-    on = CircuitLab("b01", LabConfig(**config, prune_untestable=True))
+    off = CircuitLab("b01", CampaignConfig(**config))
+    on = CircuitLab("b01", CampaignConfig(**config, prune_untestable=True))
     assert len(on.sim_faults) < len(on.faults)
     base_off, base_on = off.random_baseline, on.random_baseline
     assert base_on.detection == base_off.detection
@@ -549,7 +549,7 @@ def test_testability_unknown_circuit_falls_back_to_uniform():
 
 
 def test_testability_weighted_draw_on_real_circuit():
-    lab = CircuitLab("b01", LabConfig(seed=7, equivalence_budget=16))
+    lab = CircuitLab("b01", CampaignConfig(seed=7, equivalence_budget=16))
     mutants = lab.all_mutants
     strategy = ScoapSampling(fraction=0.3)
     first = strategy.sample(mutants, 7, "b01")

@@ -92,7 +92,7 @@ def test_fingerprint_ignores_execution_fields():
     ).fingerprint()
 
 
-#: A non-default value for every ``LabConfig`` field.
+#: A non-default value for every ``LAB_FIELDS`` field.
 LAB_VALUES = dict(
     seed=77, random_budget_comb=96, random_budget_seq=80,
     equivalence_budget=32, fault_lanes=64, engine="interp",
@@ -104,19 +104,19 @@ LAB_VALUES = dict(
 def test_lab_config_slice():
     from dataclasses import fields
 
-    from repro.experiments.context import LabConfig
+    from repro.campaign.config import LAB_FIELDS
+    from repro.experiments.context import get_lab
 
-    campaign_fields = {f.name: f for f in fields(CampaignConfig)}
-    assert {f.name for f in fields(LabConfig)} == set(LAB_VALUES)
-    config = CampaignConfig(**LAB_VALUES, fraction=0.5, search="bitflip")
-    lab = config.lab_config()
-    for f in fields(LabConfig):
-        # Same name and default as the campaign field it slices...
-        assert f.default == campaign_fields[f.name].default, f.name
-        # ...and both bridges carry its value.
-        assert getattr(lab, f.name) == LAB_VALUES[f.name], f.name
-    lifted = CampaignConfig.from_lab(lab, fraction=0.5, search="bitflip")
-    assert lifted == config
+    assert set(LAB_FIELDS) == set(LAB_VALUES)
+    assert set(LAB_FIELDS) <= {f.name for f in fields(CampaignConfig)}
+    config = CampaignConfig(**LAB_VALUES, fraction=0.5, search="bitflip",
+                            max_vectors=9)
+    # The slice keeps every lab value and resets everything else.
+    assert config.lab_config() == CampaignConfig(**LAB_VALUES)
+    # A shared lab stores the slice, never its first caller's extras.
+    base = CampaignConfig(**FAST)
+    lab = get_lab("c17", base.replace(max_vectors=9))
+    assert lab.config == base.lab_config()
 
 
 def test_get_lab_shares_labs_across_non_lab_fields():
@@ -213,16 +213,15 @@ def test_campaign_result_json_roundtrip(campaign_c17):
 
 
 def test_campaign_tables_match_facades(campaign_c17):
-    from repro.experiments.context import LabConfig
     from repro.experiments.table1 import run_table1
     from repro.experiments.table2 import run_table2
 
-    lab = LabConfig(
+    config = CampaignConfig(
         seed=77, random_budget_comb=96, random_budget_seq=96,
         equivalence_budget=32,
     )
-    table1 = run_table1(circuits=("c17",), config=lab, max_vectors=24)
-    table2 = run_table2(circuits=("c17",), config=lab, max_vectors=24)
+    table1 = run_table1(circuits=("c17",), config=config, max_vectors=24)
+    table2 = run_table2(circuits=("c17",), config=config, max_vectors=24)
     assert campaign_c17.table1().rows == table1.rows
     assert campaign_c17.table2().rows == table2.rows
 

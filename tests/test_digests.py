@@ -12,6 +12,11 @@ move results, and say why.
 The sequential fault-simulation pins hash the ``detection`` list of the
 stuck-at, transition and SEU models on b01, b03 and one random netlist
 whose outputs include a primary input and gate cones, on both engines.
+
+The lab facade pins hash the rows of ``run_atpg_reuse``, the two
+ablations and ``run_search_compare`` at the CI smoke budgets, so a
+change to how a facade builds its campaign or shares its lab that moves
+a row fails here.
 """
 
 import hashlib
@@ -108,3 +113,57 @@ def test_seq_fault_detection_digest_is_pinned(key, engine):
     canonical = json.dumps(detection, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     assert digest == SEQ_GOLDEN[key]
+
+
+# -- lab facade pins ---------------------------------------------------------
+
+#: The CI smoke budgets every lab facade pin runs at.
+FACADE_CONFIG = CampaignConfig(
+    random_budget_comb=96, random_budget_seq=96, equivalence_budget=32
+)
+
+
+def _facade_rows(name):
+    from repro.experiments.ablation import (
+        run_rate_ablation,
+        run_weight_ablation,
+    )
+    from repro.experiments.atpg_reuse import run_atpg_reuse
+    from repro.experiments.search_compare import run_search_compare
+
+    if name == "atpg-reuse":
+        return run_atpg_reuse(("c17",), FACADE_CONFIG, max_vectors=24)
+    if name == "ablation-rate":
+        return run_rate_ablation("b01", config=FACADE_CONFIG, max_vectors=24)
+    if name == "ablation-weights":
+        return run_weight_ablation(
+            "b01", config=FACADE_CONFIG, max_vectors=24
+        )
+    return run_search_compare(
+        ("c17",), ("random", "bitflip"), 128, FACADE_CONFIG, max_vectors=32
+    )
+
+
+#: First 16 hex digits of the sha256 of each facade's rows.
+FACADE_GOLDEN = {
+    "atpg-reuse": "4b2156c35d04ce59",
+    "ablation-rate": "cded5cfaa784d8bd",
+    "ablation-weights": "aff3108c2d71eaa1",
+    "search-compare": "a71caed573a7fa14",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACADE_GOLDEN))
+def test_lab_facade_digest_is_pinned(name):
+    """The lab-based experiment facades' rows, pinned.
+
+    The search-compare rows drop their wall-clock ``seconds`` field.
+    """
+    from dataclasses import asdict
+
+    rows = [asdict(row) for row in _facade_rows(name)]
+    for row in rows:
+        row.pop("seconds", None)
+    canonical = json.dumps(rows, sort_keys=True)
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    assert digest == FACADE_GOLDEN[name]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.context import LabConfig, get_lab
+from repro.campaign import CampaignConfig
+from repro.experiments.context import get_lab
 from repro.experiments.report import table1_text, table2_text, to_json
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
@@ -10,7 +11,7 @@ from repro.cli import main
 
 #: Tiny budgets keep the integration tests fast while driving every
 #: stage of the real pipeline.
-FAST = LabConfig(
+FAST = CampaignConfig(
     seed=77,
     random_budget_comb=128,
     random_budget_seq=128,

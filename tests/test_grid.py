@@ -25,7 +25,7 @@ from repro.campaign import (
     guard_events,
 )
 from repro.errors import ConfigError, GridError
-from repro.experiments.context import _LABS, LabConfig, get_lab
+from repro.experiments.context import _LABS, get_lab
 from repro.fault import collapse_faults, simulate_stuck_at
 from repro.grid import (
     GridExecutor,
@@ -197,7 +197,7 @@ def test_sharded_fault_validation_bit_identical_on_random_netlists(
 
 
 def _lab(name="c17"):
-    return get_lab(name, LabConfig(
+    return get_lab(name, CampaignConfig(
         seed=77, random_budget_comb=96, random_budget_seq=96,
         equivalence_budget=32,
     ))
@@ -226,7 +226,7 @@ def test_executor_killed_mids_matches_engine(shard):
     config = CampaignConfig(**FAST, grid="serial", grid_shard=shard)
     grid = GridExecutor(config)
     try:
-        sharded = grid.killed_mids(lab, mutants, vectors, "population")
+        sharded = grid.kill_analysis(lab, mutants, vectors, "population")[0]
     finally:
         grid.close()
     assert sharded == lab.engine.killed_mids(mutants, vectors)
