@@ -65,21 +65,23 @@ def run_table1(
     config: CampaignConfig | None = None,
     testgen_seed: int = 7,
     max_vectors: int = 256,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | None = None,
 ) -> Table1Result:
     """Regenerate Table 1 (a calibration-only campaign).
 
-    ``operators``, ``testgen_seed``, ``max_vectors``, ``jobs`` and
-    ``cache_dir`` win over the ``config`` fields of the same name, and
-    ``strategies`` is always empty.
+    ``operators``, ``testgen_seed`` and ``max_vectors`` win over the
+    ``config`` fields of the same name, and ``strategies`` is always
+    empty.  ``jobs`` and ``cache_dir`` win only when given: ``None``
+    keeps the config's value (neither changes the result).
     """
-    campaign_config = (config or CampaignConfig()).replace(
+    config = config or CampaignConfig()
+    campaign_config = config.replace(
         operators=tuple(operators),
         strategies=(),
         testgen_seed=testgen_seed,
         max_vectors=max_vectors,
-        jobs=jobs,
-        cache_dir=cache_dir,
+        jobs=config.jobs if jobs is None else jobs,
+        cache_dir=config.cache_dir if cache_dir is None else cache_dir,
     )
     return Campaign(campaign_config).run(tuple(circuits)).table1()

@@ -76,17 +76,20 @@ def run_table2(
     testgen_seed: int = 7,
     max_vectors: int = 256,
     calibrate: bool = True,
-    jobs: int = 1,
+    jobs: int | None = None,
     cache_dir: str | None = None,
 ) -> Table2Result:
     """Regenerate Table 2 (the default campaign pipeline).
 
-    ``fraction``, ``sampling_seed``, ``testgen_seed``, ``max_vectors``,
-    ``jobs`` and ``cache_dir`` win over the ``config`` fields of the same
-    name; ``calibrate`` sets ``operators`` and ``weight_scheme``, and
-    ``strategies`` is always random plus test-oriented.
+    ``fraction``, ``sampling_seed``, ``testgen_seed`` and ``max_vectors``
+    win over the ``config`` fields of the same name; ``calibrate`` sets
+    ``operators`` and ``weight_scheme``, and ``strategies`` is always
+    random plus test-oriented.  ``jobs`` and ``cache_dir`` win only when
+    given: ``None`` keeps the config's value (neither changes the
+    result).
     """
-    campaign_config = (config or CampaignConfig()).replace(
+    config = config or CampaignConfig()
+    campaign_config = config.replace(
         operators=DEFAULT_OPERATORS if calibrate else (),
         strategies=("random", "test-oriented"),
         fraction=fraction,
@@ -94,7 +97,7 @@ def run_table2(
         sampling_seed=sampling_seed,
         testgen_seed=testgen_seed,
         max_vectors=max_vectors,
-        jobs=jobs,
-        cache_dir=cache_dir,
+        jobs=config.jobs if jobs is None else jobs,
+        cache_dir=config.cache_dir if cache_dir is None else cache_dir,
     )
     return Campaign(campaign_config).run(tuple(circuits)).table2()

@@ -53,8 +53,25 @@ class CombFaultSimulator:
     def engine(self):
         return self._engine
 
-    def simulate(self, patterns: list[int]) -> FaultSimResult:
-        """Fault-simulate packed input patterns (MSB-first packing)."""
+    def good_words(self, patterns: list[int]) -> dict[int, int]:
+        """Good-machine net words over packed input patterns.
+
+        The fault-independent half of :meth:`simulate`: every slice of
+        a fault list simulated over the same patterns shares it.
+        """
+        return self._engine.eval_full(
+            self._netlist,
+            unpack_patterns(patterns, self._netlist.input_bits),
+            (1 << len(patterns)) - 1,
+        )
+
+    def simulate(self, patterns: list[int],
+                 good: dict[int, int] | None = None) -> FaultSimResult:
+        """Fault-simulate packed input patterns (MSB-first packing).
+
+        ``good`` is :meth:`good_words` of the same patterns, when the
+        caller already has it; by default it is computed here.
+        """
         count = len(patterns)
         if count == 0:
             return FaultSimResult(list(self._faults),
@@ -63,14 +80,14 @@ class CombFaultSimulator:
         netlist, engine = self._netlist, self._engine
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
-        good = engine.eval_full(
-            netlist, unpack_patterns(patterns, netlist.input_bits), mask
-        )
+        if good is None:
+            good = self.good_words(patterns)
         words = engine.fault_diff_batch(netlist, self._faults, good, mask)
         if m.enabled:
             # Per-pass coarse counters: one simulate call is one full
-            # eval plus one batched diff over the collapsed fault list
-            # (the per-fault loop is too hot to touch).
+            # eval (none when ``good`` was passed) plus one batched diff
+            # over the fault list (the per-fault loop is too hot to
+            # touch).
             name = getattr(engine, "name", "engine")
             m.counter(f"engine.{name}.comb.passes")
             m.counter(f"engine.{name}.comb.patterns", count)

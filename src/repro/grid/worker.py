@@ -9,6 +9,14 @@ lab outright.  A ``circuit`` unit runs one whole circuit's stage
 pipeline (``jobs > 1`` circuit farming) and returns the
 :class:`~repro.campaign.result.CircuitResult` payload.
 
+A worker also keeps ``_WAVE_MEMO``: wave-invariant state (mutant-sweep
+references, equivalence stimuli, and the good-machine words of a
+combinational stuck-at fault-chunk wave), keyed as listed at its
+definition and bounded at ``_WAVE_MEMO_MAX`` entries, least recently
+used dropped first.  So the units of one wave on one worker pay for
+that state once, and a comb stuck-at chunk runs only the batched fault
+diff over its own faults.
+
 :func:`process_entry` is the one process boundary: the function a
 :class:`~concurrent.futures.ProcessPoolExecutor` pickles and the
 :mod:`repro.net` worker daemon calls.  It rebuilds unit and config from
@@ -25,6 +33,8 @@ from collections import OrderedDict
 from contextlib import ExitStack
 
 from repro.errors import GridError
+from repro.fault.comb_sim import CombFaultSimulator
+from repro.fault.models.stuck_at import StuckAtModel
 from repro.grid.units import (
     CIRCUIT,
     EQUIV_PART,
@@ -33,28 +43,55 @@ from repro.grid.units import (
     WorkUnit,
 )
 
-#: Good-machine reference responses, shared by every unit of a wave.
-#: All units of one kill-analysis (or equivalence) wave replay the same
-#: stimulus set, and mutant sweeps only need the *reference* once — so
-#: it is memoized per (circuit, stimuli) instead of recomputed per
-#: partition.  Keyed purely by design-determining inputs (the
-#: behavioural mutation engine does not depend on the netlist backend);
-#: bounded so long campaigns cannot grow it without limit.
-_REFERENCE_MEMO: OrderedDict = OrderedDict()
-_REFERENCE_MEMO_MAX = 8
-_REFERENCE_LOCK = threading.Lock()
+#: Wave-invariant state, shared by every unit of a wave that a worker
+#: runs.  All units of one wave replay the same stimulus list, so what
+#: depends only on the design and that list is computed once per
+#: worker instead of once per unit:
+#:
+#: * ``("kill", circuit, stimuli)`` — the mutant sweep's reference
+#:   responses;
+#: * ``("equiv", circuit, equivalence_budget, seed)`` — the equivalence
+#:   stimuli and their reference responses;
+#: * ``("good", circuit, engine, stimuli)`` — the good-machine net words
+#:   of a combinational stuck-at fault-chunk wave.
+#:
+#: Keys hold only design-determining inputs: a circuit name fixes its
+#: netlist, the behavioural mutation engine does not depend on the
+#: netlist backend, and good words do not depend on the fault list.
+#: Least-recently-used entries beyond ``_WAVE_MEMO_MAX`` are dropped,
+#: so a long campaign cannot grow it without limit.
+_WAVE_MEMO: OrderedDict = OrderedDict()
+_WAVE_MEMO_MAX = 8
+_WAVE_LOCK = threading.Lock()
 
 
-def _memoized_reference(key: tuple, compute):
-    with _REFERENCE_LOCK:
-        if key in _REFERENCE_MEMO:
-            _REFERENCE_MEMO.move_to_end(key)
-            return _REFERENCE_MEMO[key]
+def _memoized(key: tuple, compute):
+    with _WAVE_LOCK:
+        if key in _WAVE_MEMO:
+            _WAVE_MEMO.move_to_end(key)
+            return _WAVE_MEMO[key]
         value = compute()
-        _REFERENCE_MEMO[key] = value
-        while len(_REFERENCE_MEMO) > _REFERENCE_MEMO_MAX:
-            _REFERENCE_MEMO.popitem(last=False)
+        _WAVE_MEMO[key] = value
+        while len(_WAVE_MEMO) > _WAVE_MEMO_MAX:
+            _WAVE_MEMO.popitem(last=False)
         return value
+
+
+def _simulate_chunk(lab, config, faults: list, vectors: list[int]):
+    """Fault-simulate one chunk; comb stuck-at reuses the wave's good words."""
+    if isinstance(lab.fault_model, StuckAtModel) and not lab.netlist.dffs:
+        simulator = CombFaultSimulator(
+            lab.netlist, faults, engine=config.engine
+        )
+        good = _memoized(
+            ("good", lab.name, config.engine, tuple(vectors)),
+            lambda: simulator.good_words(vectors),
+        )
+        return simulator.simulate(vectors, good)
+    return lab.fault_model.simulate(
+        lab.netlist, vectors, faults, config.fault_lanes,
+        engine=config.engine,
+    )
 
 
 def execute_unit(unit: WorkUnit, config) -> dict:
@@ -81,13 +118,7 @@ def execute_unit(unit: WorkUnit, config) -> dict:
         # is the same one the planner sharded — no model tag in the
         # unit spec.
         faults = lab.sim_faults[spec["start"]:spec["stop"]]
-        result = lab.fault_model.simulate(
-            lab.netlist,
-            spec["vectors"],
-            faults,
-            config.fault_lanes,
-            engine=config.engine,
-        )
+        result = _simulate_chunk(lab, config, faults, spec["vectors"])
         return {"detection": result.detection}
 
     if unit.kind == MUTANT_PART:
@@ -101,7 +132,7 @@ def execute_unit(unit: WorkUnit, config) -> dict:
                 f"id(s) not in the population"
             )
         vectors = unit.spec["vectors"]
-        reference = _memoized_reference(
+        reference = _memoized(
             ("kill", unit.circuit, tuple(vectors)),
             lambda: lab.engine.reference_outputs(vectors),
         )
@@ -131,7 +162,7 @@ def execute_unit(unit: WorkUnit, config) -> dict:
             )
             return stimuli, lab.engine.reference_outputs(stimuli)
 
-        stimuli, reference = _memoized_reference(
+        stimuli, reference = _memoized(
             ("equiv", unit.circuit, config.equivalence_budget, config.seed),
             compute,
         )

@@ -10,6 +10,8 @@ synthesized models can be compared cycle by cycle.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.engine import build_engine
 from repro.errors import SimulationError
 from repro.netlist.netlist import Netlist
@@ -127,20 +129,32 @@ def unpack_patterns(
     """Transpose packed patterns into per-net lane words.
 
     Bit *j* (from MSB) of each pattern drives ``ordered_nets[j]``; lane
-    *i* of each net word is pattern *i*.
+    *i* of each net word is pattern *i*.  Linear in the pattern bits:
+    the patterns are formatted as fixed-width binary strings, last
+    pattern first, and joined, so column *j* of that text (every
+    ``width``-th character from *j*) reads net *j*'s word MSB-first.
+    A single pattern (one sequential cycle) takes a plain bit loop.
     """
     width = len(ordered_nets)
-    words = {nid: 0 for nid in ordered_nets}
-    for lane, pattern in enumerate(patterns):
-        if pattern < 0 or pattern >> width:
-            raise SimulationError(
-                f"pattern {pattern:#x} does not fit {width} input bits"
-            )
-        for j, nid in enumerate(ordered_nets):
-            bit = (pattern >> (width - 1 - j)) & 1
-            if bit:
-                words[nid] |= 1 << lane
-    return words
+    if not patterns:
+        return dict.fromkeys(ordered_nets, 0)
+    if min(patterns) < 0 or max(patterns) >> width:
+        for pattern in patterns:
+            if pattern < 0 or pattern >> width:
+                raise SimulationError(
+                    f"pattern {pattern:#x} does not fit {width} input bits"
+                )
+    if len(patterns) == 1:
+        pattern = patterns[0]
+        words = {}
+        for nid in ordered_nets:
+            width -= 1
+            words[nid] = pattern >> width & 1
+        return words
+    text = "".join(map(format, reversed(patterns), repeat(f"0{width}b")))
+    return {
+        nid: int(text[j::width], 2) for j, nid in enumerate(ordered_nets)
+    }
 
 
 def pack_outputs(

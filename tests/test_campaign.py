@@ -226,6 +226,31 @@ def test_campaign_tables_match_facades(campaign_c17):
     assert campaign_c17.table2().rows == table2.rows
 
 
+def test_facades_keep_config_execution_fields(tmp_path):
+    """``jobs``/``cache_dir`` left unset keep the config's values."""
+    from repro.experiments.table1 import run_table1
+    from repro.experiments.table2 import run_table2
+
+    config = CampaignConfig(
+        seed=77, random_budget_comb=96, random_budget_seq=96,
+        equivalence_budget=32, jobs=2,
+    )
+    for name, facade in (("t1", run_table1), ("t2", run_table2)):
+        table = facade(("c17",), config=config, max_vectors=24)
+        cache = tmp_path / name
+        cached = facade(
+            ("c17",), config=config.replace(cache_dir=str(cache)),
+            max_vectors=24,
+        )
+        assert list(cache.glob("c17-*.json")), f"{name}: cache not written"
+        assert cached.rows == table.rows
+        # An explicit keyword still wins over the config.
+        other = tmp_path / f"{name}-explicit"
+        facade(("c17",), config=config.replace(cache_dir=str(cache)),
+               max_vectors=24, cache_dir=str(other), jobs=1)
+        assert list(other.glob("c17-*.json"))
+
+
 def test_parallel_matches_serial():
     serial = Campaign(CampaignConfig(**FAST, jobs=1)).run(("c17", "b01"))
     parallel = Campaign(CampaignConfig(**FAST, jobs=2)).run(("c17", "b01"))

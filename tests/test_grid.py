@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
@@ -40,6 +41,7 @@ from repro.grid import (
     shard_ranges,
     shard_size,
 )
+from repro.grid import worker
 from repro.util import rng_stream
 from tests.test_engine import random_netlist
 
@@ -216,6 +218,113 @@ def test_executor_fault_sim_matches_lab(shard):
     assert sharded.detection == serial.detection
     assert sharded.num_patterns == serial.num_patterns
     assert sharded.faults == serial.faults
+
+
+@pytest.fixture
+def good_word_passes(monkeypatch):
+    """Counts good-machine passes; starts from an empty wave memo."""
+    from repro.fault.comb_sim import CombFaultSimulator
+
+    worker._WAVE_MEMO.clear()
+    calls = []
+    original = CombFaultSimulator.good_words
+
+    def counted(self, patterns):
+        calls.append(len(patterns))
+        return original(self, patterns)
+
+    monkeypatch.setattr(CombFaultSimulator, "good_words", counted)
+    yield calls
+    worker._WAVE_MEMO.clear()
+
+
+def test_fault_chunk_wave_memo_reproduces_serial(good_word_passes):
+    """Interleaved c432 waves share one good-machine pass per list."""
+    config = CampaignConfig(**FAST)
+    lab = get_lab("c432", config)
+    first = lab.random_vectors
+    second = list(reversed(first[:64]))
+    waves = {
+        key: plan_fault_sim("c432", key, len(lab.sim_faults), vectors)
+        for key, vectors in (("baseline", first), ("target", second))
+    }
+    order = [unit for units in waves.values() for unit in units]
+    random.Random(5).shuffle(order)
+    results = {unit.uid: worker.execute_unit(unit, config) for unit in order}
+    for key, vectors in (("baseline", first), ("target", second)):
+        merged = merge_detections(
+            [results[unit.uid] for unit in waves[key]]
+        )
+        assert merged == lab.fault_sim(vectors).detection, key
+    # One pass per stimulus list (the serial calls above add two).
+    assert sorted(good_word_passes) == sorted([len(first), len(second)] * 2)
+    assert len(worker._WAVE_MEMO) <= worker._WAVE_MEMO_MAX
+
+    # A different engine or netlist never hits a stored entry.
+    chunk = waves["baseline"][0]
+    interp = config.replace(engine="interp")
+    assert worker.execute_unit(chunk, interp) == results[chunk.uid]
+    c17 = get_lab("c17", config)
+    narrow = [vector & 0b11111 for vector in first]
+    (whole,) = plan_fault_sim("c17", "k", len(c17.sim_faults), narrow, 99)
+    assert worker.execute_unit(whole, config) == {
+        "detection": c17.fault_sim(narrow).detection
+    }
+    assert good_word_passes[4:] == [len(first), len(narrow), len(narrow)]
+    assert {key[:3] for key in worker._WAVE_MEMO} == {
+        ("good", "c432", "compiled"), ("good", "c432", "interp"),
+        ("good", "c17", "compiled"),
+    }
+
+
+def test_wave_memo_is_bounded(good_word_passes):
+    config = CampaignConfig(**FAST)
+    lab = _lab()
+    for shift in range(3 * worker._WAVE_MEMO_MAX):
+        vectors = lab.random_vectors[shift:shift + 8]
+        (unit,) = plan_fault_sim("c17", "k", len(lab.sim_faults), vectors, 99)
+        worker.execute_unit(unit, config)
+        worker.execute_unit(unit, config)  # the second run hits
+        assert len(worker._WAVE_MEMO) <= worker._WAVE_MEMO_MAX
+    assert len(good_word_passes) == 3 * worker._WAVE_MEMO_MAX
+    # Least recently used goes first: the oldest lists were dropped.
+    assert len(worker._WAVE_MEMO) == worker._WAVE_MEMO_MAX
+    assert ("good", "c17", "compiled", tuple(lab.random_vectors[:8])) not in (
+        worker._WAVE_MEMO
+    )
+
+
+def test_pruned_comb_chunks_reinflate_like_serial(good_word_passes):
+    """Chunks of a post-prune list re-inflate to the full universe."""
+    fresh_labs()
+    config = CampaignConfig(**FAST, grid="serial", grid_shard=100,
+                            prune_untestable=True)
+    lab = get_lab("c432", config)
+    # No benchmark comb circuit has provably untestable faults, so the
+    # test prunes the faults the baseline leaves undetected (the ones a
+    # proof could cover) by hand.
+    undetected = [
+        fault for fault, hit in zip(lab.faults, lab.random_baseline.detection)
+        if hit is None
+    ]
+    assert undetected
+    lab.pruned_faults = [(fault, "test") for fault in undetected]
+    lab.sim_faults = [f for f in lab.faults if f not in undetected]
+    vectors = lab.random_vectors[:48]
+    grid = GridExecutor(config)
+    try:
+        sharded = grid.fault_sim(lab, vectors, "target")
+    finally:
+        grid.close()
+        fresh_labs()
+    serial = lab.fault_sim(vectors)
+    assert sharded.faults == lab.faults
+    assert sharded.detection == serial.detection
+    assert all(
+        hit is None
+        for fault, hit in zip(lab.faults, sharded.detection)
+        if fault in undetected
+    )
 
 
 @pytest.mark.parametrize("shard", [*SHARD_SIZES, 0])

@@ -1,12 +1,15 @@
 """Netlist data structure, builder folding, .bench I/O, levelization."""
 
+import random
+
 import pytest
 
-from repro.errors import BenchFormatError, NetlistError
+from repro.errors import BenchFormatError, NetlistError, SimulationError
 from repro.netlist import GateType, Netlist, NetlistBuilder, parse_bench, write_bench
 from repro.netlist.bench import C17_BENCH
 from repro.netlist.levelize import levelize, topo_gates
 from repro.netlist.netlist import CONST0, CONST1
+from repro.netlist.simulate import unpack_patterns
 
 
 def small_builder():
@@ -179,3 +182,53 @@ def test_stats_fields(c17_netlist):
     assert stats["inputs"] == 5
     assert stats["outputs"] == 2
     assert stats["depth"] == 3
+
+
+# -- pattern transpose ---------------------------------------------------------
+
+
+def _unpack_oracle(patterns, ordered_nets):
+    """The bit-at-a-time transpose ``unpack_patterns`` replaced."""
+    width = len(ordered_nets)
+    words = {nid: 0 for nid in ordered_nets}
+    for lane, pattern in enumerate(patterns):
+        if pattern < 0 or pattern >> width:
+            raise SimulationError(
+                f"pattern {pattern:#x} does not fit {width} input bits"
+            )
+        for j, nid in enumerate(ordered_nets):
+            if (pattern >> (width - 1 - j)) & 1:
+                words[nid] |= 1 << lane
+    return words
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 65, 512])
+def test_unpack_patterns_matches_bitwise_oracle(count):
+    rng = random.Random(count)
+    for _ in range(8):
+        width = rng.randint(1, 64)
+        nets = rng.sample(range(10, 1000), width)
+        patterns = [rng.getrandbits(width) for _ in range(count)]
+        if count:
+            # The all-ones and all-zeros patterns exercise both edges.
+            patterns[rng.randrange(count)] = (1 << width) - 1
+            patterns[rng.randrange(count)] = 0
+        words = unpack_patterns(patterns, nets)
+        assert words == _unpack_oracle(patterns, nets)
+        assert list(words) == nets
+
+
+@pytest.mark.parametrize("count", [1, 2, 65])
+@pytest.mark.parametrize("bad", [-1, -5, 1 << 7, (1 << 9) + 3])
+def test_unpack_patterns_rejects_like_oracle(count, bad):
+    nets = list(range(7))
+    patterns = [5] * count
+    patterns[(count - 1) // 2] = bad
+    if count > 1:
+        patterns[-1] = -3  # a later offender: the first one is reported
+    with pytest.raises(SimulationError) as oracle:
+        _unpack_oracle(patterns, nets)
+    with pytest.raises(SimulationError) as raised:
+        unpack_patterns(patterns, nets)
+    assert str(raised.value) == str(oracle.value)
+    assert f"{bad:#x}" in str(raised.value)
