@@ -14,6 +14,7 @@ error, a post-edge settle, a caller reference or trace that differs
 from the original, and a state that differs only in class.
 """
 
+import hashlib
 import sys
 import threading
 
@@ -35,6 +36,7 @@ from repro.mutation.execution import (
     PROPAGATION_BLOCKED,
     _can_fast_path,
 )
+from repro.mutation.score import equivalence_stimuli
 from repro.obs import metrics
 from repro.search import SearchBudget
 from repro.sim import StimulusEncoder
@@ -686,3 +688,44 @@ def test_state_equal_only_by_value_stays_off_the_path():
         lambda: MutationEngine(design).run_mutant(truthy, vectors)
     )
     assert counts == (6, 2)
+
+
+# -- probe pins -------------------------------------------------------------
+
+
+def _probe_digest(probe):
+    """sha256 of a probe's infection masks (sorted ``(slot, mask)``
+    pairs) and its reset slots."""
+    text = repr((sorted(probe.masks.items()), sorted(probe.reset)))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: ``_probe_digest`` per pinned pass; re-pin only for a change meant to
+#: move which slots a probe reports as infected, and say why.
+PROBE_GOLDEN = {
+    "c432": "1a15982017233ad7429af1b9941086c048f819e93b710d8deb26b06210895635",
+    "b03": "5a17b9a745c6be3db82558f4cdbb42fe8b29a2f5082f675c8a58309c63c4e80b",
+}
+
+
+def test_comb_probe_masks_are_pinned():
+    # c432's loop bodies reach each site nine times per vector.
+    design = load_circuit("c432")
+    engine = MutationEngine(design)
+    engine.cover(generate_mutants(design))
+    stimuli, _ = equivalence_stimuli(design, 64, 20050307)
+    probe = engine._probe(stimuli, engine._schema.covered())
+    assert not probe.reset and len(probe.masks) > 100
+    assert _probe_digest(probe) == PROBE_GOLDEN["c432"]
+
+
+def test_sequential_probe_masks_are_pinned():
+    design = load_circuit("b03")
+    engine = MutationEngine(design)
+    engine.cover(generate_mutants(design))
+    decoded = engine.decode_all(_vectors(design, 32, "probe-pin"))
+    probe = engine._pass(
+        decoded, prober=engine._prober(engine._schema.covered())
+    )
+    assert probe.reset and len(probe.masks) > 100
+    assert _probe_digest(probe) == PROBE_GOLDEN["b03"]
