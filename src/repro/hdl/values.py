@@ -15,22 +15,44 @@ analyzer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hdl import types as ty
 
 
-@dataclass(frozen=True)
 class BV:
-    """An immutable bit-vector value: ``width`` bits of ``value``."""
+    """An immutable bit-vector value: ``width`` bits of ``value``.
 
-    value: int
-    width: int
+    A plain ``__slots__`` class: it equals, hashes, prints and pickles
+    like a frozen dataclass of ``(value, width)``, without a per-value
+    ``__dict__`` or the dataclass ``__post_init__`` call.
+    """
 
-    def __post_init__(self) -> None:
-        if self.width <= 0:
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int) -> None:
+        if width <= 0:
             raise ValueError("bit-vector width must be positive")
-        object.__setattr__(self, "value", self.value & self.mask)
+        _set_value(self, value & ((1 << width) - 1))
+        _set_width(self, width)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value and self.width == other.width
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.width))
+
+    def __repr__(self) -> str:
+        return f"BV(value={self.value!r}, width={self.width!r})"
+
+    def __reduce__(self):
+        return BV, (self.value, self.width)
 
     @property
     def mask(self) -> int:
@@ -83,6 +105,12 @@ class BV:
 
     def __str__(self) -> str:
         return f'"{self.to_string()}"'
+
+
+#: The slots' own setters, which bypass the raising ``__setattr__`` (and
+#: cost half of ``object.__setattr__``).
+_set_value = BV.value.__set__
+_set_width = BV.width.__set__
 
 
 def default_value(hdl_type: ty.HdlType):

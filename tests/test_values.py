@@ -1,5 +1,8 @@
 """BV value semantics, including hypothesis property tests."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +13,24 @@ from repro.hdl.values import BV, check_in_range, default_value
 
 def test_bv_masks_value():
     assert BV(0b10110, 4).value == 0b0110
+
+
+def test_bv_is_an_immutable_value():
+    # Equality, hash and repr of a frozen (value, width) dataclass: the
+    # schema's codegen keys constants on repr.
+    v = BV(5, 4)
+    assert repr(v) == "BV(value=5, width=4)"
+    assert v == BV(21, 4) and hash(v) == hash(BV(5, 4)) == hash((5, 4))
+    assert v != BV(5, 5) and v != (5, 4) and v != 5
+    assert pickle.loads(pickle.dumps(v)) == v == copy.deepcopy(v)
+    with pytest.raises(AttributeError):
+        v.value = 1
+    with pytest.raises(AttributeError):
+        del v.width
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    with pytest.raises(ValueError):
+        BV(0, 0)
 
 
 def test_bv_bit_access():
