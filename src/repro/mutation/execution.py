@@ -24,6 +24,7 @@ oracle the screen is tested against.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 
 from repro.errors import MutantRuntimeError, OscillationError
@@ -129,6 +130,15 @@ class _Tally:
         if m.enabled:
             m.counter("mutation.screen.pairs", self.runs + self.skipped)
             m.counter("mutation.screen.runs", self.runs)
+
+
+def _record_probe(m, activations: int, started: float) -> None:
+    """Count one probe pass over ``activations`` vectors or cycles as
+    ``mutation.probe.*`` (``m`` enabled; ``started`` its monotonic
+    start)."""
+    m.counter("mutation.probe.passes")
+    m.counter("mutation.probe.activations", activations)
+    m.observe("mutation.probe.seconds", time.monotonic() - started)
 
 
 def _can_fast_path(design: Design) -> bool:
@@ -321,6 +331,8 @@ class MutationEngine:
         process = self._design.processes[0]
         names = self._output_names()
         probe = self._schema.prober(slots)
+        m = _metrics.active()
+        started = time.monotonic() if m.enabled else 0.0
         variables = _initial_variables(process)
         states = [dict(variables)]
         outputs = []
@@ -334,6 +346,8 @@ class MutationEngine:
             bit = 1 << index
             for slot in infected:
                 masks[slot] = masks.get(slot, 0) | bit
+        if m.enabled:
+            _record_probe(m, len(rows), started)
         result = _Probe(masks, states, outputs)
         self._probe_memo = (key, slots, result)
         return result
@@ -352,6 +366,8 @@ class MutationEngine:
         cycle's (both clock edges and any delta settle) to its bit of
         ``masks``.  Without one the masks stay empty.
         """
+        m = _metrics.active()
+        started = time.monotonic() if m.enabled else 0.0
         infected: set[int] = set()
         executor = self.executor() if prober is None else (
             functools.partial(prober, infected=infected)
@@ -373,6 +389,8 @@ class MutationEngine:
             bit = 1 << index
             for slot in infected:
                 masks[slot] = masks.get(slot, 0) | bit
+        if m.enabled and prober is not None:
+            _record_probe(m, len(decoded), started)
         return _Probe(masks, states, outputs, reset)
 
     def _disagreement(self, mine: list, theirs: list) -> int:

@@ -99,6 +99,12 @@ class MutantSchema:
         Passing ``infected`` adds to that set instead of a new one, so
         a bench can run the probe as its executor over many
         activations.
+
+        Each call copies the flag list, and a site writes back into the
+        copy the slots it has not infected yet: a site reached again in
+        the same activation (a loop body) checks only those, and none
+        once all are infected.  The shared flag tuples are never
+        written, so threads share one probe.
         """
         with self._lock:
             if self._compiled < len(self._patches):
@@ -121,8 +127,9 @@ class MutantSchema:
             units, live = flags[process.label]
             if infected is None:
                 infected = set()
+            pending = list(live)
             for unit in units:
-                unit(values, variables, scheduled, events, live, infected)
+                unit(values, variables, scheduled, events, pending, infected)
             return infected
 
         return probe
@@ -231,13 +238,19 @@ def _bv_key(value):
     raise MutantRuntimeError("case selector/choice kind mismatch")
 
 
-def _infect(infected: set, value, slots, alternative) -> None:
-    """Probe: add the ``slots`` whose replacement differs from ``value``.
+def _infect(infected: set, value, flags: list, index: int,
+            alternative) -> None:
+    """Probe: add the pending slots of ``flags[index]`` whose
+    replacement differs from ``value``, and leave the rest pending.
 
     ``alternative(slot)`` evaluates a slot's replacement; one that
     raises (any error: the mutant then raises the same way) infects.
+    Slots already in ``infected`` are not evaluated again.
     """
-    for slot in slots:
+    pending = []
+    for slot in flags[index]:
+        if slot in infected:
+            continue
         try:
             other = alternative(slot)
         except Exception:
@@ -245,14 +258,24 @@ def _infect(infected: set, value, slots, alternative) -> None:
             continue
         if other.__class__ is not value.__class__ or other != value:
             infected.add(slot)
+        else:
+            pending.append(slot)
+    flags[index] = pending
 
 
-def _infect_table(infected: set, value, slots, table: dict) -> None:
+def _infect_table(infected: set, value, flags: list, index: int,
+                  table: dict) -> None:
     """:func:`_infect` over constant replacements (``{slot: value}``)."""
-    for slot in slots:
+    pending = []
+    for slot in flags[index]:
+        if slot in infected:
+            continue
         other = table[slot]
         if other.__class__ is not value.__class__ or other != value:
             infected.add(slot)
+        else:
+            pending.append(slot)
+    flags[index] = pending
 
 
 _HELPERS = {
@@ -302,7 +325,8 @@ class _Codegen:
     ``L[k]`` holds the probed slots among ``points[k]``, the slots of
     one site or of the sites under one statement: a statement with no
     probed slot under it runs its pristine variant, and a site checks
-    only its probed slots.
+    only its probed slots that are not yet infected, then keeps in its
+    ``L[k]`` those still pending (``L`` is the activation's copy).
     """
 
     def __init__(self, process: Process, patches: list[dict],
@@ -449,15 +473,17 @@ class _Codegen:
                       else _NOT_CONST for slot, v in values.items()}
         if self._probe:
             value, flag = self._tmp(), self._point(slots)
+            index = len(self.points) - 1  # the site writes back L[index]
             if _NOT_CONST not in values.values():
                 table = self._const(values)
-                scan = f"_infect_table(I, {value}, {flag}, {table})"
+                scan = f"_infect_table(I, {value}, L, {index}, {table})"
             else:
                 chain = _chain([
                     (slot, gen(node, self._patches[slot], False))
                     for slot in slots
                 ])
-                scan = f"_infect(I, {value}, {flag}, lambda _m: {chain})"
+                scan = (f"_infect(I, {value}, L, {index}, "
+                        f"lambda _m: {chain})")
             return f"(({value} := {code}), {flag} and {scan})[0]"
         if len(slots) > 2 and _NOT_CONST not in values.values():
             # Constant replacements (CVR, CCR): one table lookup.

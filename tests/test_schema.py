@@ -729,3 +729,42 @@ def test_sequential_probe_masks_are_pinned():
     )
     assert probe.reset and len(probe.masks) > 100
     assert _probe_digest(probe) == PROBE_GOLDEN["b03"]
+
+
+def _probe_metrics(run):
+    """``(passes, activations, seconds count)`` of ``run()``'s probes."""
+    with metrics.collecting() as registry:
+        run()
+    snapshot = registry.snapshot()
+    counters = snapshot["counters"]
+    seconds = snapshot["histograms"].get("mutation.probe.seconds", {})
+    return (counters.get("mutation.probe.passes", 0),
+            counters.get("mutation.probe.activations", 0),
+            seconds.get("count", 0))
+
+
+def test_probe_passes_record_metrics_once_per_pass():
+    # One pass per stimulus list: the second sweep of a list hits the
+    # probe memo; vectors on the comb path, cycles on sequential ones.
+    design = load_circuit("c432")
+    mutants = generate_mutants(design)[::8]
+    vectors = _vectors(design, 12, "probe-metrics")
+    engine = MutationEngine(design)
+
+    def sweeps():
+        engine.comb_kill_sets(mutants, vectors)
+        engine.comb_kill_sets(mutants, vectors)
+
+    assert _probe_metrics(sweeps) == (1, 12, 1)
+    design = load_circuit("b03")
+    mutants = generate_mutants(design)[::4]
+    engine = MutationEngine(design)
+    vectors = _vectors(design, 10, "probe-metrics")
+    assert _probe_metrics(lambda: engine.run_all(mutants, vectors)) == (
+        1, 10, 1
+    )
+    # The interpreter's reference trace is an unprobed pass.
+    interp = MutationEngine(design, backend="interp")
+    assert _probe_metrics(
+        lambda: interp.reference_state_trace(vectors)
+    ) == (0, 0, 0)
