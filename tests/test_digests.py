@@ -1,13 +1,15 @@
-"""Pinned digests of the default-config campaign on the sequential circuits.
+"""Pinned digests of the default-config campaign on the paper's circuits.
 
-``Campaign(CampaignConfig())`` on the paper's sequential circuits runs
-every RTL fast path (the mutant schema, the infection screen, the
-clock-edge scheduler) and the sequential fault simulator under the
-default knobs.  Each ``CircuitResult.to_dict()`` is hashed the way
-``scripts/check_c499.py`` and the benchmark hash their payloads
-(sha256 of sorted-key compact JSON); a change to any of those paths
-that moves a result fails here.  Re-pin only for a change meant to
-move results, and say why.
+``Campaign(CampaignConfig())`` on c17, c432 and the sequential circuits
+runs every RTL path (the mutant schema, the infection screen on the comb
+fast path and on clocked designs, the bench path of multi-process comb
+designs, the clock-edge scheduler) and both fault simulators under the
+default knobs.  c499's default campaign is too slow for the suite:
+``scripts/check_c499.py`` checks its digest.  Each
+``CircuitResult.to_dict()`` is hashed the way ``scripts/check_c499.py``
+and the benchmark hash their payloads (sha256 of sorted-key compact
+JSON); a change to any of those paths that moves a result fails here.
+Re-pin only for a change meant to move results, and say why.
 
 The sequential fault-simulation pins hash the ``detection`` list of the
 stuck-at, transition and SEU models on b01, b03 and one random netlist
@@ -32,6 +34,8 @@ GOLDEN = {
     "b02": "e84f40bfc155d48db3e4a0de4225fcad9d9c0c33c5137123fd822745db3df98d",
     "b03": "e14492e12b881a270fd3874972241c7aca99539e455d2173bc6eeb5e5c581642",
     "b06": "a93251eac7f26056de1865162d47c8f85ee2507467b04831c8986ec46bcb2e03",
+    "c17": "87b96df1df731ac13c399bc0e2d21c0ca176937fe022788e94cadf4be2fdd661",
+    "c432": "63dcac50d5f92caaf0e1215d6507e3b6c46e2029cd863700af0ab007b4357b4d",
 }
 
 
