@@ -5,20 +5,29 @@ sampled output differs from the original at any cycle, or when its
 execution raises a run-time error / fails to settle (observably
 different behaviour).  Sequences always start from reset.
 
+Every execution is a walk of a *machine* over a stimulus list (see
+:func:`_walk`): ``reset``, ``step`` one vector or cycle and read its
+outputs, save (``state``) and restore (``load``) its state, and tell
+whether a state is the original's (``same``: equal by class and value).
+Three machines cover the designs:
+
+* :class:`_CombMachine`, the comb fast path (one process reading input
+  ports only): the process variables, carried from one vector to the
+  next as across process activations;
+* :class:`_BenchMachine`, a sequential design's :class:`Testbench`
+  and its checkpoints;
+* :class:`_PristineMachine`, a :class:`Testbench` that starts every
+  vector from its post-reset checkpoint: other combinational designs,
+  and survivor triage on every combinational design.
+
 On the compiled backend a weak-mutation screen picks the (mutant,
 vector) and (mutant, cycle) pairs that need running; it never changes
 a result.  One probed pass of the original per stimulus list records
-the slots each vector or cycle infects, the original's state entering
-each one and its outputs.  A mutant in the original's state whose slot
-is not infected takes the original's path, so it skips that pair:
-
-* on the comb fast path, :class:`_CombSweep` does this per vector;
-* on sequential designs, :meth:`MutationEngine._walk` does it per
-  cycle, and serves ``run_mutant``/``run_all``, survivor triage and
-  the sequential test generator (:class:`SequenceSweep`).
-
-The interpreter (``backend="interp"``) is never screened: it is the
-oracle the screen is tested against.
+the slots each step infects, the original's state entering each one
+and its outputs.  A mutant in the original's state whose slot is not
+infected takes the original's path, so it skips that step.  The
+pristine machine is never screened, and neither is the interpreter
+(``backend="interp"``): it is the oracle the screen is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import MutantRuntimeError, OscillationError
 from repro.hdl.design import Design
@@ -37,30 +47,6 @@ from repro.sim.testbench import StimulusEncoder, Testbench
 
 
 _NO_EVENTS: frozenset[str] = frozenset()
-
-
-def _comb_step(process, names, executor, values, variables) -> tuple:
-    """One activation of a one-process combinational design.
-
-    Such a process reads only input ports (the synthesizable-comb
-    discipline), so one execution per vector replaces the delta-cycle
-    scheduler.  ``values`` is a full signal map; ``variables`` carry
-    over from one vector to the next, as across process activations.
-    """
-    scheduled: dict[str, object] = {}
-    executor(process, values, variables, scheduled, _NO_EVENTS)
-    return _read_outputs(names, values, scheduled)
-
-
-def _read_outputs(names, values, scheduled) -> tuple:
-    return tuple([
-        scheduled[name] if name in scheduled else values[name]
-        for name in names
-    ])
-
-
-def _initial_variables(process) -> dict:
-    return {var.name: var.init for var in process.variables}
 
 
 def _same_state(variables: dict, state: dict) -> bool:
@@ -95,25 +81,120 @@ def _observable(state: tuple) -> tuple:
     return values, variables
 
 
+class _CombMachine:
+    """A one-process combinational design on the comb fast path.
+
+    Such a process reads only input ports (the synthesizable-comb
+    discipline), so one execution per vector replaces the delta-cycle
+    scheduler; a step takes a full signal map.  The state is the
+    process's variable map, carried over from one vector to the next,
+    as across process activations.  ``state`` returns the live map and
+    only ``load`` copies, so a step copies nothing.
+    """
+
+    screened = True
+    same = staticmethod(_same_state)
+
+    def __init__(self, design: Design, max_delta: int, executor):
+        self._process = design.processes[0]
+        self._names = [port.name for port in design.output_ports]
+        self._executor = executor
+        self._variables: dict = {}
+
+    def reset(self) -> None:
+        self._variables = {
+            var.name: var.init for var in self._process.variables
+        }
+
+    def step(self, values: dict) -> tuple:
+        scheduled: dict[str, object] = {}
+        self._executor(self._process, values, self._variables, scheduled,
+                       _NO_EVENTS)
+        return tuple([
+            scheduled[name] if name in scheduled else values[name]
+            for name in self._names
+        ])
+
+    def state(self) -> dict:
+        return self._variables
+
+    def load(self, state: dict) -> None:
+        self._variables = dict(state)
+
+
+class _BenchMachine:
+    """A sequential design's :class:`Testbench`; a state is its
+    ``save_state`` checkpoint.  The bench is built on the first reset
+    or load, so a mutant that never leaves the original's path never
+    builds one."""
+
+    screened = True
+    same = staticmethod(_same_machine)
+
+    def __init__(self, design: Design, max_delta: int, executor):
+        self._args = design, max_delta, executor
+        self._bench: Testbench | None = None
+
+    def _built(self) -> Testbench:
+        if self._bench is None:
+            design, max_delta, executor = self._args
+            self._bench = Testbench(design, max_delta=max_delta,
+                                    executor=executor)
+        return self._bench
+
+    def reset(self) -> None:
+        self._built().reset()
+
+    def step(self, stimulus: dict) -> tuple:
+        return self._bench.step(stimulus)
+
+    def state(self) -> tuple:
+        return self._bench.save_state()
+
+    def load(self, state: tuple) -> None:
+        self._built().restore_state(state)
+
+
+class _PristineMachine(_BenchMachine):
+    """A combinational :class:`Testbench` that runs every step from its
+    post-reset checkpoint, so no vector sees state another one left.
+
+    It runs the combinational designs the comb fast path cannot
+    (several processes, or a process reading an internal signal), and
+    survivor triage on every combinational design.  Never screened:
+    each step restarts from the pristine state, not from the one
+    ``load`` put it in.
+    """
+
+    screened = False
+
+    def reset(self) -> None:
+        super().reset()
+        self._pristine = self._bench.save_state()
+
+    def step(self, stimulus: dict) -> tuple:
+        self._bench.restore_state(self._pristine)
+        return self._bench.step(stimulus)
+
+
 @dataclass(frozen=True)
 class _Probe:
     """The original's pass over a stimulus list, with infection masks.
 
-    On the comb fast path ``states[k]`` are the process variables
-    entering vector ``k``; on a sequential design it is the bench
-    checkpoint (``save_state``) entering cycle ``k``, and ``reset``
-    holds the slots the reset sequence infected (none from a
-    checkpoint).
+    ``states[k]`` is the machine's state entering step ``k`` (process
+    variables on the comb fast path, a bench checkpoint otherwise), and
+    ``reset`` holds the slots the reset sequence infected (none from a
+    checkpoint).  An unprobed pass leaves the masks empty.
     """
 
-    masks: dict[int, int]      # slot -> bit k set when infected on vector k
-    states: list               # state entering vector k (one more: after)
-    outputs: list[tuple]       # the original's outputs per vector
+    masks: dict[int, int]      # slot -> bit k set when infected on step k
+    states: list               # state entering step k (one more: after)
+    outputs: list[tuple]       # the original's outputs per step
     reset: frozenset[int] = frozenset()
 
     @functools.cached_property
     def trace(self) -> list[tuple]:
-        """The observable state after each cycle (sequential)."""
+        """The observable state after each step (bench machines)."""
         return [_observable(state) for state in self.states[1:]]
 
 
@@ -152,6 +233,77 @@ def _can_fast_path(design: Design) -> bool:
     )
 
 
+def _reset_state(machine, slot: int | None, probe: _Probe | None):
+    """``machine``'s state after its reset sequence.
+
+    Screened (a ``probe`` from reset), None when it is the original's:
+    its reset was not infected, or it came back to the original's
+    state.  Raises the reset's errors.
+    """
+    if probe is not None and slot not in probe.reset:
+        return None
+    machine.reset()
+    state = machine.state()
+    if probe is not None and machine.same(state, probe.states[0]):
+        return None
+    return state
+
+
+def _walk(machine, rows: list, expected: list, probe: _Probe | None,
+          state, pending: int, tally: _Tally, traced: bool = False):
+    """Yield ``(index, error)`` for each step of ``rows`` on which the
+    mutant's ``machine`` differs from ``expected[index]``: its outputs
+    (with ``traced``, its observable state after the step) differ, or
+    the step raised ``error``.  Return its state after the last step
+    (None: the original's).
+
+    Unscreened (``probe`` None) the machine runs every step from
+    ``state``.  Screened, ``state`` None puts the mutant on the
+    original's path: in ``probe.states[k]`` entering step ``k``.  On
+    the path it runs only the steps in the ``pending`` mask, from the
+    probe's state; on any other it would take the original's path, so
+    its outputs and next state are the probe's.  Off the path
+    (``state`` its own) it runs every step, and it rejoins the path
+    when its state after a step is the probe's (``machine.same``).  A
+    step that raised leaves the machine where it stopped, and the walk
+    goes on from there if the caller asks for more.
+    """
+    step, load, current, same = (
+        machine.step, machine.load, machine.state, machine.same
+    )
+    count = len(rows)
+    states = None if probe is None else probe.states
+    on = state is None  # on the original's path
+    if not on:
+        load(state)
+    index = 0
+    while index < count:
+        if on:
+            ahead = pending >> index
+            skip = (ahead & -ahead).bit_length() - 1 if ahead else (
+                count - index
+            )
+            tally.skipped += skip
+            index += skip
+            if index == count:
+                return None
+            load(states[index])
+        tally.runs += 1
+        error = seen = None
+        try:
+            seen = step(rows[index])
+        except (MutantRuntimeError, OscillationError) as caught:
+            error = caught
+        after = current() if traced or states is not None else None
+        if traced and error is None:
+            seen = _observable(after)
+        if error is not None or seen != expected[index]:
+            yield index, error
+        index += 1
+        on = states is not None and same(after, states[index])
+    return None if on else current()
+
+
 @dataclass(frozen=True)
 class KillRecord:
     """Outcome of running one mutant against one stimulus sequence."""
@@ -175,36 +327,31 @@ TRIAGE_CATEGORIES = (
 )
 
 
-def _first_kill(mid: int, steps, reference: list[tuple]) -> KillRecord:
-    """The kill record of the first of ``steps`` (``(index, outputs,
-    after)``) whose outputs differ from ``reference``, or whose run
-    raised."""
+def _first_kill(mid: int, walk) -> KillRecord:
+    """The kill record of the first step a :func:`_walk` yields: a step
+    that raised, or a reset that raised, kills with no cycle."""
     try:
-        for index, outputs, _ in steps:
-            if outputs != reference[index]:
-                return KillRecord(mid, True, index, "output-diff")
-    except MutantRuntimeError:
+        index, error = next(walk, (None, None))
+    except (MutantRuntimeError, OscillationError) as caught:
+        index, error = None, caught
+    if isinstance(error, MutantRuntimeError):
         return KillRecord(mid, True, None, "runtime")
-    except OscillationError:
+    if isinstance(error, OscillationError):
         return KillRecord(mid, True, None, "oscillation")
-    return KillRecord(mid, False, None, "survived")
+    if index is None:
+        return KillRecord(mid, False, None, "survived")
+    return KillRecord(mid, True, index, "output-diff")
 
 
-def _triage(steps, probe: _Probe | None, trace: list[tuple]) -> str:
-    """A survivor's category from its ``steps`` against ``trace``: a
-    state after a step that differs, or a run that raises (the reset's
-    included: an activation without an output kill), means it was
-    activated.  A step that rejoined the original's path (``after``
-    None) left it in ``probe``'s state."""
-    try:
-        for index, _, after in steps:
-            if after is None:
-                after = probe.states[index + 1]
-            if _observable(after) != trace[index]:
-                return PROPAGATION_BLOCKED
-    except (MutantRuntimeError, OscillationError):
-        return PROPAGATION_BLOCKED
-    return NEVER_ACTIVATED
+class _Sweep(NamedTuple):
+    """What every mutant's walk over one stimulus list shares."""
+
+    kind: type                 # the machine class
+    rows: list                 # its step inputs
+    probe: _Probe | None       # the screen (None: unscreened)
+    expected: list             # outputs (or states) to compare with
+    mismatch: int              # steps where ``expected`` is not the probe's
+    traced: bool               # compare states after each step
 
 
 class MutationEngine:
@@ -221,7 +368,12 @@ class MutationEngine:
         self._design = design
         self._encoder = StimulusEncoder(design)
         self._max_delta = max_delta
-        self._fast = _can_fast_path(design)
+        #: The machine of kill analysis, and that of survivor triage.
+        self._kind = self._trace_kind = (
+            _BenchMachine if design.is_sequential else _PristineMachine
+        )
+        if _can_fast_path(design):
+            self._kind = _CombMachine
         self._schema = MutantSchema(design) if backend == "compiled" else None
         self._defaults = {
             symbol.name: symbol.init for symbol in design.signal_like_symbols
@@ -272,99 +424,34 @@ class MutationEngine:
             executor=self.executor(mutant),
         )
 
-    def _stimuli(self, stimuli: list[int]) -> tuple[list, list]:
-        """``(decoded stimuli, fast-path signal maps)``, memoized for the
+    def _machine(self, kind: type, executor):
+        """A ``kind`` machine running ``executor``, not yet reset."""
+        return kind(self._design, self._max_delta, executor)
+
+    def _rows(self, stimuli: list[int], kind: type) -> list:
+        """``kind``'s step inputs for ``stimuli``: full signal maps on
+        the comb fast path, decoded stimuli otherwise.  Memoized for the
         last list: sweeps run every mutant against the same one."""
         key = tuple(stimuli)
         memo = self._memo
         if memo is None or memo[0] != key:
             decoded = self.decode_all(stimuli)
             rows = decoded
-            if self._fast:
+            if self._kind is _CombMachine:
                 rows = [{**self._defaults, **stim} for stim in decoded]
             memo = self._memo = (key, decoded, rows)
-        return memo[1], memo[2]
+        return memo[2] if kind is _CombMachine else memo[1]
 
-    def reference_outputs(self, stimuli: list[int]) -> list[tuple]:
-        """Original-design responses (no patch).
-
-        On a sequential design the compiled backend takes them from the
-        probe over the covered population, which its sweeps then share.
-        """
-        decoded, rows = self._stimuli(stimuli)
-        if self._fast:
-            process = self._design.processes[0]
-            names = self._output_names()
-            executor = self.executor()
-            variables = _initial_variables(process)
-            return [_comb_step(process, names, executor, values, variables)
-                    for values in rows]
-        if self._design.is_sequential and self._schema is not None:
-            return list(self._probe(stimuli, self._population).outputs)
-        return self.testbench().run_sequence(decoded)
-
-    def _output_names(self) -> list[str]:
-        return [port.name for port in self._design.output_ports]
-
-    def _probe_slots(self, mutant: Mutant) -> tuple[int, frozenset[int]]:
-        """``mutant``'s slot and the slots to probe for it: the last
-        covered population, or every covered slot when it is not in it
-        (compiled only)."""
-        slot, slots = self._schema.slot(mutant.patch()), self._population
-        if slot not in slots:  # not covered by the last sweep
-            slots = self._schema.covered()
-        return slot, slots
-
-    def _probe(self, stimuli: list[int], slots: frozenset[int]) -> _Probe:
-        """The original's probed pass over ``stimuli`` (compiled
-        backend; comb fast path or sequential), memoized for the last
-        list: a ``run_mutant`` loop over one list probes once."""
-        key = tuple(stimuli)
-        memo = self._probe_memo
-        if memo is not None and memo[0] == key and slots <= memo[1]:
-            return memo[2]
-        decoded, rows = self._stimuli(stimuli)
-        if not self._fast:
-            result = self._pass(decoded, prober=self._schema.prober(slots))
-            self._probe_memo = (key, slots, result)
-            return result
-        process = self._design.processes[0]
-        names = self._output_names()
-        probe = self._schema.prober(slots)
-        m = _metrics.active()
-        started = time.monotonic() if m.enabled else 0.0
-        variables = _initial_variables(process)
-        states = [dict(variables)]
-        outputs = []
-        masks: dict[int, int] = {}
-        for index, values in enumerate(rows):
-            scheduled: dict[str, object] = {}
-            infected = probe(process, values, variables, scheduled,
-                             _NO_EVENTS)
-            outputs.append(_read_outputs(names, values, scheduled))
-            states.append(dict(variables))
-            bit = 1 << index
-            for slot in infected:
-                masks[slot] = masks.get(slot, 0) | bit
-        if m.enabled:
-            _record_probe(m, len(rows), started)
-        result = _Probe(masks, states, outputs)
-        self._probe_memo = (key, slots, result)
-        return result
-
-    def _prober(self, slots: frozenset[int]):
-        """A schema probe over ``slots`` (None on the interpreter)."""
-        return None if self._schema is None else self._schema.prober(slots)
-
-    def _pass(self, decoded: list[dict], start: tuple | None = None,
-              prober=None) -> _Probe:
-        """The original's pass over sequential ``decoded`` stimuli.
+    def _pass(self, rows: list, start: tuple | None = None, prober=None,
+              kind: type | None = None) -> _Probe:
+        """The original's pass over ``rows`` on a ``kind`` machine (the
+        engine's by default).
 
         It starts from reset (``start`` None) or from the checkpoint
         ``start``.  With a schema ``prober`` every activation of the
         pass is probed: the reset sequence's go to ``reset``, and each
-        cycle's (both clock edges and any delta settle) to its bit of
-        ``masks``.  Without one the masks stay empty.
+        step's (on a bench, both clock edges and any delta settle) to
+        its bit of ``masks``.  Without one the masks stay empty.
         """
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
@@ -372,26 +459,75 @@ class MutationEngine:
         executor = self.executor() if prober is None else (
             functools.partial(prober, infected=infected)
         )
-        bench = Testbench(self._design, max_delta=self._max_delta,
-                          executor=executor)
+        machine = self._machine(kind or self._kind, executor)
         if start is None:
-            bench.reset()
+            machine.reset()
         else:
-            bench.restore_state(start)
+            machine.load(start)
         reset = frozenset(infected)
-        states = [bench.save_state()]
+        states = [machine.state()]
         outputs = []
         masks: dict[int, int] = {}
-        for index, stimulus in enumerate(decoded):
+        for index, row in enumerate(rows):
             infected.clear()
-            outputs.append(bench.step(stimulus))
-            states.append(bench.save_state())
+            # From a copy of the kept state: ``state`` may be live.
+            machine.load(states[-1])
+            outputs.append(machine.step(row))
+            states.append(machine.state())
             bit = 1 << index
             for slot in infected:
                 masks[slot] = masks.get(slot, 0) | bit
         if m.enabled and prober is not None:
-            _record_probe(m, len(decoded), started)
+            _record_probe(m, len(rows), started)
         return _Probe(masks, states, outputs, reset)
+
+    def _probe(self, stimuli: list[int], slots: frozenset[int]) -> _Probe:
+        """The original's probed pass over ``stimuli`` (compiled
+        backend), memoized for the last list: a ``run_mutant`` loop
+        over one list probes once."""
+        key = tuple(stimuli)
+        memo = self._probe_memo
+        if memo is not None and memo[0] == key and slots <= memo[1]:
+            return memo[2]
+        result = self._pass(self._rows(stimuli, self._kind),
+                            prober=self._schema.prober(slots))
+        self._probe_memo = (key, slots, result)
+        return result
+
+    def _prober(self, slots: frozenset[int]):
+        """A schema probe over ``slots`` (None on the interpreter)."""
+        return None if self._schema is None else self._schema.prober(slots)
+
+    def _reference(self, stimuli: list[int], kind: type) -> _Probe:
+        """The original's pass over ``stimuli`` on a ``kind`` machine.
+
+        A sequential design's compiled backend takes the probe over the
+        covered population, which its sweeps then share; elsewhere an
+        unprobed pass is cheaper than a probe that a later sweep over
+        other slots would redo.
+        """
+        if self._schema is not None and self._design.is_sequential:
+            return self._probe(stimuli, self._population)
+        return self._pass(self._rows(stimuli, kind), kind=kind)
+
+    def reference_outputs(self, stimuli: list[int]) -> list[tuple]:
+        """Original-design responses (no patch), from the original's
+        walk on the engine's machine: on the comb bench path each
+        vector starts from the pristine state, as every mutant's does.
+        """
+        return list(self._reference(stimuli, self._kind).outputs)
+
+    def _probe_slots(self, mutant: Mutant) -> tuple[int | None,
+                                                     frozenset[int]]:
+        """``mutant``'s slot and the slots to probe for it: the last
+        covered population, or every covered slot when it is not in it
+        (None and the population on the interpreter)."""
+        if self._schema is None:
+            return None, self._population
+        slot, slots = self._schema.slot(mutant.patch()), self._population
+        if slot not in slots:  # not covered by the last sweep
+            slots = self._schema.covered()
+        return slot, slots
 
     def _disagreement(self, mine: list, theirs: list) -> int:
         """Mask of the indexes where a caller's list ``theirs`` (a
@@ -410,162 +546,39 @@ class MutationEngine:
         self._agreement = (mine, theirs, mask)
         return mask
 
-    def _sweep(self, stimuli: list[int], reference: list[tuple] | None,
-               slots: frozenset[int]) -> _CombSweep:
-        """A comb fast-path sweep over ``stimuli``; the compiled backend
-        screens it with a probe over ``slots``."""
-        _, rows = self._stimuli(stimuli)
-        probe = mismatch = None
-        if self._schema is not None:
+    def _sweep(self, stimuli: list[int], theirs: list | None,
+               slots: frozenset[int], traced: bool = False) -> _Sweep:
+        """Walks over ``stimuli`` compared with the caller's list
+        ``theirs``: reference outputs, or with ``traced`` a state trace
+        on the triage machine (None: the original's).  A screened
+        machine probes ``slots``; besides the steps that infect a
+        mutant's slot, the mutant runs those where ``theirs`` is not
+        the probe's, even on the original's path."""
+        kind = self._trace_kind if traced else self._kind
+        probe, mismatch = None, 0
+        if self._schema is not None and kind.screened:
             probe = self._probe(stimuli, slots)
-            if reference is None:
-                reference = probe.outputs
-            mismatch = self._disagreement(probe.outputs, reference)
-        elif reference is None:
-            reference = self.reference_outputs(stimuli)
-        return _CombSweep(self._design.processes[0], self._output_names(),
-                          rows, reference, probe, mismatch)
+            mine = probe.trace if traced else probe.outputs
+            theirs = mine if theirs is None else theirs
+            mismatch = self._disagreement(mine, theirs)
+        elif theirs is None:
+            reference = self._reference(stimuli, kind)
+            theirs = reference.trace if traced else reference.outputs
+        return _Sweep(kind, self._rows(stimuli, kind), probe, theirs,
+                      mismatch, traced)
 
-    def _fresh_bench(self, mutant: Mutant | None) -> tuple[Testbench, tuple]:
-        """A reset bench plus its pristine state checkpoint.
-
-        The bench path runs combinational designs the comb fast path
-        cannot (several processes, or a process reading an internal
-        signal), and restores the pristine checkpoint before every
-        vector, so a mutant cannot smuggle state from one vector into
-        the next through a reused bench; that costs a state copy, not
-        a bench construction.  The fast path differs: it carries
-        process variables from one vector to the next.
-        """
-        bench = self.testbench(mutant)
-        bench.reset()
-        return bench, bench.save_state()
-
-    # -- sequential screen ---------------------------------------------------
-
-    def _sequence(self, mutant: Mutant, stimuli: list[int],
-                  theirs: list | None, own: str, tally: _Tally) -> tuple:
-        """One mutant's reset-started run over sequential ``stimuli``:
-        ``(steps, probe, theirs)``.
-
-        ``steps`` is the :meth:`_walk` from reset.  ``theirs`` is the
-        caller's list to compare with (None: the probe's own
-        ``outputs`` or ``trace``, named by ``own``).  Besides the
-        cycles that infect its slot, the mutant runs those where
-        ``theirs`` is not the probe's, even on the original's path.
-        The interpreter has no probe (``probe`` None).
-        """
-        decoded, _ = self._stimuli(stimuli)
-        probe = slot = None
-        pending = 0
-        if self._schema is not None:
-            slot, slots = self._probe_slots(mutant)
-            probe = self._probe(stimuli, slots)
-            mine = getattr(probe, own)
-            if theirs is None:
-                theirs = mine
-            pending = probe.masks.get(slot, 0) | (
-                self._disagreement(mine, theirs)
-            )
-        steps = self._from_reset(mutant, decoded, probe, slot, pending,
-                                 tally)
-        return steps, probe, theirs
-
-    def _from_reset(self, mutant: Mutant, decoded: list[dict],
-                    probe: _Probe | None, slot: int | None, pending: int,
+    def _from_reset(self, mutant: Mutant, slot: int | None, sweep: _Sweep,
                     tally: _Tally):
-        """:meth:`_walk` of ``mutant`` from reset (its errors, the
-        reset's included, propagate)."""
-        start = None
-        if probe is not None:
-            start = self._reset_state(mutant, slot, probe)
-        yield from self._walk(functools.partial(self.testbench, mutant),
-                              decoded, probe, start, pending, tally)
-
-    def _bench_steps(self, mutant: Mutant, decoded: list[dict]):
-        """Yield ``(index, outputs, bench)`` for every vector of the
-        combinational bench path, each from the pristine state (its
-        errors propagate)."""
-        bench, pristine = self._fresh_bench(mutant)
-        for index, stimulus in enumerate(decoded):
-            bench.restore_state(pristine)
-            yield index, bench.step(stimulus), bench
-
-    def _reset_state(self, mutant: Mutant, slot: int | None,
-                     probe: _Probe | None) -> tuple | None:
-        """``mutant``'s state after the reset sequence.
-
-        Screened (a ``probe`` from reset), None when it is the
-        original's: its reset was not infected, or it came back to the
-        original's state.  Raises the mutant's reset errors.
-        """
-        if probe is not None and slot not in probe.reset:
-            return None
-        bench = self.testbench(mutant)
-        bench.reset()
-        state = bench.save_state()
-        if probe is not None and _same_machine(state, probe.states[0]):
-            return None
-        return state
-
-    def _walk(self, bench, decoded: list[dict], probe: _Probe | None,
-              start: tuple | None, pending: int, tally: _Tally):
-        """Yield ``(cycle, outputs, after)`` for each cycle of
-        ``decoded`` that a mutant runs; its own errors propagate.
-
-        ``bench()`` returns the mutant's bench, built on first need.
-        Unscreened (``probe`` None) the mutant runs every cycle on it,
-        from reset (``start`` None) or from the checkpoint ``start``,
-        and ``after`` is its state after the cycle.
-
-        Screened, ``start`` None puts the mutant on the original's
-        path: in ``probe.states[k]`` entering cycle ``k``.  On the path
-        it runs only the cycles in the ``pending`` mask, from the
-        probe's state; on any other cycle it would take the original's
-        path, so its outputs and next state are the probe's.  Off the
-        path (``start`` its own checkpoint) it runs every cycle, and it
-        rejoins the path when its state after a cycle equals the
-        probe's by class and value; ``after`` is then None.
-        """
-        count = len(decoded)
-        if probe is None:
-            machine = bench()
-            if start is None:
-                machine.reset()
-            else:
-                machine.restore_state(start)
-            for cycle, stimulus in enumerate(decoded):
-                tally.runs += 1
-                outputs = machine.step(stimulus)
-                yield cycle, outputs, machine.save_state()
-            return
-        states = probe.states
-        machine = None
-        state, held = start, False  # held: the bench is in ``state``
-        cycle = 0
-        while cycle < count:
-            if state is None:
-                ahead = pending >> cycle
-                skip = count - cycle
-                if ahead:
-                    skip = min(skip, (ahead & -ahead).bit_length() - 1)
-                tally.skipped += skip
-                cycle += skip
-                if cycle == count:
-                    return
-                state, held = states[cycle], False
-            if machine is None:
-                machine = bench()
-            if not held:
-                machine.restore_state(state)
-                held = True
-            tally.runs += 1
-            outputs = machine.step(decoded[cycle])
-            cycle += 1
-            state = machine.save_state()
-            if _same_machine(state, states[cycle]):
-                state = None
-            yield cycle - 1, outputs, state
+        """``mutant``'s :func:`_walk` from reset over ``sweep`` (its
+        reset's errors propagate)."""
+        machine = self._machine(sweep.kind, self.executor(mutant))
+        probe = sweep.probe
+        pending = 0 if probe is None else (
+            probe.masks.get(slot, 0) | sweep.mismatch
+        )
+        state = _reset_state(machine, slot, probe)
+        return (yield from _walk(machine, sweep.rows, sweep.expected, probe,
+                                 state, pending, tally, sweep.traced))
 
     def run_mutant(
         self,
@@ -575,44 +588,17 @@ class MutationEngine:
     ) -> KillRecord:
         """Run one mutant, stopping at the first observable difference.
 
-        Sequential stimuli are one reset-started sequence, screened on
-        the compiled backend (see :meth:`_walk`).  On the comb fast
-        path, process variables carry from one vector to the next (see
-        :class:`_CombSweep`, which also screens the run); other
-        combinational designs evaluate every vector from the pristine
-        state.
+        Sequential stimuli are one reset-started sequence.  On the comb
+        fast path process variables carry from one vector to the next;
+        other combinational designs evaluate every vector from the
+        pristine state.  The compiled backend screens the run (see
+        :func:`_walk`) except on that pristine bench path.
         """
-        if self._fast:
-            slot, slots = 0, self._population
-            if self._schema is not None:
-                slot, slots = self._probe_slots(mutant)
-            sweep = self._sweep(stimuli, reference, slots)
-            record = KillRecord(mutant.mid, False, None, "survived")
-            for cycle, error in sweep.diffs(self.executor(mutant), slot):
-                if error is None:
-                    record = KillRecord(mutant.mid, True, cycle,
-                                        "output-diff")
-                elif isinstance(error, MutantRuntimeError):
-                    record = KillRecord(mutant.mid, True, None, "runtime")
-                else:
-                    record = KillRecord(mutant.mid, True, None,
-                                        "oscillation")
-                break
-            sweep.record()
-            return record
-        if not self._design.is_sequential:
-            decoded, _ = self._stimuli(stimuli)
-            if reference is None:
-                reference = self.reference_outputs(stimuli)
-            return _first_kill(mutant.mid, self._bench_steps(mutant, decoded),
-                               reference)
+        slot, slots = self._probe_slots(mutant)
         tally = _Tally()
-        steps, _, reference = self._sequence(
-            mutant, stimuli, reference, "outputs", tally
-        )
-        if reference is None:
-            reference = self.reference_outputs(stimuli)
-        record = _first_kill(mutant.mid, steps, reference)
+        record = _first_kill(mutant.mid, self._from_reset(
+            mutant, slot, self._sweep(stimuli, reference, slots), tally
+        ))
         tally.record()
         return record
 
@@ -654,18 +640,7 @@ class MutationEngine:
         A sequential design's compiled backend takes the trace from its
         probe.
         """
-        decoded, _ = self._stimuli(stimuli)
-        if self._design.is_sequential:
-            if self._schema is not None:
-                return list(self._probe(stimuli, self._population).trace)
-            return self._pass(decoded).trace
-        bench, pristine = self._fresh_bench(None)
-        trace: list[tuple] = []
-        for stimulus in decoded:
-            bench.restore_state(pristine)
-            bench.step(stimulus)
-            trace.append(_observable(bench.save_state()))
-        return trace
+        return list(self._reference(stimuli, self._trace_kind).trace)
 
     def triage_survivor(
         self,
@@ -681,29 +656,22 @@ class MutationEngine:
         deviates was :data:`NEVER_ACTIVATED` by the test data; one that
         deviated internally yet survived (its outputs matched) was
         activated but :data:`PROPAGATION_BLOCKED` on the way to an
-        observed output.  The third category,
+        observed output; a run that raises, its reset's included,
+        was activated too.  The third category,
         :data:`POSSIBLY_EQUIVALENT`, is assigned by the caller from the
         equivalence analysis before ever running this sweep.  On a
         sequential design the compiled backend screens the steps (see
-        :meth:`_walk`): a skipped cycle leaves the mutant in the
+        :func:`_walk`): a skipped cycle leaves the mutant in the
         original's state.
         """
-        if trace is None:
-            trace = self.reference_state_trace(stimuli)
-        if not self._design.is_sequential:
-            decoded, _ = self._stimuli(stimuli)
-            steps = (
-                (index, outputs, bench.save_state())
-                for index, outputs, bench in self._bench_steps(mutant,
-                                                               decoded)
-            )
-            return _triage(steps, None, trace)
+        slot, slots = self._probe_slots(mutant)
         tally = _Tally()
-        steps, probe, trace = self._sequence(mutant, stimuli, trace, "trace",
-                                             tally)
-        category = _triage(steps, probe, trace)
+        record = _first_kill(mutant.mid, self._from_reset(
+            mutant, slot, self._sweep(stimuli, trace, slots, traced=True),
+            tally,
+        ))
         tally.record()
-        return category
+        return PROPAGATION_BLOCKED if record.killed else NEVER_ACTIVATED
 
     def triage_survivors(
         self, mutants: list[Mutant], stimuli: list[int]
@@ -726,46 +694,25 @@ class MutationEngine:
     ) -> dict[int, set[int]]:
         """For combinational designs: mid -> indexes of killing vectors.
 
-        The whole matrix comes from one pass per mutant over the
+        The whole matrix comes from one walk per mutant over the
         candidate list.  On the comb fast path process variables carry
-        from one vector to the next, and the pass is screened (see
-        :class:`_CombSweep`); the bench path evaluates every vector
-        from the pristine state.
+        from one vector to the next, even past a vector whose run
+        raised, and the walk is screened (see :func:`_walk`); the bench
+        path evaluates every vector from the pristine state.
         """
         slots = self.cover(mutants)
+        sweep = self._sweep(vectors, reference, frozenset(slots))
+        tally = _Tally()
         matrix: dict[int, set[int]] = {}
-        if self._fast:
-            sweep = self._sweep(vectors, reference, frozenset(slots))
-            for mutant, slot in zip(mutants, slots or [0] * len(mutants)):
-                matrix[mutant.mid] = {
-                    index for index, _ in
-                    sweep.diffs(self.executor(mutant), slot)
-                }
-            sweep.record()
-            return matrix
-        if reference is None:
-            reference = self.reference_outputs(vectors)
-        decoded, _ = self._stimuli(vectors)
-        for mutant in mutants:
-            kills: set[int] = set()
+        for mutant, slot in zip(mutants, slots or [None] * len(mutants)):
+            walk = self._from_reset(mutant, slot, sweep, tally)
             try:
-                bench, pristine = self._fresh_bench(mutant)
+                matrix[mutant.mid] = {index for index, _ in walk}
             except (MutantRuntimeError, OscillationError):
-                # Initialization itself misbehaves: observably different
-                # on every vector.
-                matrix[mutant.mid] = set(range(len(decoded)))
-                continue
-            for index, stimulus in enumerate(decoded):
-                try:
-                    bench.restore_state(pristine)
-                    if bench.step(stimulus) != reference[index]:
-                        kills.add(index)
-                except (MutantRuntimeError, OscillationError):
-                    # The erroring vector observably differs; a fresh
-                    # bench continues the sweep for the remaining ones.
-                    kills.add(index)
-                    bench, pristine = self._fresh_bench(mutant)
-            matrix[mutant.mid] = kills
+                # Its reset itself misbehaves: observably different on
+                # every vector.
+                matrix[mutant.mid] = set(range(len(vectors)))
+        tally.record()
         return matrix
 
 
@@ -785,10 +732,10 @@ class SequenceSweep:
     far and each live mutant's own, None while that is the original's.
     :meth:`trial` runs a candidate chunk from there (one probed pass of
     the original, then each live mutant's screened cycles, see
-    :meth:`MutationEngine._walk`) without moving anything;
-    :meth:`commit` appends a tried chunk from its end states, so
-    nothing is simulated twice.  On the interpreter every live mutant
-    keeps its own checkpoint and runs every cycle.
+    :func:`_walk`) without moving anything; :meth:`commit` appends a
+    tried chunk from its end states, so nothing is simulated twice.  On
+    the interpreter every live mutant keeps its own checkpoint and runs
+    every cycle.
     """
 
     def __init__(self, engine: MutationEngine, mutants: list[Mutant]):
@@ -804,52 +751,37 @@ class SequenceSweep:
         self.killed: set[int] = set()
         self.live: dict[int, Mutant] = {}
         self._states: dict[int, tuple | None] = {}
-        self._benches: dict[int, Testbench] = {}
+        self._machines: dict[int, _BenchMachine] = {}
         for mutant in mutants:
+            machine = engine._machine(engine._kind, engine.executor(mutant))
             try:
-                state = engine._reset_state(
-                    mutant, self._slots.get(mutant.mid), screen
+                state = _reset_state(
+                    machine, self._slots.get(mutant.mid), screen
                 )
             except (MutantRuntimeError, OscillationError):
                 self.killed.add(mutant.mid)
                 continue
             self.live[mutant.mid] = mutant
             self._states[mutant.mid] = state
-
-    def _bench(self, mid: int) -> Testbench:
-        bench = self._benches.get(mid)
-        if bench is None:
-            bench = self._benches[mid] = self._engine.testbench(
-                self.live[mid]
-            )
-        return bench
+            self._machines[mutant.mid] = machine
 
     def trial(self, decoded: list[dict]) -> ChunkTrial:
         """Run the live mutants through the chunk ``decoded``: which it
         kills, and where it leaves the others."""
-        engine = self._engine
-        probe = engine._pass(decoded, self._checkpoint, self._prober)
+        probe = self._engine._pass(decoded, self._checkpoint, self._prober)
         screen = probe if self._screened else None
-        outputs = probe.outputs
         tally = _Tally()
         kills: set[int] = set()
         ends: dict[int, tuple | None] = {}
-        for mid in self.live:
-            state = self._states[mid]
-            pending = probe.masks.get(self._slots.get(mid), 0)
+        for mid, machine in self._machines.items():
+            walk = _walk(machine, decoded, probe.outputs, screen,
+                         self._states[mid],
+                         probe.masks.get(self._slots.get(mid), 0), tally)
             try:
-                for cycle, outs, after in engine._walk(
-                    functools.partial(self._bench, mid), decoded, screen,
-                    state, pending, tally,
-                ):
-                    if outs != outputs[cycle]:
-                        kills.add(mid)
-                        break
-                    state = after
-                else:
-                    ends[mid] = state
-            except (MutantRuntimeError, OscillationError):
+                next(walk)
                 kills.add(mid)
+            except StopIteration as done:
+                ends[mid] = done.value
         tally.record()
         return ChunkTrial(kills, ends, probe.states[-1])
 
@@ -857,73 +789,9 @@ class SequenceSweep:
         """Append a chunk :meth:`trial` ran from the current state."""
         self._checkpoint = trial.checkpoint
         for mid in trial.kills:
-            del self.live[mid], self._states[mid]
-            self._benches.pop(mid, None)
+            del self.live[mid], self._states[mid], self._machines[mid]
         self._states.update(trial.ends)
         if trial.kills and self._screened:
             self._prober = self._engine._prober(frozenset(
                 self._slots[mid] for mid in self.live
             ))
-
-
-class _CombSweep(_Tally):
-    """Mutants against one vector list on the comb fast path.
-
-    Process variables carry from one vector to the next, as across
-    process activations.  With a probe (the compiled backend) the sweep
-    is screened: a mutant whose variables equal the original's entering
-    vector ``k`` and whose slot the probe did not infect on ``k`` takes
-    the original's path there, writing the original's outputs and
-    variables, so it skips ``k``.  Otherwise it runs ``k``, and it goes
-    back to skipping once its variables equal the original's after a
-    vector.  The interpreter (no probe) runs every pair.
-    """
-
-    def __init__(self, process, names: list[str], rows: list[dict],
-                 reference: list[tuple], probe: _Probe | None,
-                 mismatch: int | None):
-        super().__init__()
-        self._process = process
-        self._names = names
-        self._rows = rows
-        self._reference = reference
-        self._probe = probe
-        self._mismatch = mismatch
-
-    def diffs(self, executor, slot: int):
-        """Yield ``(index, error)`` for every vector on which the mutant
-        (``executor``, schema ``slot``) differs from the reference: its
-        outputs differ (``error`` None) or its execution raised."""
-        process, names, rows = self._process, self._names, self._rows
-        reference, probe = self._reference, self._probe
-        count = len(rows)
-        if probe is None:
-            variables, pending = _initial_variables(process), 0
-        else:
-            variables = None  # None: equal to the original's
-            pending = probe.masks.get(slot, 0) | self._mismatch
-        index = 0
-        while index < count:
-            if variables is None:
-                ahead = pending >> index
-                skip = (ahead & -ahead).bit_length() - 1 if ahead else (
-                    count - index
-                )
-                self.skipped += skip
-                index += skip
-                if index == count:
-                    return
-                variables = dict(probe.states[index])
-            self.runs += 1
-            try:
-                error = None
-                differs = _comb_step(process, names, executor, rows[index],
-                                     variables) != reference[index]
-            except (MutantRuntimeError, OscillationError) as caught:
-                error, differs = caught, True
-            if differs:
-                yield index, error
-            index += 1
-            if probe is not None and _same_state(variables,
-                                                 probe.states[index]):
-                variables = None

@@ -39,7 +39,7 @@ from repro.mutation.execution import (
 from repro.mutation.score import equivalence_stimuli
 from repro.obs import metrics
 from repro.search import SearchBudget
-from repro.sim import StimulusEncoder
+from repro.sim import StimulusEncoder, Testbench
 from repro.testgen.mutation_gen import MutationTestGenerator
 from repro.util import rng_stream
 
@@ -73,10 +73,7 @@ def _assert_same(design, mutants, vectors):
         lambda: interp.run_all(mutants, vectors)
     )
     assert records == interp_records
-    if design.is_sequential:
-        # Every cycle of every mutant is a pair; the screen skips some.
-        assert 0 < schema_counts[1] < schema_counts[0]
-        assert 0 < interp_counts[1] == interp_counts[0]
+    sweeps = [(schema_counts, interp_counts)]
     if not design.is_sequential:
         matrix, counts = _screened(
             lambda: schema.comb_kill_sets(mutants, vectors)
@@ -85,12 +82,16 @@ def _assert_same(design, mutants, vectors):
             lambda: interp.comb_kill_sets(mutants, vectors)
         )
         assert matrix == expected
-        if _can_fast_path(design):
-            # The screen is on (and skips something) only when compiled.
-            for pairs, runs in (schema_counts, counts):
-                assert 0 < runs < pairs
-            for pairs, runs in (interp_counts, unscreened):
-                assert 0 < runs == pairs
+        sweeps.append((counts, unscreened))
+    # Every walk counts its pairs.  Every step is a pair; the screen
+    # skips some only when compiled, and never on the comb bench path.
+    screened = design.is_sequential or _can_fast_path(design)
+    for (pairs, runs), (all_pairs, all_runs) in sweeps:
+        if screened:
+            assert 0 < runs < pairs
+        else:
+            assert 0 < runs == pairs
+        assert 0 < all_runs == all_pairs
     survivors = [m for m, r in zip(mutants, records) if not r.killed]
     assert schema.triage_survivors(survivors, vectors) == (
         interp.triage_survivors(survivors, vectors)
@@ -218,6 +219,58 @@ def test_comb_fast_path_carries_variables_across_vectors():
     )
     assert counts == (5, 4)
     _assert_same(design, mutants, vectors + _vectors(design, 16, "hold"))
+
+
+def test_comb_triage_starts_every_vector_from_the_pristine_state():
+    # Triage on a comb design restarts each vector from the pristine
+    # state, unlike the fast path's kills: on (a, b) = (1, 1), (1, 0) the
+    # original holds n = 1 into vector 1, but from the pristine state it
+    # keeps n = 0 there while ``b -> a`` (mid 4) stores n = 1, so that
+    # survivor counts as activated.
+    design = load_design(HOLD, "hold")
+    mutants = generate_mutants(design)
+    assert mutants[4].description == "p: b -> a"
+    vectors = [3, 2]
+    for engine in _engines(design):
+        records = engine.run_all(mutants, vectors)
+        survivors = [m for m, r in zip(mutants, records) if not r.killed]
+        assert engine.triage_survivors(survivors, vectors) == {
+            4: PROPAGATION_BLOCKED, 7: PROPAGATION_BLOCKED,
+            9: NEVER_ACTIVATED, 10: PROPAGATION_BLOCKED,
+            14: NEVER_ACTIVATED, 17: NEVER_ACTIVATED,
+            20: PROPAGATION_BLOCKED, 23: PROPAGATION_BLOCKED,
+        }
+
+
+#: ``HOLD`` plus a second process, so off the comb fast path.
+HOLD_TWO = HOLD.replace("y : out bit", "y, z : out bit").replace(
+    "end process p;", "end process p;\n  q : process (a)\n  begin\n"
+    "    z <= a;\n  end process q;",
+)
+
+
+def test_bench_path_reference_starts_every_vector_from_the_pristine_state():
+    # The bench path runs every mutant's vector from the pristine state;
+    # the reference must too.  Carried over, n = 1 from vector 0 would
+    # give y = 1 on vector 1, and ``'1' -> a`` (whose outputs equal the
+    # original's on every vector) would count as killed there.
+    design = load_design(HOLD_TWO, "hold")
+    assert not _can_fast_path(design)
+    encode = StimulusEncoder(design).encode
+    stimuli = [{"a": a, "b": b} for a, b in ((1, 1), (0, 0), (0, 1), (1, 0))]
+    vectors = [encode(stimulus) for stimulus in stimuli]
+    pristine = [Testbench(design).run_sequence([stimulus])[0]
+                for stimulus in stimuli]
+    assert pristine == [(1, 1), (0, 0), (0, 0), (0, 1)]
+    mutants = generate_mutants(design)
+    same = _nth(mutants, "p: '1' -> a")
+    for engine in _engines(design):
+        assert engine.reference_outputs(vectors) == pristine
+        assert engine.run_mutant(same, vectors) == KillRecord(
+            same.mid, False, None, "survived"
+        )
+        assert engine.comb_kill_sets([same], vectors) == {same.mid: set()}
+    _assert_same(design, mutants, vectors + _vectors(design, 8, "hold2"))
 
 
 SHORT_CIRCUIT = """
