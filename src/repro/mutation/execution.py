@@ -8,8 +8,8 @@ different behaviour).  Sequences always start from reset.
 Every execution is a walk of a *machine* over a stimulus list (see
 :func:`_walk`): ``reset``, ``step`` one vector or cycle and read its
 outputs, save (``state``) and restore (``load``) its state, and tell
-whether a state is the original's (``same``: equal by class and value).
-Three machines cover the designs:
+whether it is in a given state of the original's (``same``: equal by
+class and value).  Three machines cover the designs:
 
 * :class:`_CombMachine`, the comb fast path (one process reading input
   ports only): the process variables, carried from one vector to the
@@ -88,16 +88,15 @@ class _CombMachine:
     discipline), so one execution per vector replaces the delta-cycle
     scheduler; a step takes a full signal map.  The state is the
     process's variable map, carried over from one vector to the next,
-    as across process activations.  ``state`` returns the live map and
-    only ``load`` copies, so a step copies nothing.
+    as across process activations.  ``same`` compares the live map, so
+    a step copies nothing.
     """
 
     screened = True
-    same = staticmethod(_same_state)
 
-    def __init__(self, design: Design, max_delta: int, executor):
-        self._process = design.processes[0]
-        self._names = [port.name for port in design.output_ports]
+    def __init__(self, engine: MutationEngine, executor):
+        self._process = engine._design.processes[0]
+        self._names = engine._names
         self._executor = executor
         self._variables: dict = {}
 
@@ -116,43 +115,56 @@ class _CombMachine:
         ])
 
     def state(self) -> dict:
-        return self._variables
+        return dict(self._variables)
 
     def load(self, state: dict) -> None:
         self._variables = dict(state)
+
+    def same(self, state: dict) -> bool:
+        return _same_state(self._variables, state)
 
 
 class _BenchMachine:
     """A sequential design's :class:`Testbench`; a state is its
     ``save_state`` checkpoint.  The bench is built on the first reset
     or load, so a mutant that never leaves the original's path never
-    builds one."""
+    builds one.  One checkpoint per step serves ``state`` and ``same``.
+    """
 
     screened = True
-    same = staticmethod(_same_machine)
 
-    def __init__(self, design: Design, max_delta: int, executor):
-        self._args = design, max_delta, executor
+    def __init__(self, engine: MutationEngine, executor):
+        self._engine = engine
+        self._executor = executor
         self._bench: Testbench | None = None
+        self._saved: tuple | None = None  # the checkpoint of now
 
     def _built(self) -> Testbench:
         if self._bench is None:
-            design, max_delta, executor = self._args
-            self._bench = Testbench(design, max_delta=max_delta,
-                                    executor=executor)
+            self._bench = Testbench(self._engine._design,
+                                    max_delta=self._engine._max_delta,
+                                    executor=self._executor)
         return self._bench
 
     def reset(self) -> None:
+        self._saved = None
         self._built().reset()
 
     def step(self, stimulus: dict) -> tuple:
+        self._saved = None
         return self._bench.step(stimulus)
 
     def state(self) -> tuple:
-        return self._bench.save_state()
+        if self._saved is None:
+            self._saved = self._bench.save_state()
+        return self._saved
 
     def load(self, state: tuple) -> None:
         self._built().restore_state(state)
+        self._saved = state
+
+    def same(self, state: tuple) -> bool:
+        return _same_machine(self.state(), state)
 
 
 class _PristineMachine(_BenchMachine):
@@ -174,7 +186,7 @@ class _PristineMachine(_BenchMachine):
 
     def step(self, stimulus: dict) -> tuple:
         self._bench.restore_state(self._pristine)
-        return self._bench.step(stimulus)
+        return super().step(stimulus)
 
 
 @dataclass(frozen=True)
@@ -243,10 +255,9 @@ def _reset_state(machine, slot: int | None, probe: _Probe | None):
     if probe is not None and slot not in probe.reset:
         return None
     machine.reset()
-    state = machine.state()
-    if probe is not None and machine.same(state, probe.states[0]):
+    if probe is not None and machine.same(probe.states[0]):
         return None
-    return state
+    return machine.state()
 
 
 def _walk(machine, rows: list, expected: list, probe: _Probe | None,
@@ -254,8 +265,8 @@ def _walk(machine, rows: list, expected: list, probe: _Probe | None,
     """Yield ``(index, error)`` for each step of ``rows`` on which the
     mutant's ``machine`` differs from ``expected[index]``: its outputs
     (with ``traced``, its observable state after the step) differ, or
-    the step raised ``error``.  Return its state after the last step
-    (None: the original's).
+    the step raised ``error``.  Return whether it ended on the
+    original's path.
 
     Unscreened (``probe`` None) the machine runs every step from
     ``state``.  Screened, ``state`` None puts the mutant on the
@@ -268,14 +279,11 @@ def _walk(machine, rows: list, expected: list, probe: _Probe | None,
     step that raised leaves the machine where it stopped, and the walk
     goes on from there if the caller asks for more.
     """
-    step, load, current, same = (
-        machine.step, machine.load, machine.state, machine.same
-    )
     count = len(rows)
     states = None if probe is None else probe.states
     on = state is None  # on the original's path
     if not on:
-        load(state)
+        machine.load(state)
     index = 0
     while index < count:
         if on:
@@ -286,22 +294,21 @@ def _walk(machine, rows: list, expected: list, probe: _Probe | None,
             tally.skipped += skip
             index += skip
             if index == count:
-                return None
-            load(states[index])
+                return True
+            machine.load(states[index])
         tally.runs += 1
         error = seen = None
         try:
-            seen = step(rows[index])
+            seen = machine.step(rows[index])
+            if traced:
+                seen = _observable(machine.state())
         except (MutantRuntimeError, OscillationError) as caught:
             error = caught
-        after = current() if traced or states is not None else None
-        if traced and error is None:
-            seen = _observable(after)
         if error is not None or seen != expected[index]:
             yield index, error
         index += 1
-        on = states is not None and same(after, states[index])
-    return None if on else current()
+        on = states is not None and machine.same(states[index])
+    return on
 
 
 @dataclass(frozen=True)
@@ -328,12 +335,9 @@ TRIAGE_CATEGORIES = (
 
 
 def _first_kill(mid: int, walk) -> KillRecord:
-    """The kill record of the first step a :func:`_walk` yields: a step
-    that raised, or a reset that raised, kills with no cycle."""
-    try:
-        index, error = next(walk, (None, None))
-    except (MutantRuntimeError, OscillationError) as caught:
-        index, error = None, caught
+    """The kill record of the first step a walk yields: a step that
+    raised, or a reset that raised, kills with no cycle."""
+    index, error = next(walk, (None, None))
     if isinstance(error, MutantRuntimeError):
         return KillRecord(mid, True, None, "runtime")
     if isinstance(error, OscillationError):
@@ -368,6 +372,7 @@ class MutationEngine:
         self._design = design
         self._encoder = StimulusEncoder(design)
         self._max_delta = max_delta
+        self._names = [port.name for port in design.output_ports]
         #: The machine of kill analysis, and that of survivor triage.
         self._kind = self._trace_kind = (
             _BenchMachine if design.is_sequential else _PristineMachine
@@ -424,10 +429,6 @@ class MutationEngine:
             executor=self.executor(mutant),
         )
 
-    def _machine(self, kind: type, executor):
-        """A ``kind`` machine running ``executor``, not yet reset."""
-        return kind(self._design, self._max_delta, executor)
-
     def _rows(self, stimuli: list[int], kind: type) -> list:
         """``kind``'s step inputs for ``stimuli``: full signal maps on
         the comb fast path, decoded stimuli otherwise.  Memoized for the
@@ -459,7 +460,7 @@ class MutationEngine:
         executor = self.executor() if prober is None else (
             functools.partial(prober, infected=infected)
         )
-        machine = self._machine(kind or self._kind, executor)
+        machine = (kind or self._kind)(self, executor)
         if start is None:
             machine.reset()
         else:
@@ -470,8 +471,6 @@ class MutationEngine:
         masks: dict[int, int] = {}
         for index, row in enumerate(rows):
             infected.clear()
-            # From a copy of the kept state: ``state`` may be live.
-            machine.load(states[-1])
             outputs.append(machine.step(row))
             states.append(machine.state())
             bit = 1 << index
@@ -569,16 +568,19 @@ class MutationEngine:
 
     def _from_reset(self, mutant: Mutant, slot: int | None, sweep: _Sweep,
                     tally: _Tally):
-        """``mutant``'s :func:`_walk` from reset over ``sweep`` (its
-        reset's errors propagate)."""
-        machine = self._machine(sweep.kind, self.executor(mutant))
+        """``mutant``'s :func:`_walk` from reset over ``sweep``, or, when
+        its reset raises, the one difference ``(None, error)``."""
+        machine = sweep.kind(self, self.executor(mutant))
         probe = sweep.probe
+        try:
+            state = _reset_state(machine, slot, probe)
+        except (MutantRuntimeError, OscillationError) as caught:
+            return iter([(None, caught)])
         pending = 0 if probe is None else (
             probe.masks.get(slot, 0) | sweep.mismatch
         )
-        state = _reset_state(machine, slot, probe)
-        return (yield from _walk(machine, sweep.rows, sweep.expected, probe,
-                                 state, pending, tally, sweep.traced))
+        return _walk(machine, sweep.rows, sweep.expected, probe, state,
+                     pending, tally, sweep.traced)
 
     def run_mutant(
         self,
@@ -705,13 +707,13 @@ class MutationEngine:
         tally = _Tally()
         matrix: dict[int, set[int]] = {}
         for mutant, slot in zip(mutants, slots or [None] * len(mutants)):
-            walk = self._from_reset(mutant, slot, sweep, tally)
-            try:
-                matrix[mutant.mid] = {index for index, _ in walk}
-            except (MutantRuntimeError, OscillationError):
+            kills = {index for index, _ in
+                     self._from_reset(mutant, slot, sweep, tally)}
+            if None in kills:
                 # Its reset itself misbehaves: observably different on
                 # every vector.
-                matrix[mutant.mid] = set(range(len(vectors)))
+                kills = set(range(len(vectors)))
+            matrix[mutant.mid] = kills
         tally.record()
         return matrix
 
@@ -753,7 +755,7 @@ class SequenceSweep:
         self._states: dict[int, tuple | None] = {}
         self._machines: dict[int, _BenchMachine] = {}
         for mutant in mutants:
-            machine = engine._machine(engine._kind, engine.executor(mutant))
+            machine = engine._kind(engine, engine.executor(mutant))
             try:
                 state = _reset_state(
                     machine, self._slots.get(mutant.mid), screen
@@ -781,7 +783,7 @@ class SequenceSweep:
                 next(walk)
                 kills.add(mid)
             except StopIteration as done:
-                ends[mid] = done.value
+                ends[mid] = None if done.value else machine.state()
         tally.record()
         return ChunkTrial(kills, ends, probe.states[-1])
 

@@ -367,6 +367,35 @@ def test_prefix_type_change_is_hoisted():
     assert cvr and all(r.reason == "runtime" for r in cvr)
 
 
+#: ``OFFSET_VECTOR`` plus a second process, so off the comb fast path.
+OFFSET_VECTOR_TWO = OFFSET_VECTOR.replace(
+    "y, z : out bit", "y, z, w : out bit"
+).replace(
+    "end process p;", "end process p;\n  q : process (s)\n  begin\n"
+    "    w <= s;\n  end process q;",
+)
+
+
+def test_bench_path_reset_error_kills_every_vector():
+    # CVR v -> "0000" raises as soon as p runs, so already in the
+    # pristine bench's reset: a runtime kill with no cycle, a kill on
+    # every vector, and an activated survivor in triage.
+    design = load_design(OFFSET_VECTOR_TWO, "ov")
+    assert not _can_fast_path(design)
+    mutants = generate_mutants(design)
+    cvr = next(m for m in mutants
+               if m.operator == "CVR" and '-> "' in m.description)
+    vectors = _vectors(design, 6, "ov2")
+    for engine in _engines(design):
+        assert engine.run_mutant(cvr, vectors) == KillRecord(
+            cvr.mid, True, None, "runtime"
+        )
+        assert engine.comb_kill_sets([cvr], vectors) == {
+            cvr.mid: set(range(6))
+        }
+        assert engine.triage_survivor(cvr, vectors) == PROPAGATION_BLOCKED
+
+
 def test_concurrent_sweeps_share_one_schema():
     # Threads sweeping disjoint mutant slices of one engine race to add
     # slots and recompile; a slot lost between two compiles would run
