@@ -182,7 +182,7 @@ class _PristineMachine(_BenchMachine):
 
     def reset(self) -> None:
         super().reset()
-        self._pristine = self._bench.save_state()
+        self._pristine = self.state()
 
     def step(self, stimulus: dict) -> tuple:
         self._bench.restore_state(self._pristine)
