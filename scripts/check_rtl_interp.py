@@ -6,10 +6,13 @@
 A campaign runs its mutants on the compiled mutant schema, screened by
 the infection probe, whatever ``--engine`` says: that flag picks the
 netlist engine only.  This runs ``Campaign`` at the CI smoke budgets
-on c17, b01, b03 and c432 twice in one process, the second time with
-every lab's ``MutationEngine`` on the reference interpreter
-(``backend="interp"``, never screened), and compares each circuit's
-``CircuitResult`` digest (sha256 of sorted-key compact JSON).  The
+on c17, b01, b03 and c432 three times in one process: on the schema,
+again on the schema compiled with every top-level statement its own
+unit (``compiler._UNIT_CHARS = 0``, so comb runs resume at as many
+units as they can), and with every lab's ``MutationEngine`` on the
+reference interpreter (``backend="interp"``, never screened).  It
+compares each circuit's ``CircuitResult`` digest (sha256 of sorted-key
+compact JSON) of both schema passes with the interpreter's.  The
 interpreter pass takes about 20 s.
 """
 
@@ -26,6 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import Campaign, CampaignConfig  # noqa: E402
 from repro.experiments import context  # noqa: E402
+from repro.sim import compiler  # noqa: E402
 
 CIRCUITS = ["c17", "b01", "b03", "c432"]
 #: The CI smoke budgets.
@@ -47,6 +51,14 @@ def digests() -> dict[str, str]:
 
 def main() -> int:
     compiled = digests()
+    # Fresh labs, whose schemas compile a unit per statement.
+    context._LABS.clear()
+    units = compiler._UNIT_CHARS
+    compiler._UNIT_CHARS = 0
+    try:
+        split = digests()
+    finally:
+        compiler._UNIT_CHARS = units
     # Fresh labs, whose engines run the interpreter.
     context._LABS.clear()
     context.MutationEngine = functools.partial(
@@ -55,9 +67,10 @@ def main() -> int:
     interp = digests()
     failed = 0
     for name in CIRCUITS:
-        same = compiled[name] == interp[name]
+        same = compiled[name] == split[name] == interp[name]
         failed += not same
         print(f"{name}: compiled {compiled[name][:16]} "
+              f"unit-per-statement {split[name][:16]} "
               f"interp {interp[name][:16]} "
               f"{'ok' if same else 'MISMATCH'}")
     return 1 if failed else 0

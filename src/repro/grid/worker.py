@@ -132,6 +132,9 @@ def execute_unit(unit: WorkUnit, config) -> dict:
                 f"id(s) not in the population"
             )
         vectors = unit.spec["vectors"]
+        # Cover the part first: on a sequential design the reference is
+        # the probe of the covered population, which the runs then share.
+        lab.engine.cover(mutants)
         reference = _memoized(
             ("kill", unit.circuit, tuple(vectors)),
             lambda: lab.engine.reference_outputs(vectors),
@@ -162,11 +165,11 @@ def execute_unit(unit: WorkUnit, config) -> dict:
             )
             return stimuli, lab.engine.reference_outputs(stimuli)
 
+        lab.engine.cover(mutants)
         stimuli, reference = _memoized(
             ("equiv", unit.circuit, config.equivalence_budget, config.seed),
             compute,
         )
-        lab.engine.cover(mutants)
         survivors: list[int] = []
         kill_cycle: dict[str, int | None] = {}
         for mutant in mutants:

@@ -25,9 +25,12 @@ vector) and (mutant, cycle) pairs that need running; it never changes
 a result.  One probed pass of the original per stimulus list records
 the slots each step infects, the original's state entering each one
 and its outputs.  A mutant in the original's state whose slot is not
-infected takes the original's path, so it skips that step.  The
-pristine machine is never screened, and neither is the interpreter
-(``backend="interp"``): it is the oracle the screen is tested against.
+infected takes the original's path, so it skips that step.  On the
+comb machine a step it does run there starts at its slot's first
+compile unit, from the original's state entering that unit, which the
+probed pass also records.  The pristine machine is never screened, and
+neither is the interpreter (``backend="interp"``): it is the oracle the
+screen is tested against.
 """
 
 from __future__ import annotations
@@ -89,15 +92,17 @@ class _CombMachine:
     scheduler; a step takes a full signal map.  The state is the
     process's variable map, carried over from one vector to the next,
     as across process activations.  ``same`` compares the live map, so
-    a step copies nothing.
+    a step copies nothing.  The machine of a compiled ``slot`` resumes
+    steps on the original's path at the slot's first unit.
     """
 
     screened = True
 
-    def __init__(self, engine: MutationEngine, executor):
+    def __init__(self, engine: MutationEngine, executor, slot: int = 0):
         self._process = engine._design.processes[0]
         self._names = engine._names
         self._executor = executor
+        self._slot = slot
         self._variables: dict = {}
 
     def reset(self) -> None:
@@ -105,14 +110,35 @@ class _CombMachine:
             var.name: var.init for var in self._process.variables
         }
 
-    def step(self, values: dict) -> tuple:
-        scheduled: dict[str, object] = {}
-        self._executor(self._process, values, self._variables, scheduled,
-                       _NO_EVENTS)
+    def _outputs(self, values: dict, scheduled: dict) -> tuple:
         return tuple([
             scheduled[name] if name in scheduled else values[name]
             for name in self._names
         ])
+
+    def step(self, values: dict) -> tuple:
+        scheduled: dict[str, object] = {}
+        self._executor(self._process, values, self._variables, scheduled,
+                       _NO_EVENTS)
+        return self._outputs(values, scheduled)
+
+    def start(self, probe: _Probe) -> int:
+        """The unit this machine's steps on the original's path start
+        at: its slot's first unit in the probe's split."""
+        return probe.program.first.get(self._slot, 0)
+
+    def resume(self, probe: _Probe, index: int, start: int,
+               values: dict) -> tuple:
+        """Step ``values`` on the original's path: the units before
+        ``start`` hold none of the slot's sites, so run the rest from
+        copies of the original's maps entering unit ``start``."""
+        variables, scheduled = probe.entries[index][start]
+        self._variables = variables = dict(variables)
+        scheduled = dict(scheduled)
+        slot = self._slot
+        for unit in probe.program.run[start:]:
+            unit(values, variables, scheduled, _NO_EVENTS, slot)
+        return self._outputs(values, scheduled)
 
     def state(self) -> dict:
         return dict(self._variables)
@@ -133,7 +159,7 @@ class _BenchMachine:
 
     screened = True
 
-    def __init__(self, engine: MutationEngine, executor):
+    def __init__(self, engine: MutationEngine, executor, slot: int = 0):
         self._engine = engine
         self._executor = executor
         self._bench: Testbench | None = None
@@ -166,6 +192,16 @@ class _BenchMachine:
     def same(self, state: tuple) -> bool:
         return _same_machine(self.state(), state)
 
+    def start(self, probe: _Probe) -> int:
+        """Unit 0: a bench step is many activations, run whole."""
+        return 0
+
+    def resume(self, probe: _Probe, index: int, start: int,
+               stimulus: dict) -> tuple:
+        """Step ``stimulus`` from the original's state entering it."""
+        self.load(probe.states[index])
+        return self.step(stimulus)
+
 
 class _PristineMachine(_BenchMachine):
     """A combinational :class:`Testbench` that runs every step from its
@@ -196,13 +232,18 @@ class _Probe:
     ``states[k]`` is the machine's state entering step ``k`` (process
     variables on the comb fast path, a bench checkpoint otherwise), and
     ``reset`` holds the slots the reset sequence infected (none from a
-    checkpoint).  An unprobed pass leaves the masks empty.
+    checkpoint).  An unprobed pass leaves the masks empty.  A probed
+    pass on the comb fast path also keeps ``entries[k][u]``, the
+    original's ``(variables, scheduled)`` entering unit ``u`` of step
+    ``k``, taken on ``program``, the compiled process it probed.
     """
 
     masks: dict[int, int]      # slot -> bit k set when infected on step k
     states: list               # state entering step k (one more: after)
     outputs: list[tuple]       # the original's outputs per step
     reset: frozenset[int] = frozenset()
+    entries: list = ()         # per step, the maps entering each unit
+    program: object = None     # the compiled process the entries follow
 
     @functools.cached_property
     def trace(self) -> list[tuple]:
@@ -211,11 +252,13 @@ class _Probe:
 
 
 class _Tally:
-    """The screen's counters: pairs considered, and the runs left."""
+    """The screen's counters: pairs considered, the runs left, and the
+    runs among them that started past unit 0."""
 
     def __init__(self) -> None:
         self.runs = 0
         self.skipped = 0
+        self.resumed = 0
 
     def record(self) -> None:
         """Count the pairs and runs as ``mutation.screen.*``."""
@@ -223,6 +266,7 @@ class _Tally:
         if m.enabled:
             m.counter("mutation.screen.pairs", self.runs + self.skipped)
             m.counter("mutation.screen.runs", self.runs)
+            m.counter("mutation.screen.resumed", self.resumed)
 
 
 def _record_probe(m, activations: int, started: float) -> None:
@@ -272,15 +316,18 @@ def _walk(machine, rows: list, expected: list, probe: _Probe | None,
     ``state``.  Screened, ``state`` None puts the mutant on the
     original's path: in ``probe.states[k]`` entering step ``k``.  On
     the path it runs only the steps in the ``pending`` mask, from the
-    probe's state; on any other it would take the original's path, so
-    its outputs and next state are the probe's.  Off the path
-    (``state`` its own) it runs every step, and it rejoins the path
-    when its state after a step is the probe's (``machine.same``).  A
-    step that raised leaves the machine where it stopped, and the walk
-    goes on from there if the caller asks for more.
+    probe's state (``machine.resume``: on the comb machine, from the
+    original's state entering its first unit); on any other it would
+    take the original's path, so its outputs and next state are the
+    probe's.  Off the path (``state`` its own) it runs every step, and
+    it rejoins the path when its state after a step is the probe's
+    (``machine.same``).  A step that raised leaves the machine where it
+    stopped, and the walk goes on from there if the caller asks for
+    more.
     """
     count = len(rows)
     states = None if probe is None else probe.states
+    start = 0 if probe is None else machine.start(probe)
     on = state is None  # on the original's path
     if not on:
         machine.load(state)
@@ -295,11 +342,14 @@ def _walk(machine, rows: list, expected: list, probe: _Probe | None,
             index += skip
             if index == count:
                 return True
-            machine.load(states[index])
+            tally.resumed += start > 0
         tally.runs += 1
         error = seen = None
         try:
-            seen = machine.step(rows[index])
+            if on:
+                seen = machine.resume(probe, index, start, rows[index])
+            else:
+                seen = machine.step(rows[index])
             if traced:
                 seen = _observable(machine.state())
         except (MutantRuntimeError, OscillationError) as caught:
@@ -379,7 +429,9 @@ class MutationEngine:
         )
         if _can_fast_path(design):
             self._kind = _CombMachine
-        self._schema = MutantSchema(design) if backend == "compiled" else None
+        self._schema = None
+        if backend == "compiled":
+            self._schema = MutantSchema(design, probed=self._kind.screened)
         self._defaults = {
             symbol.name: symbol.init for symbol in design.signal_like_symbols
         }
@@ -452,15 +504,24 @@ class MutationEngine:
         ``start``.  With a schema ``prober`` every activation of the
         pass is probed: the reset sequence's go to ``reset``, and each
         step's (on a bench, both clock edges and any delta settle) to
-        its bit of ``masks``.  Without one the masks stay empty.
+        its bit of ``masks``; on the comb machine each step also
+        records the original's maps entering each unit (``entries``).
+        Without one the masks stay empty.
         """
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
+        kind = kind or self._kind
         infected: set[int] = set()
-        executor = self.executor() if prober is None else (
-            functools.partial(prober, infected=infected)
-        )
-        machine = (kind or self._kind)(self, executor)
+        entries = program = None
+        if prober is None:
+            executor = self.executor()
+        else:
+            if kind is _CombMachine:
+                entries = []
+                program = prober.program(self._design.processes[0])
+            executor = functools.partial(prober, infected=infected,
+                                         entries=entries)
+        machine = kind(self, executor)
         if start is None:
             machine.reset()
         else:
@@ -478,7 +539,7 @@ class MutationEngine:
                 masks[slot] = masks.get(slot, 0) | bit
         if m.enabled and prober is not None:
             _record_probe(m, len(rows), started)
-        return _Probe(masks, states, outputs, reset)
+        return _Probe(masks, states, outputs, reset, entries or (), program)
 
     def _probe(self, stimuli: list[int], slots: frozenset[int]) -> _Probe:
         """The original's probed pass over ``stimuli`` (compiled
@@ -570,7 +631,7 @@ class MutationEngine:
                     tally: _Tally):
         """``mutant``'s :func:`_walk` from reset over ``sweep``, or, when
         its reset raises, the one difference ``(None, error)``."""
-        machine = sweep.kind(self, self.executor(mutant))
+        machine = sweep.kind(self, self.executor(mutant), slot)
         probe = sweep.probe
         try:
             state = _reset_state(machine, slot, probe)
@@ -755,11 +816,10 @@ class SequenceSweep:
         self._states: dict[int, tuple | None] = {}
         self._machines: dict[int, _BenchMachine] = {}
         for mutant in mutants:
-            machine = engine._kind(engine, engine.executor(mutant))
+            slot = self._slots.get(mutant.mid)
+            machine = engine._kind(engine, engine.executor(mutant), slot)
             try:
-                state = _reset_state(
-                    machine, self._slots.get(mutant.mid), screen
-                )
+                state = _reset_state(machine, slot, screen)
             except (MutantRuntimeError, OscillationError):
                 self.killed.add(mutant.mid)
                 continue

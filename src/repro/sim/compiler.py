@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import threading
+from typing import NamedTuple
+
 from repro.errors import MutantRuntimeError, SimulationError
 from repro.hdl import ast
 from repro.hdl import types as ty
@@ -39,19 +41,33 @@ def make_executor(design: Design, patch: dict[int, ast.Node] | None = None,
     raise SimulationError(f"unknown backend {backend!r}")
 
 
-class MutantSchema:
-    """All covered mutants of one design, compiled into one program."""
+class _Program(NamedTuple):
+    """One process compiled over one unit split (see
+    :meth:`_Codegen.program`)."""
 
-    def __init__(self, design: Design):
+    run: tuple                 # the ``_runK`` units, in order
+    probe: tuple               # the ``_probeK`` units (empty: not emitted)
+    points: list               # probe flag index -> the slots it stands for
+    first: dict                # slot -> the lowest unit holding its sites
+
+
+class MutantSchema:
+    """All covered mutants of one design, compiled into one program.
+
+    A ``probed`` schema emits each process's probe units with its run
+    units, from one walk over one unit split; an unprobed one emits them
+    only once :meth:`prober` is first called, recompiling every process.
+    """
+
+    def __init__(self, design: Design, probed: bool = False):
         self._design = design
+        self._probed = probed
         self._lock = threading.Lock()
         self._slots: dict[tuple, int] = {}
         self._patches: list[dict[int, ast.Node]] = [{}]
         self._compiled = 0
-        self._functions: dict = {}
-        #: process label -> (probe units, ``_Codegen.points``), built on
-        #: demand and dropped when the process recompiles.
-        self._probes: dict = {}
+        #: process label -> its current :class:`_Program`.
+        self._programs: dict[str, _Program] = {}
         #: process label -> {nid: (node, parent, role)}, built on compile.
         self._nodes: dict[str, dict] | None = None
 
@@ -72,67 +88,35 @@ class MutantSchema:
             return frozenset(range(1, len(self._patches)))
 
     def executor(self, patch: dict[int, ast.Node] | None = None):
-        """The executor (see :func:`make_executor`) running ``patch``."""
+        """The executor (see :func:`make_executor`) running ``patch``.
+
+        It runs each process's current program, so after a recompile it
+        runs the new one.
+        """
         with self._lock:
             slot = self._slot(patch)
             if self._compiled < len(self._patches):
                 self._compile()
-        functions = self._functions
+        programs = self._programs
 
         def run(process: Process, values, variables, scheduled, events):
-            for unit in functions[process.label]:
+            for unit in programs[process.label].run:
                 unit(values, variables, scheduled, events, slot)
 
         return run
 
-    def prober(self, slots):
-        """An infection probe over the sites of covered ``slots``.
-
-        The probe is a callable ``(process, values, variables,
-        scheduled, events, infected=None)`` that runs one activation of
-        the original (slot 0) and returns a set of slots that holds
-        every probed slot the activation infected: at a reached site, a
-        replacement whose value differs from the original's in class or
-        value, or raises, and every slot of a reached statement site.
-        A probed slot outside the set took the original's path on that
-        activation, so running it would have made the same writes.
-        Passing ``infected`` adds to that set instead of a new one, so
-        a bench can run the probe as its executor over many
-        activations.
-
-        Each call copies the flag list, and a site writes back into the
-        copy the slots it has not infected yet: a site reached again in
-        the same activation (a loop body) checks only those, and none
-        once all are infected.  The shared flag tuples are never
-        written, so threads share one probe.
-        """
+    def prober(self, slots) -> Prober:
+        """An infection probe over the sites of covered ``slots``, on
+        the programs compiled now (see :class:`Prober`)."""
         with self._lock:
-            if self._compiled < len(self._patches):
-                self._compile()
-            flags = {}
-            for process in self._design.processes:
-                label = process.label
-                if label not in self._probes:
-                    codegen = _Codegen(process, self._patches,
-                                       self._nodes[label], probe=True)
-                    units = codegen.functions(self._design.name)
-                    self._probes[label] = (units, codegen.points)
-                units, points = self._probes[label]
-                flags[label] = (units, [
-                    tuple(sorted(owners & slots)) for owners in points
+            self._probed = True
+            self._compile()
+            return Prober({
+                label: (program, [
+                    tuple(sorted(owners & slots)) for owners in program.points
                 ])
-
-        def probe(process: Process, values, variables, scheduled, events,
-                  infected: set[int] | None = None):
-            units, live = flags[process.label]
-            if infected is None:
-                infected = set()
-            pending = list(live)
-            for unit in units:
-                unit(values, variables, scheduled, events, pending, infected)
-            return infected
-
-        return probe
+                for label, program in self._programs.items()
+            })
 
     def _slot(self, patch) -> int:
         if not patch:
@@ -145,6 +129,9 @@ class MutantSchema:
         return slot
 
     def _compile(self) -> None:
+        """Recompile every process that has no program yet, holds a
+        patch covered since the last compile, or lacks the probe units
+        a probed schema needs."""
         if self._nodes is None:
             self._nodes = {
                 process.label: {
@@ -158,14 +145,66 @@ class MutantSchema:
         ]
         for process in self._design.processes:
             nodes = self._nodes[process.label]
-            if process.label not in self._functions or any(
-                nid in nodes for nid in fresh
+            program = self._programs.get(process.label)
+            if program is None or any(nid in nodes for nid in fresh) or (
+                self._probed and not program.probe
             ):
-                self._functions[process.label] = _Codegen(
-                    process, self._patches, nodes
-                ).functions(self._design.name)
-                self._probes.pop(process.label, None)
+                self._programs[process.label] = _Codegen(
+                    process, self._patches, nodes, self._probed
+                ).program(self._design.name)
         self._compiled = len(self._patches)
+
+
+class Prober:
+    """An infection probe over the sites of some covered slots.
+
+    Calling it as ``(process, values, variables, scheduled, events,
+    infected=None, entries=None)`` runs one activation of the original
+    (slot 0) and returns a set of slots that holds every probed slot
+    the activation infected: at a reached site, a replacement whose
+    value differs from the original's in class or value, or raises, and
+    every slot of a reached statement site.  A probed slot outside the
+    set took the original's path on that activation, so running it
+    would have made the same writes.  Passing ``infected`` adds to that
+    set instead of a new one, so a bench can run the probe as its
+    executor over many activations.  Passing a list as ``entries``
+    appends to it, per activation, copies of the ``(variables,
+    scheduled)`` maps entering each unit of :meth:`program`'s split:
+    a slot's run of that program's units from its first unit on, from
+    copies of that entry, is its whole activation.
+
+    Each call copies the flag list, and a site writes back into the
+    copy the slots it has not infected yet: a site reached again in
+    the same activation (a loop body) checks only those, and none once
+    all are infected.  The shared flag tuples are never written, so
+    threads share one probe.
+    """
+
+    def __init__(self, flags: dict):
+        self._flags = flags
+
+    def program(self, process: Process) -> _Program:
+        """The compiled ``process`` this probe runs: its run units and
+        each slot's first unit match the entries it records."""
+        return self._flags[process.label][0]
+
+    def __call__(self, process: Process, values, variables, scheduled,
+                 events, infected: set[int] | None = None,
+                 entries: list | None = None):
+        program, live = self._flags[process.label]
+        if infected is None:
+            infected = set()
+        pending = list(live)
+        if entries is None:
+            for unit in program.probe:
+                unit(values, variables, scheduled, events, pending, infected)
+            return infected
+        entry = []
+        for unit in program.probe:
+            entry.append((dict(variables), dict(scheduled)))
+            unit(values, variables, scheduled, events, pending, infected)
+        entries.append(entry)
+        return infected
 
 
 def _walk(value, parent=None, role=None):
@@ -312,21 +351,26 @@ def _select(orig: str, alts: list[tuple[int, str]]) -> str:
     return f"({orig} if not ({member}) else {_chain(alts)})"
 
 
+_RUN, _PROBE = 0, 1
+
+
 class _Codegen:
     """Generates a process's code over every covered slot.
 
     Generation runs in one of two modes: *live* (the original tree,
     sites dispatch on ``_m``) or *static* under one slot's ``patch``
     (``{}`` for the pristine variant), where nodes resolve through the
-    patch exactly as the interpreter resolves them.  A *probe* codegen
-    turns live sites into infection checks instead (see
-    :meth:`MutantSchema.prober`): its functions ``_probeK(R, V, S, E,
-    L, I)`` run the original and add infected slots to the set ``I``.
-    ``L[k]`` holds the probed slots among ``points[k]``, the slots of
-    one site or of the sites under one statement: a statement with no
-    probed slot under it runs its pristine variant, and a site checks
-    only its probed slots that are not yet infected, then keeps in its
-    ``L[k]`` those still pending (``L`` is the activation's copy).
+    patch exactly as the interpreter resolves them.  With ``probe`` the
+    same walk also emits the *probe* units, in which live sites become
+    infection checks instead (see :class:`Prober`): ``_probeK(R, V, S,
+    E, L, I)`` runs the original and adds infected slots to the set
+    ``I``.  ``L[k]`` holds the probed slots among ``points[k]``, the
+    slots of one site or of the sites under one statement: a statement
+    with no probed slot under it runs its pristine variant, and a site
+    checks only its probed slots that are not yet infected, then keeps
+    in its ``L[k]`` those still pending (``L`` is the activation's
+    copy).  Static code, which is the same in both, is generated once
+    and emitted to both.
     """
 
     def __init__(self, process: Process, patches: list[dict],
@@ -334,7 +378,10 @@ class _Codegen:
         self._process = process
         self._patches = patches
         self._nodes = nodes
-        self._probe = probe
+        #: The sources emitted to (``_RUN``, ``_PROBE``), and whether
+        #: the code being generated is the probe's live code.
+        self._targets = (_RUN, _PROBE) if probe else (_RUN,)
+        self._probe = False
         self._sites: dict[int, list[int]] = {}
         for slot, patch in enumerate(patches):
             for nid, replacement in patch.items():
@@ -342,54 +389,63 @@ class _Codegen:
                     site = _site_of(nodes, nid, replacement)
                     self._sites.setdefault(site, []).append(slot)
         #: Probe flag index -> the slots it stands for.
-        self.points: list[frozenset[int]] = []
+        self._points: list[frozenset[int]] = []
         self._under_memo: dict[int, tuple[int, ...]] = {}
-        self._lines: list[str] = []
-        self._size = 0
+        self._lines: tuple[list[str], list[str]] = ([], [])
+        self._size = [0, 0]
         self._consts: dict[object, str] = {}
         self._reads: dict[str, str] = {}
         self._vars: dict[str, str] = {}
         self._scope: list[tuple[str, str, tuple[int, int] | None]] = []
         self._ids = itertools.count()
 
-    def functions(self, design_name: str) -> tuple:
-        """The process body as functions to run in order.
+    def program(self, design_name: str) -> _Program:
+        """The process body as units to run in order.
 
         The body splits at top-level statements into units of about
-        ``_UNIT_CHARS`` of source, compiled one by one, which bounds
-        the compiler's transient memory.  Variables write through to
-        ``V``, so each unit reloads them on entry.
+        ``_UNIT_CHARS`` of source (the larger of the run and probe
+        sources), compiled one by one, which bounds the compiler's
+        transient memory.  The run and probe units share the split.
+        Variables write through to ``V``, so each unit reloads them on
+        entry.
         """
         namespace = dict(_HELPERS)
-        units = []
+        units: tuple[list, list] = ([], [])
+        first: dict[int, int] = {}
         body = self._process.body or [ast.NullStmt()]
         for index, stmt in enumerate(body):
             self._stmt(stmt, {}, True, 1)
-            if index + 1 < len(body) and self._size < _UNIT_CHARS:
+            for slot in self._under(stmt):
+                first.setdefault(slot, len(units[_RUN]))
+            if index + 1 < len(body) and max(self._size) < _UNIT_CHARS:
                 continue
-            unit = f"{'_probe' if self._probe else '_run'}{len(units)}"
-            params = "L, I" if self._probe else "_m"
-            head = [f"def {unit}(R, V, S, E, {params}):"]
-            head += [f"    {local} = R[{name!r}]"
-                     for name, local in self._reads.items()]
-            head += [f"    {local} = V[{name!r}]"
-                     for name, local in self._vars.items()]
-            source = "\n".join(head + self._lines)
             namespace.update(
                 {name: value for value, name in self._consts.values()}
             )
-            filename = f"<schema {design_name}:{self._process.label}>"
-            exec(compile(source, filename, "exec"), namespace)
-            units.append(namespace[unit])
-            self._lines, self._reads, self._vars = [], {}, {}
-            self._size = 0
-        return tuple(units)
+            loads = [f"    {local} = R[{name!r}]"
+                     for name, local in self._reads.items()]
+            loads += [f"    {local} = V[{name!r}]"
+                      for name, local in self._vars.items()]
+            for target in self._targets:
+                name, params = (("_run", "_m"), ("_probe", "L, I"))[target]
+                name += str(len(units[target]))
+                source = "\n".join([f"def {name}(R, V, S, E, {params}):",
+                                    *loads, *self._lines[target]])
+                filename = f"<schema {design_name}:{self._process.label}>"
+                exec(compile(source, filename, "exec"), namespace)
+                units[target].append(namespace[name])
+            self._lines, self._size = ([], []), [0, 0]
+            self._reads, self._vars = {}, {}
+        return _Program(tuple(units[_RUN]), tuple(units[_PROBE]),
+                        self._points, first)
 
     # -- plumbing ------------------------------------------------------------
 
     def _emit(self, indent: int, line: str) -> None:
-        self._lines.append("    " * indent + line)
-        self._size += len(line)
+        text = "    " * indent + line
+        for target in self._targets:
+            self._lines[target].append(text)
+            self._size[target] += len(line)
 
     def _tmp(self) -> str:
         return f"_t{next(self._ids)}"
@@ -403,8 +459,8 @@ class _Codegen:
 
     def _point(self, slots) -> str:
         """The probe flag (an ``L`` item) standing for ``slots``."""
-        self.points.append(frozenset(slots))
-        return f"L[{len(self.points) - 1}]"
+        self._points.append(frozenset(slots))
+        return f"L[{len(self._points) - 1}]"
 
     def _local(self, table: dict[str, str], prefix: str, name: str) -> str:
         if name not in table:
@@ -473,7 +529,7 @@ class _Codegen:
                       else _NOT_CONST for slot, v in values.items()}
         if self._probe:
             value, flag = self._tmp(), self._point(slots)
-            index = len(self.points) - 1  # the site writes back L[index]
+            index = len(self._points) - 1  # the site writes back L[index]
             if _NOT_CONST not in values.values():
                 table = self._const(values)
                 scan = f"_infect_table(I, {value}, L, {index}, {table})"
@@ -509,24 +565,28 @@ class _Codegen:
             self._emit_stmt(stmt, patch, False, indent)
             return
         own = self._sites.get(stmt.nid, [])
-        if self._probe:
-            self._emit(indent, f"if {self._point(under)}:")
-            if own:
-                flag = self._point(own)
-                self._emit(indent + 1, f"I.update({flag})")
-            self._emit_stmt(stmt, patch, True, indent + 1)
-            self._emit(indent, "else:")
-            self._emit_stmt(stmt, patch, False, indent + 1)
-            return
-        self._emit(indent, f"if {_member(under)}:")
-        for index, slot in enumerate(own):
-            keyword = "if" if index == 0 else "elif"
-            self._emit(indent + 1, f"{keyword} _m == {slot}:")
-            self._emit_stmt(stmt, self._patches[slot], False, indent + 2)
-        if len(own) < len(under):
-            if own:
-                self._emit(indent + 1, "else:")
-            self._emit_stmt(stmt, patch, True, indent + 1 + bool(own))
+        # Each source gets its own live variant; the pristine ``else``
+        # branch is generated once for both.
+        targets, probe = self._targets, self._probe
+        for target in targets:
+            self._targets, self._probe = (target,), target == _PROBE
+            if self._probe:
+                self._emit(indent, f"if {self._point(under)}:")
+                if own:
+                    flag = self._point(own)
+                    self._emit(indent + 1, f"I.update({flag})")
+                self._emit_stmt(stmt, patch, True, indent + 1)
+                continue
+            self._emit(indent, f"if {_member(under)}:")
+            for index, slot in enumerate(own):
+                keyword = "if" if index == 0 else "elif"
+                self._emit(indent + 1, f"{keyword} _m == {slot}:")
+                self._emit_stmt(stmt, self._patches[slot], False, indent + 2)
+            if len(own) < len(under):
+                if own:
+                    self._emit(indent + 1, "else:")
+                self._emit_stmt(stmt, patch, True, indent + 1 + bool(own))
+        self._targets, self._probe = targets, probe
         self._emit(indent, "else:")
         self._emit_stmt(stmt, patch, False, indent + 1)
 

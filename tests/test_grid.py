@@ -36,12 +36,15 @@ from repro.grid import (
     get_scheduler,
     merge_detections,
     plan_fault_sim,
+    plan_kill_analysis,
     register_scheduler,
     scheduler_names,
     shard_ranges,
     shard_size,
 )
 from repro.grid import worker
+from repro.mutation import MutationEngine
+from repro.obs import metrics
 from repro.util import rng_stream
 from tests.test_engine import random_netlist
 
@@ -339,6 +342,30 @@ def test_executor_killed_mids_matches_engine(shard):
     finally:
         grid.close()
     assert sharded == lab.engine.killed_mids(mutants, vectors)
+
+
+def test_sequential_mutant_part_probes_once():
+    # The part is covered before its reference is taken, so the
+    # reference's probe is the one its runs share, even on a worker
+    # whose engine last covered another part.
+    config = CampaignConfig(**FAST)
+    lab = get_lab("b03", config)
+    mutants = lab.all_mutants[::4]
+    lab.engine.cover(lab.all_mutants[1::4])
+    rng = rng_stream(5, "b03", "mutant-part")
+    vectors = [rng.getrandbits(lab.engine.encoder.width) for _ in range(32)]
+    (unit,) = plan_kill_analysis(
+        "b03", "probe-once", [m.mid for m in mutants], vectors, len(mutants)
+    )
+    with metrics.collecting() as registry:
+        result = worker.execute_unit(unit, config)
+    assert registry.snapshot()["counters"]["mutation.probe.passes"] == 1
+    records = MutationEngine(lab.design).run_all(mutants, vectors)
+    assert result == {
+        "killed": sorted(r.mid for r in records if r.killed),
+        "witnesses": {str(r.mid): [r.cycle, r.reason]
+                      for r in records if r.killed},
+    }
 
 
 @pytest.mark.parametrize("shard", [1, 7, 0])

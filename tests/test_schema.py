@@ -11,12 +11,17 @@ skipped some pairs, and that the interpreter skipped none.  Hand-built
 designs pin the sequential screen's edges: a reset-branch mutant, a
 mutant that leaves the original's path and rejoins it, a late runtime
 error, a post-edge settle, a caller reference or trace that differs
-from the original, and a state that differs only in class.
+from the original, and a state that differs only in class.  Others pin
+the comb walk's resumed runs (with one compile unit per top-level
+statement: runs that start past unit 0 reading what earlier units
+wrote, raising inside the resumed unit, and a patch whose sites lie in
+two units) and the run and probe units sharing one split.
 """
 
 import hashlib
 import sys
 import threading
+from dataclasses import dataclass
 
 import pytest
 
@@ -39,7 +44,7 @@ from repro.mutation.execution import (
 from repro.mutation.score import equivalence_stimuli
 from repro.obs import metrics
 from repro.search import SearchBudget
-from repro.sim import StimulusEncoder, Testbench
+from repro.sim import StimulusEncoder, Testbench, compiler
 from repro.testgen.mutation_gen import MutationTestGenerator
 from repro.util import rng_stream
 
@@ -118,6 +123,90 @@ def test_schema_matches_interp_on_c499_slice():
     _assert_same(design, mutants, _vectors(design, 6, "slice"))
 
 
+@pytest.mark.parametrize("name,step,count,label", [
+    ("c432", 1, 12, "all"), ("c499", 25, 6, "slice"),
+])
+def test_schema_matches_interp_with_a_unit_per_statement(
+    monkeypatch, name, step, count, label
+):
+    # Every top-level statement its own unit: the most resume points.
+    monkeypatch.setattr(compiler, "_UNIT_CHARS", 0)
+    design = load_circuit(name)
+    mutants = generate_mutants(design)[::step]
+    _assert_same(design, mutants, _vectors(design, count, label))
+    engine = MutationEngine(design)
+    engine.cover(mutants)
+    program = engine._schema.prober(engine._schema.covered()).program(
+        design.processes[0]
+    )
+    assert len(program.run) == len(design.processes[0].body)
+
+
+def _resumed(run):
+    """``run()``'s ``(resumed, runs)`` screen counters."""
+    with metrics.collecting() as registry:
+        run()
+    counters = registry.snapshot()["counters"]
+    return (counters.get("mutation.screen.resumed", 0),
+            counters.get("mutation.screen.runs", 0))
+
+
+def test_resumed_runs_are_counted_on_the_comb_walk_only():
+    design = load_circuit("c432")
+    mutants = generate_mutants(design)
+    vectors = _vectors(design, 12, "all")
+    resumed, runs = _resumed(
+        lambda: MutationEngine(design).comb_kill_sets(mutants, vectors)
+    )
+    assert 0 < resumed <= runs
+    interp = MutationEngine(design, backend="interp")
+    resumed, runs = _resumed(lambda: interp.comb_kill_sets(mutants, vectors))
+    assert resumed == 0 < runs
+    # The pristine bench (c17) and the bench (b03) run whole steps, and
+    # the never-screened c17 emits no probe units.
+    for name, sweep in (("c17", "comb_kill_sets"), ("b03", "run_all")):
+        design = load_circuit(name)
+        engine = MutationEngine(design)
+        resumed, runs = _resumed(lambda: getattr(engine, sweep)(
+            generate_mutants(design), _vectors(design, 12, "all")
+        ))
+        assert resumed == 0 < runs
+        probes = [bool(program.probe)
+                  for program in engine._schema._programs.values()]
+        assert probes == [name == "b03"] * len(probes)
+
+
+@pytest.mark.parametrize("name,step", [
+    ("c17", 1), ("c432", 1), ("c432", 7), ("b01", 1), ("b02", 1),
+    ("b03", 1), ("b06", 1), ("c499", 7),
+])
+def test_run_and_probe_units_share_one_split(name, step):
+    # The original's maps entering each run unit are the entries the
+    # probe records entering its own units (every 7th mutant once
+    # split c432's run and probe at different statements, and gave
+    # c499's probe one unit more than its run).
+    design = load_circuit(name)
+    engine = MutationEngine(design)
+    engine.cover(generate_mutants(design)[::step])
+    prober = engine._schema.prober(engine._schema.covered())
+    encoder = StimulusEncoder(design)
+    for packed in _vectors(design, 4, "split"):
+        values = {**engine._defaults, **encoder.decode(packed)}
+        for process in design.processes:
+            program = prober.program(process)
+            assert len(program.run) == len(program.probe)
+            variables = {var.name: var.init for var in process.variables}
+            entries: list = []
+            prober(process, values, dict(variables), {}, frozenset(),
+                   entries=entries)
+            entering = []
+            scheduled: dict = {}
+            for unit in program.run:
+                entering.append((dict(variables), dict(scheduled)))
+                unit(values, variables, scheduled, frozenset(), 0)
+            assert entries == [entering]
+
+
 def test_runtime_kills_match_on_b03():
     # b03's slot arithmetic has range-violating mutants: those kills
     # must come from the inlined checks, at the same cycle.
@@ -166,6 +255,75 @@ def test_variable_writes_survive_a_runtime_error():
         # as the original does, so only vector 0 kills.
         assert engine.comb_kill_sets([plus], vectors) == {plus.mid: {0}}
     _assert_same(design, mutants, _vectors(design, 16, "wt") + vectors)
+
+
+RESUME = """
+entity rs is
+  port ( a : in bit_vector(3 downto 0); k : in integer range 0 to 3;
+         y : out bit_vector(3 downto 0); z : out bit );
+end rs;
+architecture rtl of rs is
+begin
+  p : process (a, k)
+    variable v : bit_vector(3 downto 0);
+    variable i : integer range 0 to 3;
+  begin
+    y <= v;
+    v := a;
+    i := 3 - k;
+    z <= v(i);
+  end process p;
+end rtl;
+"""
+
+
+@dataclass(frozen=True)
+class _TwoSites(Mutant):
+    """A hand-made mutant patching ``other``'s site as well."""
+
+    other: Mutant | None = None
+
+    def patch(self):
+        return {**super().patch(), **self.other.patch()}
+
+
+def test_resumed_runs_match_interp(monkeypatch):
+    # One unit per statement.  ``y <= v`` reads the value the previous
+    # vector left, units 2 and 3 read what units 1 and 2 wrote, and
+    # AOR 3 - k -> 3 + k raises inside its resumed unit 2, after unit 1
+    # wrote ``v``.
+    monkeypatch.setattr(compiler, "_UNIT_CHARS", 0)
+    design = load_design(RESUME, "rs")
+    mutants = generate_mutants(design)
+    plus = _nth(mutants, "-> 3 + k")
+    late = _nth(mutants, "i -> k")
+    # Sites in units 2 (k -> 0: i := 3) and 3 (z <= not v(i)).
+    low, high = _nth(mutants, "k -> 0"), _nth(mutants, "v(i) -> not v(i)")
+    pair = _TwoSites(
+        mid=10_000, operator="test", site_nid=low.site_nid,
+        replacement=low.replacement, description="rs: k -> 0, not v(i)",
+        process_label=low.process_label, other=high,
+    )
+    population = [*mutants, pair]
+    engine = MutationEngine(design)
+    slots = dict(zip((m.mid for m in population), engine.cover(population)))
+    program = engine._schema.prober(engine._schema.covered()).program(
+        design.processes[0]
+    )
+    assert len(program.run) == 4
+    assert [program.first[slots[m.mid]] for m in (plus, late, pair)] == [
+        2, 3, 2
+    ]
+    encode = StimulusEncoder(design).encode
+    vectors = _vectors(design, 24, "resume") + [
+        encode({"a": BV(a, 4), "k": k})
+        for a, k in ((0b1010, 1), (0b0110, 0), (0b1100, 3), (0b0011, 2))
+    ]
+    resumed, runs = _resumed(
+        lambda: engine.comb_kill_sets(population, vectors)
+    )
+    assert 0 < resumed <= runs
+    _assert_same(design, population, vectors)
 
 
 HOLD = """
@@ -431,6 +589,32 @@ def _race_sweeps(design):
             assert [results[i] for i in range(len(slices))] == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_memoized_probe_outlives_a_recompile():
+    # P's probe stays memoized while covering Q recompiles c432 over a
+    # new unit split; P's resumed runs follow the split their entries
+    # were taken on.
+    design = load_circuit("c432")
+    mutants = generate_mutants(design)
+    population = mutants[::7]
+    label = design.processes[0].label
+    vectors = _vectors(design, 12, "recompile")
+    engine = MutationEngine(design)
+    first = engine.comb_kill_sets(population, vectors)
+    split = engine._schema._programs[label]
+    engine.cover([m for index, m in enumerate(mutants) if index % 7])
+    with metrics.collecting() as registry:
+        again = engine.comb_kill_sets(population, vectors)
+    counters = registry.snapshot()["counters"]
+    assert "mutation.probe.passes" not in counters  # the memo hit
+    assert counters["mutation.screen.resumed"] > 0
+    assert len(engine._schema._programs[label].run) != len(split.run)
+    interp = MutationEngine(design, backend="interp")
+    assert first == again == interp.comb_kill_sets(population, vectors)
+    assert engine.run_all(population, vectors) == (
+        interp.run_all(population, vectors)
+    )
 
 
 def test_new_mutants_recompile_over_the_union():
