@@ -6,14 +6,17 @@
 A campaign runs its mutants on the compiled mutant schema, screened by
 the infection probe, whatever ``--engine`` says: that flag picks the
 netlist engine only.  This runs ``Campaign`` at the CI smoke budgets
-on c17, b01, b03 and c432 three times in one process: on the schema,
+on c17, c432 and every sequential paper design (b01, b02, b03, b06)
+three times in one process: on the schema,
 again on the schema compiled with every top-level statement its own
 unit (``compiler._UNIT_CHARS = 0``, so comb runs resume at as many
 units as they can), and with every lab's ``MutationEngine`` on the
 reference interpreter (``backend="interp"``, never screened).  It
 compares each circuit's ``CircuitResult`` digest (sha256 of sorted-key
-compact JSON) of both schema passes with the interpreter's.  The
-interpreter pass takes about 20 s.
+compact JSON) of both schema passes with the interpreter's.  The schema
+passes run the sequential designs on the clocked machine, the
+interpreter's on the delta-cycle testbench.  The interpreter pass
+takes about 20 s.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro import Campaign, CampaignConfig  # noqa: E402
 from repro.experiments import context  # noqa: E402
 from repro.sim import compiler  # noqa: E402
 
-CIRCUITS = ["c17", "b01", "b03", "c432"]
+CIRCUITS = ["c17", "b01", "b02", "b03", "b06", "c432"]
 #: The CI smoke budgets.
 CONFIG = CampaignConfig(
     seed=77, random_budget_comb=96, random_budget_seq=96,

@@ -40,10 +40,15 @@ passes of the flip evaluator: stem *j* of a pass owns lanes
 words are replicated into each segment and the flip words select each
 stem's segment.
 
-Every emitted expression mirrors :func:`repro.netlist.cells.eval_gate`
-exactly (same operator order, same masking), which is what makes the
-backend bit-identical to ``interp`` — the differential property test
-holds it to that.
+Every word a generated function computes with is within ``mask``: each
+source word (the evaluators' ``W``, the cycle kernels' ``I`` and
+``S``) is masked once on entry, bitwise AND, OR and XOR of words within
+the mask stay within it, and an inversion is ``^ mask``.  So no gate
+masks its result, and each one equals
+:func:`repro.netlist.cells.eval_gate`'s (which masks every result) on
+the same operands: the backend is bit-identical to ``interp`` for
+words within the mask, which the differential property test holds it
+to.
 """
 
 from __future__ import annotations
@@ -58,14 +63,16 @@ from repro.netlist.cells import GateType, eval_gate
 from repro.netlist.levelize import topo_gates
 from repro.netlist.netlist import Gate, Netlist
 
-#: gate type -> (prefix, operand joiner); expression = prefix(join) & mask.
+#: gate type -> (operand joiner, inverted); None: one operand.
 _OPS = {
-    GateType.AND: ("", " & "),
-    GateType.OR: ("", " | "),
-    GateType.XOR: ("", " ^ "),
-    GateType.NAND: ("~", " & "),
-    GateType.NOR: ("~", " | "),
-    GateType.XNOR: ("~", " ^ "),
+    GateType.AND: (" & ", False),
+    GateType.OR: (" | ", False),
+    GateType.XOR: (" ^ ", False),
+    GateType.NAND: (" & ", True),
+    GateType.NOR: (" | ", True),
+    GateType.XNOR: (" ^ ", True),
+    GateType.BUF: (None, False),
+    GateType.NOT: (None, True),
 }
 
 #: Bits per packed flip-evaluator pass (stems x pattern lanes); bounds
@@ -74,26 +81,33 @@ _PACK_BITS = 1 << 16
 
 
 def _gate_expr(gate_type: GateType, operands: list[str]) -> str:
-    """The masked bitwise expression mirroring ``eval_gate``."""
+    """The bitwise expression equal to ``eval_gate`` on operands within
+    the mask."""
     if gate_type is GateType.CONST0:
         return "0"
     if gate_type is GateType.CONST1:
         return "mask"
-    if gate_type is GateType.NOT:
-        return f"~{operands[0]} & mask"
-    if gate_type is GateType.BUF:
-        return f"{operands[0]} & mask"
     try:
-        prefix, joiner = _OPS[gate_type]
+        joiner, inverted = _OPS[gate_type]
     except KeyError:
         raise EngineError(
             f"cannot compile gate type {gate_type!r}"
         ) from None
-    return f"{prefix}({joiner.join(operands)}) & mask"
+    if joiner is None or len(operands) == 1:
+        expr = operands[0]
+    else:
+        expr = f"({joiner.join(operands)})"
+    return f"{expr} ^ mask" if inverted else expr
 
 
 def _override_expr(source: str, override: tuple[int, int]) -> str:
+    """``(source & ~clear) | set``, folded: a site setting no lane only
+    clears, and one setting every lane it clears only sets."""
     clear, setm = override
+    if setm == clear:
+        return f"({source}) | {setm}"
+    if not setm:
+        return f"({source}) & {~clear}"
     return f"(({source}) & {~clear}) | {setm}"
 
 
@@ -173,7 +187,7 @@ class _CompiledProgram:
             lines.append(f"    v{nid} = {expr}")
 
         for nid in self.sources:
-            assign(nid, f"W[{nid}]")
+            assign(nid, f"W[{nid}] & mask")
         for gate in self.order:
             operands = [f"v{nid}" for nid in gate.inputs]
             assign(gate.output, _gate_expr(gate.gate_type, operands))
@@ -321,8 +335,9 @@ class _CompiledProgram:
     ) -> str:
         """``def name(I, S, mask)`` over the fan-in cone of ``targets``.
 
-        Stem overrides apply where a source is read and after a gate
-        computes; branch overrides on the reading gate's operand.
+        Stem overrides apply where a source is read (and masked) and
+        after a gate computes; branch overrides on the reading gate's
+        operand.
         """
         cone: set[int] = set()
         stack = list(targets)
@@ -344,9 +359,11 @@ class _CompiledProgram:
             )
         stem, branch = plan.stem, plan.branch
         for nid in self.sources:
-            override = stem.get(nid)
-            if nid in cone and override is not None:
-                expr = _override_expr(f"v{nid}", override)
+            if nid in cone:
+                expr = f"v{nid} & mask"
+                override = stem.get(nid)
+                if override is not None:
+                    expr = _override_expr(expr, override)
                 lines.append(f"    v{nid} = {expr}")
         for gate in self.order:
             if gate.output not in cone:

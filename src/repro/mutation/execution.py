@@ -9,13 +9,18 @@ Every execution is a walk of a *machine* over a stimulus list (see
 :func:`_walk`): ``reset``, ``step`` one vector or cycle and read its
 outputs, save (``state``) and restore (``load``) its state, and tell
 whether it is in a given state of the original's (``same``: equal by
-class and value).  Three machines cover the designs:
+class and value).  Four machines cover the designs:
 
 * :class:`_CombMachine`, the comb fast path (one process reading input
   ports only): the process variables, carried from one vector to the
   next as across process activations;
-* :class:`_BenchMachine`, a sequential design's :class:`Testbench`
-  and its checkpoints;
+* :class:`_ClockedMachine`, the compiled backend's sequential fast
+  path (one process waking on its clock and reset only): two process
+  activations per cycle, with no :class:`Testbench` past the reset;
+* :class:`_BenchMachine`, a :class:`Testbench` and its checkpoints:
+  every other sequential design, every sequential design on the
+  interpreter, and a mutant that may write its process's clock or
+  reset;
 * :class:`_PristineMachine`, a :class:`Testbench` that starts every
   vector from its post-reset checkpoint: other combinational designs,
   and survivor triage on every combinational design.
@@ -40,11 +45,12 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.errors import MutantRuntimeError, OscillationError
-from repro.hdl.design import Design
+from repro.errors import MutantRuntimeError, OscillationError, SimulationError
+from repro.hdl import ast
+from repro.hdl.design import Design, Process
 from repro.mutation.mutant import Mutant
 from repro.obs import metrics as _metrics
-from repro.sim.compiler import MutantSchema
+from repro.sim.compiler import MutantSchema, _walk as _nodes
 from repro.sim.interp import Evaluator
 from repro.sim.testbench import StimulusEncoder, Testbench
 
@@ -203,6 +209,108 @@ class _BenchMachine:
         return self.step(stimulus)
 
 
+class _ClockedMachine:
+    """A one-process sequential design stepped without a :class:`Testbench`
+    (see :func:`_can_clock`).
+
+    A step is :meth:`Simulator.clock_cycle`'s fast path, which the bench
+    takes on every step after reset on such a design: drive the data
+    inputs, then per clock edge (1, then 0) run the process once with
+    the events ``{clock}`` and commit its writes, ``!=``-guarded as
+    :meth:`Simulator._commit` is; the outputs are sampled after the
+    rising edge's commit.  No delta round follows a commit: no process
+    watches the data inputs, and the engine runs a mutant that may
+    write the clock or the reset on the bench (see
+    :meth:`MutationEngine._machine`).  Stimuli come from the engine's
+    encoder, so a step checks no port names.
+
+    The state has the ``save_state`` shape ``(values, {label:
+    variables}, True)``, held as two live dicts: ``state`` copies them,
+    ``load`` copies the given ones and ``same`` compares the live ones.
+    ``reset`` runs the bench's reset sequence and takes its checkpoint,
+    so only a mutant whose reset runs builds a bench.  A step that
+    raises stops the machine (the bench would keep the half-committed
+    edge's writes pending, with the clock high): it refuses to step
+    again until ``reset`` or ``load``.
+    """
+
+    screened = True
+
+    def __init__(self, engine: MutationEngine, executor, slot: int = 0):
+        self._engine = engine
+        self._executor = executor
+        self._process = engine._design.processes[0]
+        self._clock = self._process.clock
+        self._events = frozenset((self._clock,))
+        self._names = engine._names
+        self._values: dict = {}
+        self._variables: dict = {}
+        self._stopped = True  # until reset or load
+
+    def reset(self) -> None:
+        engine = self._engine
+        bench = Testbench(engine._design, max_delta=engine._max_delta,
+                          executor=self._executor)
+        bench.reset()
+        values, variables, _ = bench.save_state()
+        self._values, self._variables = values, variables[
+            self._process.label
+        ]
+        self._stopped = False
+
+    def step(self, stimulus: dict) -> tuple:
+        if self._stopped:
+            raise SimulationError(
+                "clocked machine stopped: reset or load it first"
+            )
+        values, variables = self._values, self._variables
+        run, process, events = self._executor, self._process, self._events
+        try:
+            for name, value in stimulus.items():
+                if values[name] != value:
+                    values[name] = value
+            for level in (1, 0):
+                values[self._clock] = level
+                scheduled: dict[str, object] = {}
+                run(process, values, variables, scheduled, events)
+                for name, value in scheduled.items():
+                    if values[name] != value:
+                        values[name] = value
+                if level:
+                    outputs = tuple([values[name] for name in self._names])
+        except BaseException:
+            self._stopped = True
+            raise
+        return outputs
+
+    def state(self) -> tuple:
+        return (dict(self._values),
+                {self._process.label: dict(self._variables)}, True)
+
+    def load(self, state: tuple) -> None:
+        values, variables, _ = state
+        self._values = dict(values)
+        self._variables = dict(variables[self._process.label])
+        self._stopped = False
+
+    def same(self, state: tuple) -> bool:
+        values, variables, _ = state
+        return _same_state(self._values, values) and _same_state(
+            self._variables, variables[self._process.label]
+        )
+
+    def start(self, probe: _Probe) -> int:
+        """Unit 0: a step is two activations, run whole."""
+        return 0
+
+    def resume(self, probe: _Probe, index: int, start: int,
+               stimulus: dict) -> tuple:
+        """Step ``stimulus`` from copies of the original's state
+        entering it."""
+        self.load(probe.states[index])
+        return self.step(stimulus)
+
+
 class _PristineMachine(_BenchMachine):
     """A combinational :class:`Testbench` that runs every step from its
     post-reset checkpoint, so no vector sees state another one left.
@@ -230,7 +338,8 @@ class _Probe:
     """The original's pass over a stimulus list, with infection masks.
 
     ``states[k]`` is the machine's state entering step ``k`` (process
-    variables on the comb fast path, a bench checkpoint otherwise), and
+    variables on the comb fast path, a ``save_state`` checkpoint
+    otherwise), and
     ``reset`` holds the slots the reset sequence infected (none from a
     checkpoint).  An unprobed pass leaves the masks empty.  A probed
     pass on the comb fast path also keeps ``entries[k][u]``, the
@@ -289,6 +398,54 @@ def _can_fast_path(design: Design) -> bool:
     )
 
 
+def _can_clock(design: Design, max_delta: int) -> bool:
+    """Whether :class:`_ClockedMachine` runs ``design``: one process,
+    woken by its clock and at most its reset, writing neither, with
+    ``max_delta >= 3``.  :meth:`Simulator.clock_cycle` then takes its
+    fast path on every step after reset, and its delta loop never
+    runs."""
+    if not design.is_sequential or len(design.processes) != 1:
+        return False
+    process = design.processes[0]
+    watched = set(process.sensitivity)
+    return (
+        max_delta >= 3 and process.clock in watched
+        and watched <= {process.clock, process.reset}
+        and watched.isdisjoint(process.writes)
+    )
+
+
+def _rewritable(process: Process) -> dict[int, ast.Node]:
+    """The nodes of ``process`` whose patch may change the signals it
+    writes: every statement and every assignment target."""
+    return {
+        node.nid: node for node, _, role in _nodes(process.body)
+        if isinstance(node, ast.Stmt) or role == "target"
+    }
+
+
+def _assigned(node: ast.Node, patch: dict) -> set[str]:
+    """The names a statement or an assignment target may assign, each
+    node resolved through ``patch`` as the executors resolve it (a
+    target's: every name under it)."""
+    node = patch.get(node.nid, node)
+    if isinstance(node, (ast.SignalAssign, ast.VarAssign)):
+        return _assigned(node.target, patch)
+    if isinstance(node, ast.Expr):
+        return {sub.symbol.name for sub, _, _ in _nodes(node)
+                if isinstance(sub, ast.Name) and sub.symbol is not None}
+    if isinstance(node, ast.If):
+        bodies = [body for _, body in node.arms] + [node.else_body]
+    elif isinstance(node, ast.Case):
+        bodies = [when.body for when in node.whens]
+    elif isinstance(node, ast.ForLoop):
+        bodies = [node.body]
+    else:
+        return set()
+    return {name for body in bodies for stmt in body
+            for name in _assigned(stmt, patch)}
+
+
 def _reset_state(machine, slot: int | None, probe: _Probe | None):
     """``machine``'s state after its reset sequence.
 
@@ -323,7 +480,7 @@ def _walk(machine, rows: list, expected: list, probe: _Probe | None,
     it rejoins the path when its state after a step is the probe's
     (``machine.same``).  A step that raised leaves the machine where it
     stopped, and the walk goes on from there if the caller asks for
-    more.
+    more (the clocked machine then refuses to step).
     """
     count = len(rows)
     states = None if probe is None else probe.states
@@ -429,6 +586,11 @@ class MutationEngine:
         )
         if _can_fast_path(design):
             self._kind = _CombMachine
+        elif backend == "compiled" and _can_clock(design, max_delta):
+            self._kind = self._trace_kind = _ClockedMachine
+            process = design.processes[0]
+            self._watched = frozenset(process.sensitivity)
+            self._rewritable = _rewritable(process)
         self._schema = None
         if backend == "compiled":
             self._schema = MutantSchema(design, probed=self._kind.screened)
@@ -473,6 +635,21 @@ class MutationEngine:
         if self._schema is None:
             return Evaluator(patch).exec_process
         return self._schema.executor(patch)
+
+    def _machine(self, kind: type, mutant: Mutant, slot: int | None):
+        """A ``kind`` machine running ``mutant``.  On the clocked machine
+        a mutant whose patch may write a signal the process watches runs
+        on the bench, whose delta loop that write wakes; no generated
+        operator patches a statement or a target that way."""
+        if kind is _ClockedMachine:
+            patch, rewritable = mutant.patch(), self._rewritable
+            written = set().union(*(
+                _assigned(rewritable[nid], patch)
+                for nid in patch if nid in rewritable
+            ))
+            if not self._watched.isdisjoint(written):
+                kind = _BenchMachine
+        return kind(self, self.executor(mutant), slot)
 
     def testbench(self, mutant: Mutant | None = None) -> Testbench:
         """A (not yet reset) bench running ``mutant`` on this engine."""
@@ -631,7 +808,7 @@ class MutationEngine:
                     tally: _Tally):
         """``mutant``'s :func:`_walk` from reset over ``sweep``, or, when
         its reset raises, the one difference ``(None, error)``."""
-        machine = sweep.kind(self, self.executor(mutant), slot)
+        machine = self._machine(sweep.kind, mutant, slot)
         probe = sweep.probe
         try:
             state = _reset_state(machine, slot, probe)
@@ -814,10 +991,10 @@ class SequenceSweep:
         self.killed: set[int] = set()
         self.live: dict[int, Mutant] = {}
         self._states: dict[int, tuple | None] = {}
-        self._machines: dict[int, _BenchMachine] = {}
+        self._machines: dict = {}
         for mutant in mutants:
             slot = self._slots.get(mutant.mid)
-            machine = engine._kind(engine, engine.executor(mutant), slot)
+            machine = engine._machine(engine._kind, mutant, slot)
             try:
                 state = _reset_state(machine, slot, screen)
             except (MutantRuntimeError, OscillationError):

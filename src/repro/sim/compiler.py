@@ -229,11 +229,14 @@ def _site_of(nodes: dict, nid: int, replacement: ast.Node) -> int:
     """The node a patch entry dispatches at (its parent when hoisted).
 
     Vector code bakes in the bounds, other code only the type class;
-    edge and ``'event`` code bakes in the signal name.
+    edge and ``'event`` code bakes in the signal name, and an
+    assignment the name of its target.
     """
     node, parent, role = nodes[nid]
     if isinstance(node, ast.Stmt):
         return nid
+    if role == "target":
+        return parent.nid
     keys = [t if isinstance(t, ty.BitVectorType) else type(t)
             for t in (node.ty, replacement.ty)]
     if isinstance(parent, (ast.Attribute, ast.Call)) or (

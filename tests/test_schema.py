@@ -15,7 +15,13 @@ from the original, and a state that differs only in class.  Others pin
 the comb walk's resumed runs (with one compile unit per top-level
 statement: runs that start past unit 0 reading what earlier units
 wrote, raising inside the resumed unit, and a patch whose sites lie in
-two units) and the run and probe units sharing one split.
+two units) and the run and probe units sharing one split.  The
+compiled engine runs one-process sequential designs on the clocked
+machine and the interpreter on the bench: tests pin that choice and
+diff the clocked step against the bench where a wrong step would show
+(a falling edge that writes outputs, a rewrite of an equal value of
+another class, a mutant that writes the clock or reset, a step that
+raises, a loaded checkpoint that must not change).
 """
 
 import hashlib
@@ -36,10 +42,13 @@ from repro.mutation import (
     estimate_equivalents,
     generate_mutants,
 )
+from repro.errors import MutantRuntimeError, SimulationError
 from repro.mutation.execution import (
     NEVER_ACTIVATED,
     PROPAGATION_BLOCKED,
+    _BenchMachine,
     _can_fast_path,
+    _ClockedMachine,
 )
 from repro.mutation.score import equivalence_stimuli
 from repro.obs import metrics
@@ -954,6 +963,220 @@ def test_state_equal_only_by_value_stays_off_the_path():
         lambda: MutationEngine(design).run_mutant(truthy, vectors)
     )
     assert counts == (6, 2)
+
+
+# -- the clocked machine -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["b01", "b02", "b03", "b06"])
+def test_sequential_paper_designs_run_on_the_clocked_machine(name):
+    design = load_circuit(name)
+    schema, interp = _engines(design)
+    assert schema._kind is schema._trace_kind is _ClockedMachine
+    assert interp._kind is interp._trace_kind is _BenchMachine
+    assert MutationEngine(design, max_delta=2)._kind is _BenchMachine
+
+
+def test_two_process_design_runs_on_the_bench():
+    design = load_design(SETTLE, "cs")
+    assert MutationEngine(design)._kind is _BenchMachine
+    _assert_same(design, generate_mutants(design),
+                 _vectors(design, 24, "two-process"))
+
+
+FALLING = """
+entity fe is
+  port ( clock, reset, d : in bit; y, z : out bit );
+end fe;
+architecture rtl of fe is
+  signal t : bit;
+begin
+  p : process (clock, reset)
+  begin
+    if reset = '1' then
+      t <= '0';
+      y <= '0';
+      z <= '0';
+    elsif rising_edge(clock) then
+      t <= not t;
+      y <= t;
+      z <= d;
+    end if;
+  end process p;
+end rtl;
+"""
+
+
+def _both_edges():
+    """FALLING with its edge test widened to ``clock'event``, which the
+    clocked template rejects: its clocked branch runs on both edges, so
+    the falling edge writes y and t.  Sampled after the rising edge y
+    is always 0, after the falling edge always 1."""
+    design = load_design(FALLING, "fe")
+    branch = design.processes[0].body[0]
+    edge, body = branch.arms[1]
+    branch.arms[1] = (ast.Attribute(prefix=edge.args[0], attr="event",
+                                    ty=ty.BOOLEAN), body)
+    return design
+
+
+def test_falling_edge_writes_match_the_bench():
+    design = _both_edges()
+    vectors = _vectors(design, 24, "falling")
+    schema, interp = _engines(design)
+    assert schema._kind is _ClockedMachine
+    outputs = schema.reference_outputs(vectors)
+    bench = Testbench(design)
+    assert outputs == bench.run_sequence(schema.decode_all(vectors))
+    assert outputs == interp.reference_outputs(vectors)
+    assert {y for y, _ in outputs} == {0}
+    assert schema.reference_state_trace(vectors) == (
+        interp.reference_state_trace(vectors)
+    )
+    _assert_same(design, generate_mutants(design), vectors)
+
+
+HOLD_STATE = """
+entity hold is
+  port ( clock, reset, d : in bit; y : out bit );
+end hold;
+architecture rtl of hold is
+  type state_t is (s_a, s_b);
+  signal st : state_t;
+begin
+  p : process (clock, reset)
+  begin
+    if reset = '1' then
+      st <= s_a;
+      y <= '0';
+    elsif rising_edge(clock) then
+      if st = s_a then
+        if d = '1' then
+          st <= s_b;
+        end if;
+      elsif d = '1' then
+        st <= s_b;
+      end if;
+      if st = s_b then
+        y <= d;
+      else
+        y <= '0';
+      end if;
+    end if;
+  end process p;
+end rtl;
+"""
+
+
+def test_rewriting_an_equal_value_of_another_class_commits_nothing():
+    # A hand-built mutant writes True where st already holds s_b (1):
+    # the commit leaves the 1 in place, as the bench's does, so the
+    # mutant stays on the original's path and runs only the cycles
+    # that reach its site (2 and 5).
+    design = load_design(HOLD_STATE, "hold")
+    site = _nth(generate_mutants(design), ": s_b -> s_a", 1)
+    truthy = Mutant(
+        mid=10_000, operator="test", site_nid=site.site_nid,
+        replacement=ast.BoolLit(value=True, ty=ty.BOOLEAN),
+        description="p: s_b -> true", process_label=site.process_label,
+    )
+    vectors = [1, 0, 1, 0, 0, 1, 0, 0]
+    for engine in _engines(design):
+        assert engine.run_mutant(truthy, vectors).reason == "survived"
+        assert engine.triage_survivor(truthy, vectors) == NEVER_ACTIVATED
+    _, counts = _screened(
+        lambda: MutationEngine(design).run_mutant(truthy, vectors)
+    )
+    assert counts == (8, 2)
+
+
+def _retarget(design, name, signal, nth, mid):
+    """A hand-made mutant retargeting the ``nth`` signal assignment to
+    ``name`` onto the signal ``signal``."""
+    process = design.processes[0]
+    node = [
+        node for node, parent, role in compiler._walk(process.body)
+        if role == "target" and isinstance(parent, ast.SignalAssign)
+        and node.symbol.name == name
+    ][nth]
+    symbol = design.symbols[signal]
+    return Mutant(
+        mid=mid, operator="test", site_nid=node.nid,
+        replacement=ast.Name(ident=signal, symbol=symbol, ty=symbol.ty),
+        description=f"{process.label}: {name} -> {signal}",
+        process_label=process.label,
+    )
+
+
+def test_mutant_writing_the_clock_or_reset_runs_on_the_bench():
+    # The second outp assignment (outp <= line1 xor line2, state 0)
+    # retargeted: a write to reset or clock wakes the bench's delta
+    # loop, which the clocked machine never runs, so those two run on
+    # the bench; one to overflw stays on the clocked machine.  Cycle 2
+    # raises reset from state 0 with outp = 1: the delta round's reset
+    # branch clears outp before the sample, a kill there.
+    design = load_circuit("b01")
+    engine = MutationEngine(design)
+    hand = [_retarget(design, "outp", signal, 1, 20_000 + index)
+            for index, signal in enumerate(("reset", "clock", "overflw"))]
+    kinds = [type(engine._machine(engine._kind, mutant, None))
+             for mutant in hand]
+    assert kinds == [_BenchMachine, _BenchMachine, _ClockedMachine]
+    vectors = [3, 0, 2, 0, 0, 1, 2]
+    for engine in _engines(design):
+        assert engine.run_mutant(hand[0], vectors) == KillRecord(
+            20_000, True, 2, "output-diff"
+        )
+    records = _assert_same(design, generate_mutants(design)[:24] + hand,
+                           vectors + _vectors(design, 24, "retarget"))
+    assert all(record.killed for record in records[-3:])
+
+
+def test_clocked_machine_refuses_to_step_past_a_raised_step():
+    design = load_design(COUNTER, "ctr")
+    late = _nth(generate_mutants(design), "cnt = 7 -> cnt > 7")
+    engine = MutationEngine(design)
+    rows = engine.decode_all([1] * 10)
+    machine = engine._machine(engine._kind, late, None)
+    assert type(machine) is _ClockedMachine
+    machine.reset()
+    start = machine.state()
+    with pytest.raises(MutantRuntimeError):
+        for row in rows:
+            machine.step(row)
+    with pytest.raises(SimulationError, match="stopped") as refused:
+        machine.step(rows[0])
+    assert refused.type is SimulationError
+    machine.load(start)
+    bench = Testbench(design, executor=engine.executor(late))
+    bench.reset()
+    assert [machine.step(row) for row in rows[:7]] == (
+        [bench.step(row) for row in rows[:7]]
+    )
+
+
+def test_clocked_machine_loads_copies_of_a_checkpoint():
+    design = load_circuit("b03")
+    engine = MutationEngine(design)
+    vectors = _vectors(design, 8, "load")
+    states = engine._probe(vectors, frozenset()).states
+    values, variables, _ = entering = states[4]
+    kept = (dict(values), {k: dict(v) for k, v in variables.items()})
+    machine = _ClockedMachine(engine, engine.executor())
+    machine.load(entering)
+    for row in engine.decode_all(vectors[4:]):
+        machine.step(row)
+    assert (values, variables) == kept
+    assert machine.same(states[-1]) and not machine.same(entering)
+
+
+def test_testbench_step_checks_port_names():
+    # The clocked machine takes stimuli from the engine's encoder only;
+    # a bench step still rejects names that are not signals.
+    bench = Testbench(load_circuit("b01"))
+    bench.reset()
+    with pytest.raises(SimulationError, match="unknown signal"):
+        bench.step({"no_such_port": 1})
 
 
 # -- probe pins -------------------------------------------------------------
