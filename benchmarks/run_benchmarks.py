@@ -5,7 +5,8 @@ Six suites, selected with ``--suite`` (default ``engine``):
 
 * ``engine`` — ``bench_faultsim.py``: fault-simulation throughput per
   backend, appended to ``BENCH_engine.json`` with a per-circuit speedup
-  summary of every backend against the ``interp`` reference.
+  summary of every backend against the ``interp`` reference (sequential
+  rows at the default fault-list width appear as ``b03@default``).
 * ``search`` — ``bench_search.py``: search-strategy quality at an equal
   candidate budget, appended to ``BENCH_search.json`` as a
   kills-per-candidate trajectory with a per-circuit gain summary of
@@ -86,7 +87,7 @@ def engine_rows(report: dict) -> list[dict]:
     for bench in report["benchmarks"]:
         info = bench["extra_info"]
         seconds = bench["stats"]["mean"]
-        rows.append({
+        row = {
             "circuit": info["circuit"],
             "backend": info["engine"],
             "style": info["style"],
@@ -96,34 +97,42 @@ def engine_rows(report: dict) -> list[dict]:
             "seconds_per_pass": seconds,
             "patterns_per_sec": info["patterns"] / seconds,
             "faults_per_sec": info["faults"] / seconds,
-        })
-    rows.sort(key=lambda r: (r["circuit"], r["backend"]))
+        }
+        if "lanes" in info:
+            row["lanes"] = info["lanes"]
+        rows.append(row)
+    rows.sort(key=lambda r: (_engine_case(r), r["backend"]))
     return rows
 
 
+def _engine_case(row: dict) -> str:
+    """The circuit, plus the lane width when the row records one."""
+    lanes = row.get("lanes")
+    return row["circuit"] if lanes is None else f"{row['circuit']}@{lanes}"
+
+
 def engine_summary(rows: list[dict]) -> dict:
-    """backend -> circuit -> throughput multiple over the reference."""
+    """backend -> case -> throughput multiple over the reference."""
     reference = {
-        row["circuit"]: row["seconds_per_pass"]
+        _engine_case(row): row["seconds_per_pass"]
         for row in rows if row["backend"] == ENGINE_REFERENCE
     }
     table: dict[str, dict[str, float]] = {}
     for row in rows:
-        if row["backend"] == ENGINE_REFERENCE or (
-            row["circuit"] not in reference
-        ):
+        case = _engine_case(row)
+        if row["backend"] == ENGINE_REFERENCE or case not in reference:
             continue
-        table.setdefault(row["backend"], {})[row["circuit"]] = round(
-            reference[row["circuit"]] / row["seconds_per_pass"], 2
+        table.setdefault(row["backend"], {})[case] = round(
+            reference[case] / row["seconds_per_pass"], 2
         )
     return table
 
 
 def engine_print(rows: list[dict], summary: dict) -> None:
-    width = max(len(r["circuit"]) for r in rows)
+    width = max(len(_engine_case(r)) for r in rows)
     for row in rows:
         print(
-            f"{row['circuit']:{width}s} {row['backend']:10s}"
+            f"{_engine_case(row):{width}s} {row['backend']:10s}"
             f" {row['patterns_per_sec']:12.1f} patterns/s"
             f" {row['faults_per_sec']:12.1f} faults/s"
         )

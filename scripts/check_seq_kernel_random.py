@@ -9,7 +9,10 @@ primary input, a gate cone and a flip-flop output, and whose DFF ``d``
 nets include a primary input and a Q.  The stuck-at, transition and
 SEU models simulate their whole fault universe on ``interp`` and
 ``compiled`` at an odd lane width, and both backends' cycle kernels are
-compared word for word (``check_seq_kernel_random`` in
+compared word for word; then every model runs again at the default
+width (the whole universe in one word), where every kernel call must
+return the same words on both backends and the detections must match
+the odd-width ones (``check_seq_kernel_random`` in
 ``tests/test_engine.py``; tier-1 runs a fixed small seed set).  Exits 1
 on the first failing seed, with the assertion.
 """

@@ -116,10 +116,14 @@ class CampaignConfig:
         256, "stimuli for equivalent-mutant classification"
     )
     # Results are lane-width independent, but the value is fingerprinted
-    # so cached runs record how they executed.
-    fault_lanes: int = _flag(
-        256, "fault-parallel chunk width (lanes per chunk) of the "
-             "sequential fault simulator"
+    # so cached runs record how they executed.  Unset (the default)
+    # packs each fault list into one word, and hashes as 256: every
+    # cache and job-store entry written while 256 was the default was
+    # computed at that width, and still hits (see ``fingerprint``).
+    fault_lanes: int | None = _flag(
+        None, "fault-parallel chunk width (lanes per chunk) of the "
+              "sequential fault simulator (default: each fault list in "
+              "one chunk)"
     )
 
     # -- simulation backend --------------------------------------------------
@@ -300,7 +304,7 @@ class CampaignConfig:
                 f"random budgets must be >= 1, got comb="
                 f"{self.random_budget_comb} seq={self.random_budget_seq}"
             )
-        if self.fault_lanes < 1:
+        if self.fault_lanes is not None and self.fault_lanes < 1:
             raise ConfigError(
                 f"fault_lanes must be >= 1, got {self.fault_lanes}"
             )
@@ -434,5 +438,10 @@ class CampaignConfig:
             payload.pop("prune_untestable", None)
         if payload.get("static_prescreen") is False:
             payload.pop("static_prescreen", None)
+        # An unset chunk width hashes as the old default width, 256:
+        # detections do not depend on the width, so existing entries
+        # stay valid for it.
+        if payload.get("fault_lanes") is None:
+            payload["fault_lanes"] = 256
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

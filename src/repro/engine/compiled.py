@@ -10,7 +10,9 @@ per-gate function calls:
 * the *flip evaluator* is the full evaluator with every fanout-free
   region (FFR) stem's word XORed with a per-stem flip word, returning
   the primary-output words;
-* a *cycle kernel* per machine chunk (:meth:`CompiledEngine.cycle`):
+* a *cycle kernel* per machine chunk (:meth:`CompiledEngine.cycle`;
+  sequential fault simulation makes a whole fault list one chunk by
+  default):
   one generated source holding ``_next(I, S, mask)``, which evaluates
   only the fan-in cone of the DFF ``d`` nets and returns the captured
   state words, and ``_observe(I, S, mask)``, which evaluates only the
@@ -282,9 +284,12 @@ class _CompiledProgram:
 
     #: Retained cycle kernels per netlist.  Sequential fault simulation
     #: resolves one kernel per chunk when a pass starts and holds it
-    #: for the pass; the LRU lets later passes over the same chunks
-    #: (one per validation set) reuse the compiled code without letting
-    #: a caller that builds ever-new plans accumulate it without bound.
+    #: for the pass; at the default width a fault list is one chunk,
+    #: so a pass resolves one kernel per injection plan (none for SEU)
+    #: next to the plan-free ones it shares.  The LRU lets later
+    #: passes over the same list (one per validation set) reuse the
+    #: compiled code without letting a caller that builds ever-new
+    #: plans accumulate it without bound.
     CYCLE_CACHE_MAX = 64
 
     def cycle_fns(

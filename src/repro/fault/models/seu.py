@@ -117,7 +117,7 @@ class SeuModel(FaultModel):
         return fault.describe(netlist)
 
     def simulate(self, netlist: Netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int = 256,
+                 faults: list | None = None, lanes: int | None = None,
                  engine=None) -> FaultSimResult:
         if faults is None:
             faults = self.collapse(netlist)
@@ -165,7 +165,7 @@ class SeuModel(FaultModel):
     # -- sequential: one flipped state bit per lane ---------------------
 
     def _simulate_seq(self, netlist: Netlist, stimuli: list[int],
-                      faults: list, lanes: int,
+                      faults: list, lanes: int | None,
                       engine) -> FaultSimResult:
         engine = build_engine(engine)
         detection = simulate_chunks(

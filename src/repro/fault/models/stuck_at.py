@@ -34,7 +34,7 @@ class StuckAtModel(FaultModel):
         return fault.describe(netlist)
 
     def simulate(self, netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int = 256,
+                 faults: list | None = None, lanes: int | None = None,
                  engine=None):
         if faults is None:
             faults = self.collapse(netlist)

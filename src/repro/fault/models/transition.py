@@ -142,7 +142,7 @@ class TransitionModel(FaultModel):
         return fault.describe(netlist)
 
     def simulate(self, netlist: Netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int = 256,
+                 faults: list | None = None, lanes: int | None = None,
                  engine=None) -> FaultSimResult:
         if faults is None:
             faults = self.collapse(netlist)
@@ -181,7 +181,7 @@ class TransitionModel(FaultModel):
     # -- sequential: fault-parallel lane chunks -------------------------
 
     def _simulate_seq(self, netlist: Netlist, stimuli: list[int],
-                      faults: list, lanes: int,
+                      faults: list, lanes: int | None,
                       engine) -> FaultSimResult:
         engine = build_engine(engine)
         # The good machine also observes every fault net: the launch

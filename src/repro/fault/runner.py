@@ -12,7 +12,7 @@ def simulate_faults(
     netlist: Netlist,
     stimuli: list[int],
     faults: list | None = None,
-    lanes: int = 256,
+    lanes: int | None = None,
     engine=None,
     model=None,
 ) -> FaultSimResult:
@@ -22,6 +22,8 @@ def simulate_faults(
     for the default (single stuck-at).  ``faults`` defaults to the
     model's collapsed fault list; ``engine`` selects the
     :mod:`repro.engine` backend by name (default backend when ``None``).
+    ``lanes`` bounds the chunk width of a sequential netlist's
+    fault-parallel simulation; ``None`` packs the list into one word.
     """
     model = build_fault_model(model)
     return model.simulate(
@@ -33,7 +35,7 @@ def simulate_stuck_at(
     netlist: Netlist,
     stimuli: list[int],
     faults: list[StuckAtFault] | None = None,
-    lanes: int = 256,
+    lanes: int | None = None,
     engine=None,
 ) -> FaultSimResult:
     """Stuck-at fault simulation (the historical entry point).

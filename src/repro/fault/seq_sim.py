@@ -1,8 +1,14 @@
 """Fault-parallel stuck-at simulation for sequential circuits.
 
-Each bit lane of a net word is one faulty machine, and faults are
-processed in chunks of ``lanes`` machines.  Injection masks are
-pre-compiled per chunk:
+Each bit lane of a net word is one faulty machine.  By default
+(``lanes=None``) a call packs its whole fault list into one word, so
+it compiles one faulty-machine kernel and makes one kernel call per
+cycle however long the list is: both engines compute on Python ints,
+and at these widths an int operation's cost grows far more slowly
+than its width (a b03 kernel step costs about 60-80 us at 914 lanes
+and 21-25 us at 128 on a 2-CPU Xeon host).  A set ``lanes`` cuts
+the list into chunks of at most that many machines (detections do
+not depend on it).  Injection masks are pre-compiled per chunk:
 
 * stem faults override the net word wherever it is read, a flip-flop
   output included, so a stuck Q forces its state element every cycle;
@@ -44,17 +50,16 @@ class SeqFaultSimulator:
         self,
         netlist: Netlist,
         faults: list[StuckAtFault] | None = None,
-        lanes: int = 256,
+        lanes: int | None = None,
         engine=None,
     ):
-        if lanes < 1:
-            raise FaultSimError("lanes must be >= 1")
         self._netlist = netlist
         self._engine = build_engine(engine)
         self._faults = (
             faults if faults is not None else collapse_faults(netlist)
         )
         self._lanes = lanes
+        self._width = _chunk_width(lanes, len(self._faults))
 
     @property
     def faults(self) -> list[StuckAtFault]:
@@ -69,7 +74,8 @@ class SeqFaultSimulator:
         return self._engine
 
     @property
-    def lanes(self) -> int:
+    def lanes(self) -> int | None:
+        """The chunk width; ``None``: one chunk per fault list."""
         return self._lanes
 
     def simulate(self, stimuli: list[int]) -> FaultSimResult:
@@ -77,7 +83,7 @@ class SeqFaultSimulator:
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
         detection = simulate_chunks(
-            self._netlist, self._engine, self._faults, self._lanes,
+            self._netlist, self._engine, self._faults, self._width,
             stimuli, self._machine,
         )
         if m.enabled:
@@ -87,8 +93,8 @@ class SeqFaultSimulator:
             m.counter(f"engine.{name}.seq.passes")
             m.counter(f"engine.{name}.seq.faults", len(self._faults))
             m.counter(f"engine.{name}.seq.cycles", len(stimuli))
-            chunks = -(-len(self._faults) // self._lanes)
-            m.counter(f"engine.{name}.seq.chunks", chunks)
+            m.counter(f"engine.{name}.seq.chunks",
+                      -(-len(self._faults) // self._width))
             m.observe(
                 f"engine.{name}.seq.seconds", time.monotonic() - started
             )
@@ -134,29 +140,39 @@ def reset_state(netlist: Netlist, mask: int) -> tuple[int, ...]:
     return tuple(mask if dff.reset_value else 0 for dff in netlist.dffs)
 
 
+def _chunk_width(lanes: int | None, count: int) -> int:
+    """Machines per chunk of a ``count``-fault list (``None``: all)."""
+    if lanes is None:
+        return max(count, 1)
+    if lanes < 1:
+        raise FaultSimError("lanes must be >= 1")
+    return lanes
+
+
 def simulate_chunks(
-    netlist: Netlist, engine, faults: list, lanes: int,
+    netlist: Netlist, engine, faults: list, lanes: int | None,
     stimuli: list[int], machine, watch: tuple[int, ...] = (),
 ) -> list[int | None]:
     """First-detection cycle per fault, simulated cycle-major.
 
-    ``machine(chunk, mask)`` builds the faulty machines of one chunk
-    (one per lane of ``mask``) and returns its ``advance(cycle, inputs,
-    good)``: one clock cycle over the lane-replicated input words (a
-    tuple in ``netlist.input_bits`` order), returning the chunk's
-    post-clock primary-output words in ``netlist.output_bits`` order.
-    ``good`` is the single-lane good machine's post-clock words of the
-    primary outputs followed by the ``watch`` nets, for the same cycle.
+    Faults run in chunks of ``lanes`` machines, or all in one chunk
+    when ``lanes`` is ``None``.  ``machine(chunk, mask)`` builds the
+    faulty machines of one chunk (one per lane of ``mask``) and returns
+    its ``advance(cycle, inputs, good)``: one clock cycle over the
+    lane-replicated input words (a tuple in ``netlist.input_bits``
+    order), returning the chunk's post-clock primary-output words in
+    ``netlist.output_bits`` order.  ``good`` is the single-lane good
+    machine's post-clock words of the primary outputs followed by the
+    ``watch`` nets, for the same cycle.
     Lanes are independent machines, so detection cycles match a
     chunk-by-chunk run bit for bit; a fully detected chunk stops
     advancing, and stimuli past the last live cycle are never decoded.
     """
-    if lanes < 1:
-        raise FaultSimError("lanes must be >= 1")
+    size = _chunk_width(lanes, len(faults))
     detection: list[int | None] = [None] * len(faults)
     live = []  # [first fault index, lane mask, alive lanes, advance]
-    for start in range(0, len(faults), lanes):
-        chunk = faults[start : start + lanes]
+    for start in range(0, len(faults), size):
+        chunk = faults[start : start + size]
         mask = (1 << len(chunk)) - 1
         live.append([start, mask, mask, machine(chunk, mask)])
     input_bits, width = netlist.input_bits, len(netlist.output_bits)

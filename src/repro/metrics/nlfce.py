@@ -102,7 +102,7 @@ def compute_nlfce(
     mutation_vectors: list[int],
     random_vectors: list[int],
     faults: list[StuckAtFault] | None = None,
-    lanes: int = 256,
+    lanes: int | None = None,
     engine=None,
     model=None,
 ) -> NlfceReport:

@@ -453,6 +453,24 @@ def test_cli_run_with_json(tmp_path, capsys):
     assert [c["circuit"] for c in data["circuits"]] == ["c17"]
 
 
+def test_cli_run_fault_lanes_overrides_the_default(tmp_path, capsys):
+    from repro.cli import main
+
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(
+        CampaignConfig(**FAST, circuits=("b01",), strategies=()).to_json()
+    )
+    lanes = {}
+    for flags in ([], ["--fault-lanes", "64"]):
+        out_path = tmp_path / "result.json"
+        assert main(["run", str(config_path), "--json", str(out_path),
+                     *flags]) == 0
+        data = json.loads(out_path.read_text())
+        lanes[tuple(flags)] = data["config"]["fault_lanes"]
+    capsys.readouterr()
+    assert lanes == {(): None, ("--fault-lanes", "64"): 64}
+
+
 def test_cli_table1_json(tmp_path, capsys):
     from repro.cli import main
 

@@ -11,6 +11,7 @@ patterns alike.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -280,6 +281,27 @@ def random_seq_netlist(rng) -> Netlist:
     return netlist
 
 
+class _KernelLog:
+    """A shared engine whose cycle kernels log every word tuple returned."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self._engine = build_engine(name)
+        self.words: list[tuple] = []
+
+    def cycle(self, netlist, plan=None, observe=None):
+        def logged(fn):
+            def run(inputs, state, mask):
+                words = fn(inputs, state, mask)
+                self.words.append(tuple(words))
+                return words
+            return run
+
+        return tuple(
+            logged(fn) for fn in self._engine.cycle(netlist, plan, observe)
+        )
+
+
 def check_seq_kernel_random(seed: int) -> dict:
     """``interp`` vs ``compiled`` on one random sequential netlist.
 
@@ -288,7 +310,10 @@ def check_seq_kernel_random(seed: int) -> dict:
     width on both backends, and the detection cycles must match; then
     both backends' cycle kernels, with and without a stuck-at plan,
     must return the same words for one random cycle, observed on every
-    net.
+    net.  Last, every model runs again at the default width (the whole
+    universe in one word) on both backends: every kernel call must
+    return the same words on both, and the detections must equal the
+    odd-width ones.
     """
     from repro.fault.models import build_fault_model
 
@@ -298,7 +323,9 @@ def check_seq_kernel_random(seed: int) -> dict:
     stimuli = [rng.getrandbits(width) for _ in range(rng.randint(1, 24))]
     lanes = rng.choice((1, 3, 7, 64))
     faults_checked = 0
-    for model_name in ("stuck-at", "transition", "seu"):
+    models = ("stuck-at", "transition", "seu")
+    detections = {}
+    for model_name in models:
         model = build_fault_model(model_name)
         faults = model.generate(netlist)
         reference = model.simulate(
@@ -310,6 +337,7 @@ def check_seq_kernel_random(seed: int) -> dict:
         assert candidate == reference, (
             f"seed {seed}: {model_name} detections differ at lanes={lanes}"
         )
+        detections[model_name] = reference
         faults_checked += len(faults)
     faults = generate_faults(netlist)[:61]
     plan = SeqFaultSimulator(netlist, faults)._compile(faults)
@@ -327,6 +355,22 @@ def check_seq_kernel_random(seed: int) -> dict:
         for ref_fn, cand_fn in zip(reference, candidate):
             assert cand_fn(inputs, state, mask) == ref_fn(
                 inputs, state, mask), f"seed {seed}: kernel words differ"
+    for model_name in models:
+        model = build_fault_model(model_name)
+        faults = model.generate(netlist)
+        logs = (_KernelLog("interp"), _KernelLog("compiled"))
+        reference, candidate = (
+            model.simulate(netlist, stimuli, faults, engine=log).detection
+            for log in logs
+        )
+        assert logs[0].words and logs[1].words == logs[0].words, (
+            f"seed {seed}: {model_name} kernel words differ at the "
+            f"default width"
+        )
+        assert candidate == reference == detections[model_name], (
+            f"seed {seed}: {model_name} detections differ at the default "
+            f"width"
+        )
     return {"faults": faults_checked}
 
 
@@ -574,3 +618,30 @@ def test_engine_and_lanes_in_fingerprint():
     base = CampaignConfig()
     assert base.fingerprint() != CampaignConfig(engine="interp").fingerprint()
     assert base.fingerprint() != CampaignConfig(fault_lanes=8).fingerprint()
+
+
+#: ``CampaignConfig().fingerprint()`` while ``fault_lanes`` defaulted to
+#: 256: every default-config cache and job-store entry carries it.
+DEFAULT_FINGERPRINT = "277af5b819ed5c35"
+
+
+def test_unset_fault_lanes_keeps_the_default_fingerprint():
+    from repro.campaign.config import CampaignConfig
+
+    assert CampaignConfig().fault_lanes is None
+    assert CampaignConfig().fingerprint() == DEFAULT_FINGERPRINT
+    assert CampaignConfig(fault_lanes=256).fingerprint() == (
+        DEFAULT_FINGERPRINT
+    )
+
+
+def test_unset_fault_lanes_round_trips():
+    from repro.campaign.config import CampaignConfig
+
+    config = CampaignConfig(engine="interp")
+    assert config.to_dict()["fault_lanes"] is None
+    assert CampaignConfig.from_dict(config.to_dict()) == config
+    text = config.to_json()
+    assert json.loads(text)["fault_lanes"] is None
+    assert CampaignConfig.from_json(text) == config
+    assert config.lab_config().fault_lanes is None

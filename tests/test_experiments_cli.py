@@ -203,7 +203,7 @@ CLI_DEFAULT_CONFIG = {
     "batch_size": 64, "cache_dir": None, "cache_max_entries": None,
     "chunk_candidates": 6, "chunk_length": 4,
     "circuits": ["b01", "b03", "c432", "c499"], "coordinator": None,
-    "engine": "compiled", "equivalence_budget": 256, "fault_lanes": 256,
+    "engine": "compiled", "equivalence_budget": 256, "fault_lanes": None,
     "fault_model": "stuck-at", "fault_model_knobs": None, "fraction": 0.1,
     "grid": None, "grid_shard": 0, "grid_workers": 1, "jobs": 1,
     "max_vectors": 256, "operators": ["LOR", "VR", "CVR", "CR"],

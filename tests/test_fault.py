@@ -110,7 +110,7 @@ def test_seq_lane_chunking_invariance():
                 netlist, stimuli, faults, lanes=len(faults)
             ).detection
             assert any(cycle is not None for cycle in reference)
-            for lanes in (1, 5, 64, 256):
+            for lanes in (1, 5, 64, 256, None):
                 got = model.simulate(netlist, stimuli, faults, lanes=lanes)
                 assert got.detection == reference, (model_name, circuit,
                                                     lanes)
@@ -217,6 +217,51 @@ def test_seq_good_machine_and_plan_key_once(model_name, monkeypatch):
     assert engine.good_steps == {"next_state": cycles, "observe": cycles}
     # SEU chunks evolve freely: no injection plan at all.
     assert len(keys) == (0 if model_name == "seu" else 3)
+
+
+@pytest.mark.parametrize("model_name", ["stuck-at", "transition"])
+def test_seq_default_width_is_one_plan_per_call(model_name, monkeypatch):
+    """At the default width each call injects its whole list at once."""
+    netlist = netlist_of("b03")
+    model = build_fault_model(model_name)
+    faults = model.collapse(netlist)
+    assert len(faults) > 256
+    rng = rng_stream(10, f"one-word-{model_name}")
+    width = len(netlist.input_bits)
+    stimuli = [rng.getrandbits(width) for _ in range(64)]
+    reference = model.simulate(netlist, stimuli, faults, lanes=256)
+    keys = []
+    original = InjectionPlan.injection_key
+
+    def counted(plan):
+        keys.append(len(plan.faults))
+        return original(plan)
+
+    monkeypatch.setattr(InjectionPlan, "injection_key", counted)
+    for _ in range(2):
+        keys.clear()
+        got = model.simulate(netlist, stimuli, faults)
+        assert keys == [len(faults)]
+        assert got.detection == reference.detection
+
+
+def test_seq_default_width_counts_one_chunk_per_call():
+    from repro.obs import metrics as obs_metrics
+
+    netlist = netlist_of("b03")
+    faults = collapse_faults(netlist)
+    stimuli = [0, 1, 2, 3]
+    registry = obs_metrics.enable()
+    try:
+        simulator = SeqFaultSimulator(netlist, faults)
+        simulator.simulate(stimuli)
+        simulator.simulate(stimuli)
+        SeqFaultSimulator(netlist, faults, lanes=256).simulate(stimuli)
+    finally:
+        obs_metrics.disable()
+    counters = registry.snapshot()["counters"]
+    assert counters["engine.compiled.seq.passes"] == 3
+    assert counters["engine.compiled.seq.chunks"] == 1 + 1 + 4
 
 
 def test_dispatcher_picks_engine(b01_netlist, c17_netlist):

@@ -141,7 +141,8 @@ def test_stuck_at_fingerprint_is_byte_identical():
     Reconstructed by hand: the fingerprint payload of a default config
     must not contain the fault-model keys (nor the later
     static-analysis knobs) at all, so every cache and job-store entry
-    written by older versions still hits.
+    written by older versions still hits; an unset ``fault_lanes``
+    hashes as 256, the width those entries were computed at.
     """
     import hashlib
 
@@ -155,6 +156,8 @@ def test_stuck_at_fingerprint_is_byte_identical():
         and key not in ("fault_model", "fault_model_knobs",
                         "prune_untestable", "static_prescreen")
     }
+    assert payload["fault_lanes"] is None
+    payload["fault_lanes"] = 256
     canonical = json.dumps(payload, sort_keys=True)
     expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     assert config.fingerprint() == expected
