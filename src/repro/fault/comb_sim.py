@@ -17,7 +17,7 @@ import time
 from repro.engine import build_engine
 from repro.errors import FaultSimError
 from repro.fault.collapse import collapse_faults
-from repro.fault.coverage import FaultSimResult
+from repro.fault.coverage import FaultSimResult, first_lane
 from repro.fault.model import StuckAtFault
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import unpack_patterns
@@ -96,11 +96,5 @@ class CombFaultSimulator:
             m.observe(
                 f"engine.{name}.comb.seconds", time.monotonic() - started
             )
-        detection = [_first_lane(word) for word in words]
+        detection = [first_lane(word) for word in words]
         return FaultSimResult(list(self._faults), detection, count)
-
-
-def _first_lane(word: int) -> int | None:
-    if word == 0:
-        return None
-    return (word & -word).bit_length() - 1

@@ -80,3 +80,14 @@ class FaultSimResult:
             for fault, d in zip(self.faults, self.detection)
             if d is None
         ]
+
+
+def first_lane(word: int) -> int | None:
+    """Index of the lowest set bit, or ``None`` for an all-zero word.
+
+    Shared detection-word helper: lane *i* is pattern (or fault
+    machine) *i* everywhere in the fault layer.
+    """
+    if word == 0:
+        return None
+    return (word & -word).bit_length() - 1

@@ -124,14 +124,3 @@ def build_fault_model(model=None, knobs: dict | None = None):
             "name; the given instance already carries its own"
         )
     return model
-
-
-def first_lane(word: int) -> int | None:
-    """Index of the lowest set bit, or ``None`` for an all-zero word.
-
-    Shared detection-word helper: lane *i* is pattern (or fault
-    machine) *i* everywhere in the fault layer.
-    """
-    if word == 0:
-        return None
-    return (word & -word).bit_length() - 1

@@ -45,13 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import InjectionPlan, build_engine
-from repro.fault.coverage import FaultSimResult
+from repro.fault.coverage import FaultSimResult, first_lane
 from repro.fault.model import StuckAtFault
-from repro.fault.models.base import (
-    FaultModel,
-    first_lane,
-    register_fault_model,
-)
+from repro.fault.models.base import FaultModel, register_fault_model
 from repro.fault.seq_sim import reset_state, simulate_chunks
 from repro.netlist.cells import GateType
 from repro.netlist.netlist import Netlist

@@ -213,16 +213,26 @@ class _ClockedMachine:
     """A one-process sequential design stepped without a :class:`Testbench`
     (see :func:`_can_clock`).
 
-    A step is :meth:`Simulator.clock_cycle`'s fast path, which the bench
-    takes on every step after reset on such a design: drive the data
-    inputs, then per clock edge (1, then 0) run the process once with
-    the events ``{clock}`` and commit its writes, ``!=``-guarded as
-    :meth:`Simulator._commit` is; the outputs are sampled after the
-    rising edge's commit.  No delta round follows a commit: no process
-    watches the data inputs, and the engine runs a mutant that may
-    write the clock or the reset on the bench (see
-    :meth:`MutationEngine._machine`).  Stimuli come from the engine's
-    encoder, so a step checks no port names.
+    A step gives the values, variables, outputs and exceptions of the
+    bench's, the three generic :meth:`Simulator.set_inputs` calls
+    (data inputs with the clock at 0, clock 1, sample, clock 0), with
+    none of the delta loop's bookkeeping:
+
+    * the data inputs: no process watches them, so driving them
+      (``!=``-guarded, as ``set_inputs`` is; the clock is already 0)
+      wakes nothing;
+    * each edge: its one event, ``{clock}``, wakes the one process
+      once; its writes are committed ``!=``-guarded, as
+      :meth:`Simulator._commit` does, and the outputs are sampled after
+      the rising edge's commit;
+    * the commit's events: the process writes neither its clock nor its
+      reset, so they wake nothing, and the loop ends in the round after
+      (the third of each edge, hence ``max_delta >= 3``).  The engine
+      runs a mutant that may write either on the bench instead (see
+      :meth:`MutationEngine._machine`).
+
+    Stimuli come from the engine's encoder, so a step checks no port
+    names, and none names the clock or the reset.
 
     The state has the ``save_state`` shape ``(values, {label:
     variables}, True)``, held as two live dicts: ``state`` copies them,
@@ -401,9 +411,9 @@ def _can_fast_path(design: Design) -> bool:
 def _can_clock(design: Design, max_delta: int) -> bool:
     """Whether :class:`_ClockedMachine` runs ``design``: one process,
     woken by its clock and at most its reset, writing neither, with
-    ``max_delta >= 3``.  :meth:`Simulator.clock_cycle` then takes its
-    fast path on every step after reset, and its delta loop never
-    runs."""
+    ``max_delta >= 3``.  Then each ``set_inputs`` of a bench step runs
+    at most one activation, and its delta loop ends within three rounds: the
+    clock edge, the commit's unwatched events, the empty round."""
     if not design.is_sequential or len(design.processes) != 1:
         return False
     process = design.processes[0]
@@ -650,13 +660,6 @@ class MutationEngine:
             if not self._watched.isdisjoint(written):
                 kind = _BenchMachine
         return kind(self, self.executor(mutant), slot)
-
-    def testbench(self, mutant: Mutant | None = None) -> Testbench:
-        """A (not yet reset) bench running ``mutant`` on this engine."""
-        return Testbench(
-            self._design, max_delta=self._max_delta,
-            executor=self.executor(mutant),
-        )
 
     def _rows(self, stimuli: list[int], kind: type) -> list:
         """``kind``'s step inputs for ``stimuli``: full signal maps on

@@ -3,8 +3,8 @@
 Each mutant (a patch ``nid -> replacement``) of a :class:`MutantSchema`
 owns an integer slot, so an executor is just ``(functions, slot)``:
 nothing compiles per mutant or per call.  The interpreter
-(:mod:`repro.sim.interp`, ``backend="interp"``) is the reference
-semantics.  docs/API.md, "RTL mutant execution", describes the layout.
+(:mod:`repro.sim.interp`) is the reference semantics.  docs/API.md,
+"RTL mutant execution", describes the layout.
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ from repro.sim.interp import (
     _mod,
     _rem,
 )
-
-
-def make_executor(design: Design, patch: dict[int, ast.Node] | None = None,
-                  backend: str = "compiled"):
-    """A one-off executor for ``patch``: a callable ``(process, values,
-    variables, scheduled, events)`` running one process activation."""
-    if backend == "compiled":
-        return MutantSchema(design).executor(patch)
-    if backend == "interp":
-        return Evaluator(patch).exec_process
-    raise SimulationError(f"unknown backend {backend!r}")
 
 
 class _Program(NamedTuple):
@@ -88,9 +77,10 @@ class MutantSchema:
             return frozenset(range(1, len(self._patches)))
 
     def executor(self, patch: dict[int, ast.Node] | None = None):
-        """The executor (see :func:`make_executor`) running ``patch``.
-
-        It runs each process's current program, so after a recompile it
+        """The executor running ``patch``: a callable ``(process,
+        values, variables, scheduled, events)`` running one process
+        activation, as :class:`repro.sim.scheduler.Simulator` takes.  It
+        runs each process's current program, so after a recompile it
         runs the new one.
         """
         with self._lock:

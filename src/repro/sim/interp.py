@@ -58,8 +58,8 @@ class Evaluator:
 
     def exec_process(self, process, values: dict, variables: dict,
                      scheduled: dict, events) -> None:
-        """One activation of ``process`` (the executor interface, see
-        :func:`repro.sim.compiler.make_executor`)."""
+        """One activation of ``process`` (the executor interface of
+        :class:`repro.sim.scheduler.Simulator`)."""
         self.exec_body(
             process.body, ExecContext(values, scheduled, variables, events)
         )

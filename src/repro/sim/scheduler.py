@@ -9,46 +9,28 @@ can legitimately happen for mutants that create combinational cycles).
 The round that finds no event counts, so even a quiet design needs
 ``max_delta >= 3`` to settle a clock edge: the edge, the commit's
 events, the empty round.
-
-:meth:`Simulator.clock_cycle` is the fast path for one testbench cycle
-(data inputs, rising edge, sample, falling edge).  On an initialized
-simulator with no update pending, the clock low, ``max_delta >= 3``
-and no stimulus name watched, it runs the clock's watchers once per
-edge and commits, and hands a commit's events to the delta loop only
-when some process watches them; otherwise it drives the cycle through
-:meth:`Simulator.set_inputs`.  Both paths give the same values,
-variables and exceptions.
 """
 
 from __future__ import annotations
 
 from repro.errors import OscillationError, SimulationError
-from repro.hdl import ast
 from repro.hdl.design import Design, Process
-from repro.sim.compiler import make_executor
+from repro.sim.interp import Evaluator
 
 
 class Simulator:
-    """Executes a design, optionally through a mutant patch table.
+    """Executes a design, one process activation at a time.
 
-    ``executor`` runs process bodies; mutation engines pass one view of
-    their shared :class:`repro.sim.compiler.MutantSchema`.  Without one,
-    ``backend`` builds a private executor for ``patch``: ``"interp"``
-    walks the AST (reference semantics), ``"compiled"`` generates and
-    compiles Python for the design (several times faster, but paying
-    the compile on every construction).
+    ``executor`` runs process bodies: a callable ``(process, values,
+    variables, scheduled, events)``.  Mutation engines pass one view of
+    their shared :class:`repro.sim.compiler.MutantSchema` (a mutant, or
+    the original, compiled).  Without one the simulator runs the
+    original design on the reference interpreter.
     """
 
-    def __init__(
-        self,
-        design: Design,
-        patch: dict[int, ast.Node] | None = None,
-        max_delta: int = 256,
-        backend: str = "interp",
-        executor=None,
-    ):
+    def __init__(self, design: Design, max_delta: int = 256, executor=None):
         self._design = design
-        self._executor = executor or make_executor(design, patch, backend)
+        self._executor = executor or Evaluator().exec_process
         self._max_delta = max_delta
         self._outputs = [port.name for port in design.output_ports]
         # Signal store.
@@ -66,7 +48,6 @@ class Simulator:
         for process in design.processes:
             for name in dict.fromkeys(process.sensitivity):
                 self._watchers.setdefault(name, []).append(process)
-        self._watched = frozenset(self._watchers)
         self._scheduled: dict[str, object] = {}
         self._initialized = False
 
@@ -95,50 +76,8 @@ class Simulator:
                 events.add(name)
         self._settle(events)
 
-    def clock_cycle(self, stimulus: dict[str, object], clock: str) -> tuple:
-        """One clock cycle: drive ``stimulus`` with ``clock`` low, raise
-        the clock, sample the outputs, lower the clock.
-
-        Returns the outputs sampled after the rising edge.  The result
-        and the machine state are those of three :meth:`set_inputs`
-        calls (the data inputs with the clock at 0, then the clock at 1
-        and at 0), which this falls back to whenever the shortcut could
-        differ from them: before initialization, below three delta
-        rounds, with the clock high, with updates left pending by a
-        process that raised, or when a stimulus name is watched.
-        """
-        values = self._values
-        if (
-            not self._initialized or self._max_delta < 3
-            or self._scheduled or values[clock] != 0
-            or not self._watched.isdisjoint(stimulus)
-        ):
-            self.set_inputs({**stimulus, clock: 0})
-            self.set_inputs({clock: 1})
-            outputs = self.snapshot_outputs()
-            self.set_inputs({clock: 0})
-            return outputs
-        # No process watches a data input, so driving them wakes nothing.
-        for name, value in stimulus.items():
-            if values[name] != value:
-                values[name] = value
-        values[clock] = 1
-        self._edge(clock)
-        outputs = tuple(values[name] for name in self._outputs)
-        values[clock] = 0
-        self._edge(clock)
-        return outputs
-
-    def _edge(self, clock: str) -> None:
-        """First delta round of a clock event, then the rest of the loop
-        only if the commit woke some process."""
-        self._run_processes(self._watchers.get(clock, ()), {clock})
-        events = self._commit()
-        if not self._watched.isdisjoint(events):
-            self._settle(events, self._max_delta - 1)
-
-    def _settle(self, events: set[str], rounds: int | None = None) -> None:
-        for _ in range(self._max_delta if rounds is None else rounds):
+    def _settle(self, events: set[str]) -> None:
+        for _ in range(self._max_delta):
             if not events:
                 return
             triggered: list[Process] = []

@@ -15,7 +15,6 @@ every run starts from the architectural reset state.
 from __future__ import annotations
 
 from repro.errors import ElaborationError, SimulationError
-from repro.hdl import ast
 from repro.hdl import types as ty
 from repro.hdl.design import Design, Symbol
 from repro.hdl.values import BV
@@ -23,20 +22,18 @@ from repro.sim.scheduler import Simulator
 
 
 class Testbench:
-    """Drives one design instance (original or mutant) cycle by cycle."""
+    """Drives one design instance cycle by cycle.
+
+    ``executor`` runs process bodies (see :class:`Simulator`): a mutant
+    or the original on a :class:`repro.sim.compiler.MutantSchema`, or
+    by default the original on the reference interpreter.
+    """
 
     __test__ = False  # not a pytest test class, despite the name
 
-    def __init__(
-        self,
-        design: Design,
-        patch: dict[int, ast.Node] | None = None,
-        max_delta: int = 256,
-        backend: str = "interp",
-        executor=None,
-    ):
+    def __init__(self, design: Design, max_delta: int = 256, executor=None):
         self._design = design
-        self._sim = Simulator(design, patch, max_delta, backend, executor)
+        self._sim = Simulator(design, max_delta, executor)
         clocks = design.clocks
         resets = design.resets
         if len(clocks) > 1 or len(resets) > 1:
@@ -75,13 +72,21 @@ class Testbench:
             self._sim.set_inputs({self._clock: 0})
 
     def step(self, stimulus: dict[str, object]) -> tuple:
-        """Apply one stimulus and return the sampled output tuple."""
+        """Apply one stimulus and return the sampled output tuple: on a
+        sequential design, drive it with the clock low, raise the clock,
+        sample, lower the clock, each settled by the delta loop."""
+        sim = self._sim
         for name in stimulus:
-            self._sim.require_port(name)
-        if self.is_sequential:
-            return self._sim.clock_cycle(stimulus, self._clock)
-        self._sim.set_inputs(dict(stimulus))
-        return self._sim.snapshot_outputs()
+            sim.require_port(name)
+        if not self.is_sequential:
+            sim.set_inputs(dict(stimulus))
+            return sim.snapshot_outputs()
+        clock = self._clock
+        sim.set_inputs({**stimulus, clock: 0})
+        sim.set_inputs({clock: 1})
+        outputs = sim.snapshot_outputs()
+        sim.set_inputs({clock: 0})
+        return outputs
 
     def run_sequence(self, stimuli: list[dict[str, object]]) -> list[tuple]:
         """Reset, then apply every stimulus, returning per-cycle outputs."""

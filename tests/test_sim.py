@@ -10,6 +10,7 @@ from repro.hdl import load_design
 from repro.hdl.values import BV
 from repro.mutation import MutationEngine, generate_mutants
 from repro.sim import StimulusEncoder, Testbench
+from repro.sim.compiler import MutantSchema
 from repro.sim.scheduler import Simulator
 from repro.sim.testbench import encode_outputs
 from repro.util import rng_stream
@@ -124,8 +125,10 @@ def test_compiled_backend_matches_interpreter(name):
     enc = StimulusEncoder(design)
     rng = rng_stream(99, name, "backend-compare")
     stimuli = [enc.decode(rng.getrandbits(enc.width)) for _ in range(30)]
-    interp = Testbench(design, backend="interp").run_sequence(stimuli)
-    compiled = Testbench(design, backend="compiled").run_sequence(stimuli)
+    interp = Testbench(design).run_sequence(stimuli)
+    compiled = Testbench(
+        design, executor=MutantSchema(design).executor()
+    ).run_sequence(stimuli)
     assert interp == compiled
 
 
@@ -149,7 +152,7 @@ def test_unknown_stimulus_port_rejected(b01):
         bench.step({"nonexistent": 1})
 
 
-# -- clock-edge fast path ------------------------------------------------------
+# -- clocked stepping ---------------------------------------------------------
 
 
 def reference_reset(sim, clock="clock", reset="reset", level=1):
@@ -178,38 +181,55 @@ def _outcome(call):
         return None, type(exc)
 
 
-def _typed_state(sim):
-    values, variables, initialized = sim.save_state()
+def _typed_state(state):
+    """A ``save_state``-shaped checkpoint with the class of every value
+    (a mutant holding ``True`` is not in the state of one holding 1)."""
+    values, variables, initialized = state
     types = {name: type(value) for name, value in values.items()}
-    return values, variables, initialized, types
+    var_types = {
+        label: {name: type(value) for name, value in store.items()}
+        for label, store in variables.items()
+    }
+    return values, variables, initialized, types, var_types
 
 
 @pytest.mark.parametrize("name", ["b01", "b02", "b03", "b06"])
 def test_clock_cycle_matches_delta_loop_on_every_mutant(name):
+    # The engine's machine (the clocked machine, or the bench for a
+    # patch that may write the clock or reset) against the generic
+    # delta loop on a plain simulator running the same executor.
     design = load_circuit(name)
     engine = MutationEngine(design)
     mutants = generate_mutants(design)
-    engine.cover(mutants)
+    slots = engine.cover(mutants)
     enc = engine.encoder
     rng = rng_stream(24, name, "clock-cycle")
     stimuli = [enc.decode(rng.getrandbits(enc.width)) for _ in range(24)]
-    for mutant in [None, *mutants]:
-        fast = Testbench(design, executor=engine.executor(mutant))
+    original = engine._kind(engine, engine.executor())
+    machines = [(None, original)] + [
+        (mutant, engine._machine(engine._kind, mutant, slot))
+        for mutant, slot in zip(mutants, slots)
+    ]
+    for mutant, machine in machines:
         slow = Simulator(design, executor=engine.executor(mutant))
-        _, fast_error = _outcome(fast.reset)
+        _, fast_error = _outcome(machine.reset)
         _, slow_error = _outcome(lambda: reference_reset(slow))
-        assert fast_error == slow_error
+        assert fast_error == slow_error, mutant
         if fast_error is not None:
             continue
-        # Stepping on after a raise also compares the half-done edge a
-        # raising process leaves behind (clock high, pending updates).
+        assert _typed_state(machine.state()) == _typed_state(
+            slow.save_state()
+        ), mutant
+        # The clocked machine refuses to step after a raise: stop there.
         for cycle, stimulus in enumerate(stimuli):
-            got, fast_error = _outcome(lambda: fast.step(stimulus))
+            got, fast_error = _outcome(lambda: machine.step(stimulus))
             want, slow_error = _outcome(lambda: reference_step(slow, stimulus))
             assert (got, fast_error) == (want, slow_error), (mutant, cycle)
-            assert _typed_state(fast._sim) == _typed_state(slow), (
-                mutant, cycle,
-            )
+            if fast_error is not None:
+                break
+            assert _typed_state(machine.state()) == _typed_state(
+                slow.save_state()
+            ), (mutant, cycle)
 
 
 _CLOCKED_Q = """
@@ -228,41 +248,21 @@ end rtl;
 """
 
 
-def _settle_rounds(monkeypatch, sim):
-    """Record the ``rounds`` argument of every ``_settle`` call."""
-    calls = []
-    settle = sim._settle
-
-    def spy(events, rounds=None):
-        calls.append(rounds)
-        return settle(events, rounds)
-
-    monkeypatch.setattr(sim, "_settle", spy)
-    return calls
-
-
-def test_clock_cycle_settles_combinational_reader_in_same_step(monkeypatch):
+def test_clock_cycle_settles_combinational_reader_in_same_step():
+    # The delta loop runs the reader of q in the rising edge's settle,
+    # so the sample after the edge already shows the new q.
     design = load_design(_CLOCKED_Q % "y <= not q;")
     bench = Testbench(design, max_delta=8)
     bench.reset()
-    calls = _settle_rounds(monkeypatch, bench._sim)
-    slow = Simulator(design, max_delta=8)
-    slow.initialize()
-    slow.set_inputs({"clock": 0})
     for d in (1, 1, 0, 1, 0, 0):
-        got = bench.step({"d": d})
-        assert got == reference_step(slow, {"d": d})
-        assert got == (1 - d,)
-        assert bench.save_state() == slow.save_state()
-    # Every edge that moved q handed its events, and the rounds left
-    # after the edge's own, to the delta loop.
-    assert calls and set(calls) == {7}
+        assert bench.step({"d": d}) == (1 - d,)
 
 
 @pytest.mark.parametrize("sensitivity", ["clock", "clock, clock"])
 def test_clock_cycle_runs_the_clock_watchers_on_both_edges(sensitivity):
     # A combinational process sensitive to the clock alone wakes once
-    # on each edge, so its variable toggles twice per cycle.
+    # on each edge, so its variable toggles twice per cycle (woken on
+    # the rising edge only, y would alternate 0, 1, 0, 1).
     body = """
   process (%s)
     variable flip : bit;
@@ -274,12 +274,8 @@ def test_clock_cycle_runs_the_clock_watchers_on_both_edges(sensitivity):
     design = load_design(_CLOCKED_Q % body)
     bench = Testbench(design)
     bench.reset()
-    slow = Simulator(design)
-    slow.initialize()
-    slow.set_inputs({"clock": 0})
     for d in (1, 0, 0, 1):
-        assert bench.step({"d": d}) == reference_step(slow, {"d": d}) == (0,)
-        assert bench.save_state() == slow.save_state()
+        assert bench.step({"d": d}) == (0,)
 
 
 def test_clock_cycle_keeps_oscillation_after_the_edge():
@@ -302,48 +298,6 @@ def test_clock_cycle_keeps_oscillation_after_the_edge():
     assert bench.step({"d": 0}) == (0,)
     with pytest.raises(OscillationError):
         bench.step({"d": 1})
-    slow = Simulator(design, max_delta=16)
-    slow.initialize()
-    reference_step(slow, {"d": 0})
-    with pytest.raises(OscillationError):
-        reference_step(slow, {"d": 1})
-
-
-def _pending_s(sim):
-    sim.initialize()
-    sim._scheduled["s"] = 1  # as a process that raised mid-body leaves it
-
-
-@pytest.mark.parametrize(
-    "disturb",
-    [lambda sim: None, lambda sim: sim.set_inputs({"clock": 1}), _pending_s],
-    ids=["uninitialized", "clock-high", "pending-update"],
-)
-def test_clock_cycle_falls_back_off_the_quiet_low_clock(disturb):
-    # The counting process wakes on every clock, q and s event, so any
-    # difference in the order or number of delta rounds shows in n.
-    body = """
-  process (clock, q, s)
-    variable n : integer range 0 to 15;
-  begin
-    n := (n + 1) mod 16;
-    if n mod 2 = 1 then
-      y <= '1';
-    else
-      y <= '0';
-    end if;
-  end process;
-"""
-    design = load_design(
-        (_CLOCKED_Q % body).replace("signal q : bit;", "signal q, s : bit;")
-    )
-    fast, slow = Simulator(design), Simulator(design)
-    for sim in (fast, slow):
-        disturb(sim)
-    assert fast.clock_cycle({"d": 1}, "clock") == reference_step(
-        slow, {"d": 1}
-    )
-    assert fast.save_state() == slow.save_state()
 
 
 @pytest.mark.parametrize("max_delta", [0, 1, 2, 3])
@@ -378,14 +332,3 @@ def test_stimulus_naming_clock_or_reset_takes_generic_path(
         assert bench.step(stimulus) == reference_step(slow, stimulus)
         assert bench.save_state() == slow.save_state()
     assert len(generic) == 3 * 6
-
-
-def test_clock_cycle_fast_path_skips_set_inputs(b01, monkeypatch):
-    bench = Testbench(b01)
-    bench.reset()
-    # A generic step would call set_inputs, which is now not callable.
-    monkeypatch.setattr(bench._sim, "set_inputs", None)
-    enc = StimulusEncoder(b01)
-    assert bench.step(enc.decode(1)) == Testbench(b01).run_sequence(
-        [enc.decode(1)]
-    )[0]
