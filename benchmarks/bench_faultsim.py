@@ -65,15 +65,14 @@ def test_comb_fault_sim_cold_compiled(benchmark, name):
     assert result.coverage() > 0.5
 
 
-@pytest.mark.parametrize("lanes", [256, None], ids=["256", "default"])
 @pytest.mark.parametrize("engine", engine_names())
 @pytest.mark.parametrize("name", ["b01", "b03"])
-def test_seq_fault_sim_throughput(benchmark, name, engine, lanes):
-    """256-lane chunks, and the default width: the list in one word.
+def test_seq_fault_sim_throughput(benchmark, name, engine):
+    """The whole fault list in one fault-parallel word.
 
-    Only the default-width rows carry ``lanes`` ("default"), so the
-    256-lane rows keep the identity of runs recorded before the
-    default changed.
+    The rows carry ``lanes: "default"``, the identity of the one-word
+    runs recorded since the list stopped being cut into 256-lane
+    chunks.
     """
     netlist = netlist_of(name)
     design = load_circuit(name)
@@ -81,14 +80,11 @@ def test_seq_fault_sim_throughput(benchmark, name, engine, lanes):
     width = StimulusEncoder(design).width
     rng = rng_stream(1, name, "bench-fsim")
     stimuli = [rng.getrandbits(width) for _ in range(128)]
-    simulator = SeqFaultSimulator(netlist, faults, lanes=lanes,
-                                  engine=engine)
+    simulator = SeqFaultSimulator(netlist, faults, engine=engine)
     benchmark.extra_info.update(
         circuit=name, engine=engine, style="seq", cpus=cpus(),
-        patterns=len(stimuli), faults=len(faults),
+        patterns=len(stimuli), faults=len(faults), lanes="default",
     )
-    if lanes is None:
-        benchmark.extra_info["lanes"] = "default"
     result = benchmark(simulator.simulate, stimuli)
     assert result.coverage() > 0.3
 
@@ -130,8 +126,7 @@ def test_seq_fault_sim_telemetry_overhead(benchmark):
     width = StimulusEncoder(design).width
     rng = rng_stream(1, "b01", "bench-fsim")
     stimuli = [rng.getrandbits(width) for _ in range(128)]
-    simulator = SeqFaultSimulator(netlist, faults, lanes=256,
-                                  engine="compiled")
+    simulator = SeqFaultSimulator(netlist, faults, engine="compiled")
     benchmark.extra_info.update(
         circuit="b01", engine="compiled+obs", style="seq", cpus=cpus(),
         patterns=len(stimuli), faults=len(faults),

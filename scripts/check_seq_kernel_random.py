@@ -7,12 +7,12 @@
 Each seed builds one random sequential netlist whose outputs include a
 primary input, a gate cone and a flip-flop output, and whose DFF ``d``
 nets include a primary input and a Q.  The stuck-at, transition and
-SEU models simulate their whole fault universe on ``interp`` and
-``compiled`` at an odd lane width, and both backends' cycle kernels are
-compared word for word; then every model runs again at the default
-width (the whole universe in one word), where every kernel call must
-return the same words on both backends and the detections must match
-the odd-width ones (``check_seq_kernel_random`` in
+SEU models simulate each consecutive slice (of a drawn length: 1, 3, 7
+or 64 faults) of their whole fault universe on ``interp`` and
+``compiled``, and both backends' cycle kernels are compared word for
+word; then every model runs the whole universe in one word, where
+every kernel call must return the same words on both backends and the
+detections must match the slices' ones (``check_seq_kernel_random`` in
 ``tests/test_engine.py``; tier-1 runs a fixed small seed set).  Exits 1
 on the first failing seed, with the assertion.
 """

@@ -15,7 +15,12 @@ computed numbers — keys the on-disk result cache and the grid job
 store.  Execution-only fields (``circuits``, ``jobs``, ``cache_dir``,
 ``grid_workers``, ``cache_max_entries``) are excluded: running the
 same science on more workers must hit the same cache entries and
-resume from the same stored work units.
+resume from the same stored work units.  The sequential fault
+simulator runs each fault list in one word and takes no lane width,
+but the fingerprint payload holds ``"fault_lanes": 256``, the width
+existing entries were computed at (detections never depended on it),
+and ``from_dict`` drops the ``fault_lanes`` key that older result
+archives carry.
 """
 
 from __future__ import annotations
@@ -80,8 +85,7 @@ EXECUTION_FIELDS = frozenset(
 #: campaigns that differ only outside this slice share one lab.
 LAB_FIELDS = (
     "seed", "random_budget_comb", "random_budget_seq", "equivalence_budget",
-    "fault_lanes", "engine", "fault_model", "fault_model_knobs",
-    "prune_untestable",
+    "engine", "fault_model", "fault_model_knobs", "prune_untestable",
 )
 
 _TUPLE_FIELDS = ("operators", "strategies", "sample_labels", "stages",
@@ -114,16 +118,6 @@ class CampaignConfig:
     random_budget_seq: int = 1024
     equivalence_budget: int = _flag(
         256, "stimuli for equivalent-mutant classification"
-    )
-    # Results are lane-width independent, but the value is fingerprinted
-    # so cached runs record how they executed.  Unset (the default)
-    # packs each fault list into one word, and hashes as 256: every
-    # cache and job-store entry written while 256 was the default was
-    # computed at that width, and still hits (see ``fingerprint``).
-    fault_lanes: int | None = _flag(
-        None, "fault-parallel chunk width (lanes per chunk) of the "
-              "sequential fault simulator (default: each fault list in "
-              "one chunk)"
     )
 
     # -- simulation backend --------------------------------------------------
@@ -304,10 +298,6 @@ class CampaignConfig:
                 f"random budgets must be >= 1, got comb="
                 f"{self.random_budget_comb} seq={self.random_budget_seq}"
             )
-        if self.fault_lanes is not None and self.fault_lanes < 1:
-            raise ConfigError(
-                f"fault_lanes must be >= 1, got {self.fault_lanes}"
-            )
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise ConfigError(
                 f"weight_scheme must be one of {WEIGHT_SCHEMES}, "
@@ -383,6 +373,9 @@ class CampaignConfig:
                 f"campaign config must be an object, got "
                 f"{type(data).__name__}"
             )
+        # Archives written while the lane width was a field carry it.
+        data = {key: value for key, value in data.items()
+                if key != "fault_lanes"}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -438,10 +431,8 @@ class CampaignConfig:
             payload.pop("prune_untestable", None)
         if payload.get("static_prescreen") is False:
             payload.pop("static_prescreen", None)
-        # An unset chunk width hashes as the old default width, 256:
-        # detections do not depend on the width, so existing entries
-        # stay valid for it.
-        if payload.get("fault_lanes") is None:
-            payload["fault_lanes"] = 256
+        # The retired lane-width field, at the width every existing
+        # entry was computed at: detections never depended on it.
+        payload["fault_lanes"] = 256
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

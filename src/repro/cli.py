@@ -84,8 +84,8 @@ _TYPES = typing.get_type_hints(CampaignConfig)
 #: The config flags of the table commands (``table2`` adds ``fraction``).
 _TABLE_FLAGS = (
     "seed", "testgen_seed", "sampling_seed", "equivalence_budget",
-    "max_vectors", "engine", "fault_model", "fault_lanes",
-    "prune_untestable", "static_prescreen", "search", "search_budget",
+    "max_vectors", "engine", "fault_model", "prune_untestable",
+    "static_prescreen", "search", "search_budget",
     "jobs", "grid", "grid_workers", "grid_shard", "coordinator",
     "cache_dir", "cache_max_entries",
 )
@@ -93,7 +93,7 @@ _TABLE_FLAGS = (
 #: The config fields ``repro run`` overrides on top of its config file.
 _RUN_OVERRIDES = (
     "circuits", "jobs", "grid", "grid_workers", "grid_shard",
-    "coordinator", "engine", "fault_model", "fault_lanes", "cache_dir",
+    "coordinator", "engine", "fault_model", "cache_dir",
     "cache_max_entries", "search", "search_budget",
 )
 

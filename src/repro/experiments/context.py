@@ -94,8 +94,7 @@ class CircuitLab:
 
     def fault_sim(self, vectors: list[int]) -> FaultSimResult:
         result = self.fault_model.simulate(
-            self.netlist, vectors, self.sim_faults, self.config.fault_lanes,
-            engine=self.config.engine,
+            self.netlist, vectors, self.sim_faults, engine=self.config.engine,
         )
         return self.expand_detection(result)
 

@@ -19,7 +19,7 @@ A model implements four operations:
   equivalence classes (identity for models without collapsing rules).
 * ``describe(fault, netlist)`` — a one-line human description of a
   fault.
-* ``simulate(netlist, stimuli, faults=None, lanes=None, engine=None)``
+* ``simulate(netlist, stimuli, faults=None, engine=None)``
   — first-detection records as a
   :class:`~repro.fault.coverage.FaultSimResult`.
 
@@ -62,8 +62,7 @@ class FaultModel:
         return str(fault)
 
     def simulate(self, netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int | None = None,
-                 engine=None):
+                 faults: list | None = None, engine=None):
         """First-detection records for ``faults`` over packed stimuli."""
         raise NotImplementedError
 

@@ -19,7 +19,7 @@ Knobs (``CampaignConfig.fault_model_knobs`` / ``build_fault_model``):
 Execution:
 
 * **Sequential**: one flipped DFF bit per (dff, cycle) pair.  Lanes
-  are fault machines on the same cycle-major chunk driver as
+  are fault machines on the same cycle-major one-word loop as
   :class:`repro.fault.SeqFaultSimulator`, but no
   :class:`~repro.engine.InjectionPlan` is needed at all: each
   lane's state bit is XOR-flipped once, at its scheduled cycle, and the
@@ -117,13 +117,12 @@ class SeuModel(FaultModel):
         return fault.describe(netlist)
 
     def simulate(self, netlist: Netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int | None = None,
+                 faults: list | None = None,
                  engine=None) -> FaultSimResult:
         if faults is None:
             faults = self.collapse(netlist)
         if netlist.dffs:
-            return self._simulate_seq(netlist, stimuli, faults, lanes,
-                                      engine)
+            return self._simulate_seq(netlist, stimuli, faults, engine)
         return self._simulate_comb(netlist, stimuli, faults, engine)
 
     # -- combinational: single-event transients, pattern-parallel -------
@@ -165,20 +164,19 @@ class SeuModel(FaultModel):
     # -- sequential: one flipped state bit per lane ---------------------
 
     def _simulate_seq(self, netlist: Netlist, stimuli: list[int],
-                      faults: list, lanes: int | None,
-                      engine) -> FaultSimResult:
+                      faults: list, engine) -> FaultSimResult:
         engine = build_engine(engine)
         detection = simulate_chunks(
-            netlist, engine, faults, lanes, stimuli,
-            lambda chunk, mask: self._machine(netlist, engine, chunk, mask),
+            netlist, engine, faults, stimuli,
+            lambda faults, mask: self._machine(netlist, engine, faults, mask),
         )
         return FaultSimResult(list(faults), detection, len(stimuli))
 
-    def _machine(self, netlist: Netlist, engine, chunk: list, mask: int):
+    def _machine(self, netlist: Netlist, engine, faults: list, mask: int):
         index = {dff.q: k for k, dff in enumerate(netlist.dffs)}
         # cycle -> {state index -> lane bits to flip when entering it}
         flips: dict[int, dict[int, int]] = {}
-        for lane, fault in enumerate(chunk):
+        for lane, fault in enumerate(faults):
             per_dff = flips.setdefault(fault.cycle, {})
             k = index[fault.net]
             per_dff[k] = per_dff.get(k, 0) | (1 << lane)

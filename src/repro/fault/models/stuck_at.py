@@ -34,13 +34,12 @@ class StuckAtModel(FaultModel):
         return fault.describe(netlist)
 
     def simulate(self, netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int | None = None,
-                 engine=None):
+                 faults: list | None = None, engine=None):
         if faults is None:
             faults = self.collapse(netlist)
         if netlist.dffs:
             return SeqFaultSimulator(
-                netlist, faults, lanes, engine=engine
+                netlist, faults, engine=engine
             ).simulate(stimuli)
         return CombFaultSimulator(netlist, faults, engine=engine).simulate(
             stimuli

@@ -16,11 +16,11 @@ initial value.  That lowering is what this model executes:
   shift of the good word (``good << 1`` holds each pattern's
   predecessor value); their AND is the detection word.
 * **Sequential** (fault-parallel): faults ride the same cycle-major
-  lane-chunk driver as :class:`repro.fault.SeqFaultSimulator`
+  one-word loop as :class:`repro.fault.SeqFaultSimulator`
   (:func:`repro.fault.seq_sim.simulate_chunks`) with one *static*
-  :class:`~repro.engine.InjectionPlan` per chunk forcing each lane's
-  net to its initial value — so the compiled backend bakes the chunk
-  into one cycle kernel, exactly like stuck-at chunks.  The launch
+  :class:`~repro.engine.InjectionPlan` per fault list forcing each
+  lane's net to its initial value — so the compiled backend bakes the
+  list into one cycle kernel, exactly like stuck-at.  The launch
   condition is evaluated per cycle per lane against the *good* machine
   (the classical fault-free-launch approximation: a slow net
   misbehaves in a cycle iff its previous settled good value was the
@@ -138,13 +138,12 @@ class TransitionModel(FaultModel):
         return fault.describe(netlist)
 
     def simulate(self, netlist: Netlist, stimuli: list[int],
-                 faults: list | None = None, lanes: int | None = None,
+                 faults: list | None = None,
                  engine=None) -> FaultSimResult:
         if faults is None:
             faults = self.collapse(netlist)
         if netlist.dffs:
-            return self._simulate_seq(netlist, stimuli, faults, lanes,
-                                      engine)
+            return self._simulate_seq(netlist, stimuli, faults, engine)
         return self._simulate_comb(netlist, stimuli, faults, engine)
 
     # -- combinational: pattern-parallel --------------------------------
@@ -174,11 +173,10 @@ class TransitionModel(FaultModel):
             detection.append(first_lane(word & act))
         return FaultSimResult(list(faults), detection, count)
 
-    # -- sequential: fault-parallel lane chunks -------------------------
+    # -- sequential: fault-parallel, one lane per fault ----------------
 
     def _simulate_seq(self, netlist: Netlist, stimuli: list[int],
-                      faults: list, lanes: int | None,
-                      engine) -> FaultSimResult:
+                      faults: list, engine) -> FaultSimResult:
         engine = build_engine(engine)
         # The good machine also observes every fault net: the launch
         # condition reads its previous settled value.
@@ -186,23 +184,23 @@ class TransitionModel(FaultModel):
         base = len(netlist.output_bits)
         slot = {nid: base + k for k, nid in enumerate(watch)}
         detection = simulate_chunks(
-            netlist, engine, faults, lanes, stimuli,
-            lambda chunk, mask: self._machine(
-                netlist, engine, chunk, mask, slot),
+            netlist, engine, faults, stimuli,
+            lambda faults, mask: self._machine(
+                netlist, engine, faults, mask, slot),
             watch=watch,
         )
         return FaultSimResult(list(faults), detection, len(stimuli))
 
-    def _machine(self, netlist: Netlist, engine, chunk: list, mask: int,
+    def _machine(self, netlist: Netlist, engine, faults: list, mask: int,
                  slot: dict[int, int]):
-        # One static plan per chunk: every lane's net forced to its
+        # One static plan per list: every lane's net forced to its
         # initial value.  Activation is applied afterwards as a lane
         # merge, so the plan (and the compiled backend's generated
         # code) never varies per cycle.
-        plan = InjectionPlan(faults=list(chunk))
+        plan = InjectionPlan(faults=list(faults))
         # (good-word slot, initial value) -> lanes launched by it
         launch: dict[tuple[int, int], int] = {}
-        for lane, fault in enumerate(chunk):
+        for lane, fault in enumerate(faults):
             clear, setm = plan.stem.get(fault.net, (0, 0))
             clear |= 1 << lane
             if fault.initial:

@@ -12,7 +12,6 @@ def simulate_faults(
     netlist: Netlist,
     stimuli: list[int],
     faults: list | None = None,
-    lanes: int | None = None,
     engine=None,
     model=None,
 ) -> FaultSimResult:
@@ -22,12 +21,12 @@ def simulate_faults(
     for the default (single stuck-at).  ``faults`` defaults to the
     model's collapsed fault list; ``engine`` selects the
     :mod:`repro.engine` backend by name (default backend when ``None``).
-    ``lanes`` bounds the chunk width of a sequential netlist's
-    fault-parallel simulation; ``None`` packs the list into one word.
+    A sequential netlist's fault list is simulated in one
+    fault-parallel word.
     """
     model = build_fault_model(model)
     return model.simulate(
-        netlist, stimuli, faults=faults, lanes=lanes, engine=engine
+        netlist, stimuli, faults=faults, engine=engine
     )
 
 
@@ -35,7 +34,6 @@ def simulate_stuck_at(
     netlist: Netlist,
     stimuli: list[int],
     faults: list[StuckAtFault] | None = None,
-    lanes: int | None = None,
     engine=None,
 ) -> FaultSimResult:
     """Stuck-at fault simulation (the historical entry point).
@@ -46,6 +44,5 @@ def simulate_stuck_at(
     predate the model registry keep their exact behavior.
     """
     return simulate_faults(
-        netlist, stimuli, faults=faults, lanes=lanes, engine=engine,
-        model="stuck-at",
+        netlist, stimuli, faults=faults, engine=engine, model="stuck-at",
     )

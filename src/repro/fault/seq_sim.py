@@ -1,32 +1,32 @@
 """Fault-parallel stuck-at simulation for sequential circuits.
 
-Each bit lane of a net word is one faulty machine.  By default
-(``lanes=None``) a call packs its whole fault list into one word, so
-it compiles one faulty-machine kernel and makes one kernel call per
-cycle however long the list is: both engines compute on Python ints,
-and at these widths an int operation's cost grows far more slowly
-than its width (a b03 kernel step costs about 60-80 us at 914 lanes
-and 21-25 us at 128 on a 2-CPU Xeon host).  A set ``lanes`` cuts
-the list into chunks of at most that many machines (detections do
-not depend on it).  Injection masks are pre-compiled per chunk:
+Each bit lane of a net word is one faulty machine, and a call packs
+its whole fault list into one word, so it compiles one faulty-machine
+kernel and makes one kernel call per cycle however long the list is:
+both engines compute on Python ints, and at these widths an int
+operation's cost grows far more slowly than its width (a b03 kernel
+step costs about 60-80 us at 914 lanes and 21-25 us at 128 on a 2-CPU
+Xeon host).  Lanes are independent machines, so any consecutive slice
+of a list detects exactly what it does inside the whole list; the
+grid's fault-chunk units rely on that.  Injection masks are
+pre-compiled per list:
 
 * stem faults override the net word wherever it is read, a flip-flop
   output included, so a stuck Q forces its state element every cycle;
 * branch faults override one gate's (or one DFF's) view of its input.
 
 Simulation is cycle-major (:func:`simulate_chunks`, shared with the
-transition and SEU models): every chunk is built up front, then each
-cycle steps one single-lane good machine and advances every chunk that
-still has undetected lanes against it, until all chunks are fully
+transition and SEU models): each cycle steps one single-lane good
+machine and then the fault-parallel machine, until every lane is
 detected.  Every cycle captures the next state from the pre-edge
 evaluation and samples the outputs from the post-edge one, which
 matches :class:`repro.sim.testbench.Testbench`, so detection cycles are
 directly comparable with behavioural runs.  The per-gate work runs on
 a pluggable :mod:`repro.engine` backend's clock-cycle kernel
-(``engine.cycle``), resolved once per chunk: ``next_state`` before the
+(``engine.cycle``), resolved once per call: ``next_state`` before the
 edge, ``observe`` after it, over tuples of words.  The ``compiled``
 backend evaluates only the fan-in cone each of them reads, with the
-chunk's masks baked into generated straight-line code.
+list's masks baked into generated straight-line code.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 
 from repro.engine import InjectionPlan, build_engine
-from repro.errors import FaultSimError
 from repro.fault.collapse import collapse_faults
 from repro.fault.coverage import FaultSimResult
 from repro.fault.model import StuckAtFault
@@ -50,7 +49,6 @@ class SeqFaultSimulator:
         self,
         netlist: Netlist,
         faults: list[StuckAtFault] | None = None,
-        lanes: int | None = None,
         engine=None,
     ):
         self._netlist = netlist
@@ -58,8 +56,6 @@ class SeqFaultSimulator:
         self._faults = (
             faults if faults is not None else collapse_faults(netlist)
         )
-        self._lanes = lanes
-        self._width = _chunk_width(lanes, len(self._faults))
 
     @property
     def faults(self) -> list[StuckAtFault]:
@@ -73,18 +69,13 @@ class SeqFaultSimulator:
     def engine(self):
         return self._engine
 
-    @property
-    def lanes(self) -> int | None:
-        """The chunk width; ``None``: one chunk per fault list."""
-        return self._lanes
-
     def simulate(self, stimuli: list[int]) -> FaultSimResult:
         """Fault-simulate a packed input sequence (applied after reset)."""
         m = _metrics.active()
         started = time.monotonic() if m.enabled else 0.0
         detection = simulate_chunks(
-            self._netlist, self._engine, self._faults, self._width,
-            stimuli, self._machine,
+            self._netlist, self._engine, self._faults, stimuli,
+            self._machine,
         )
         if m.enabled:
             # Per-simulate coarse counters; the per-cycle loop inside
@@ -93,8 +84,6 @@ class SeqFaultSimulator:
             m.counter(f"engine.{name}.seq.passes")
             m.counter(f"engine.{name}.seq.faults", len(self._faults))
             m.counter(f"engine.{name}.seq.cycles", len(stimuli))
-            m.counter(f"engine.{name}.seq.chunks",
-                      -(-len(self._faults) // self._width))
             m.observe(
                 f"engine.{name}.seq.seconds", time.monotonic() - started
             )
@@ -102,8 +91,8 @@ class SeqFaultSimulator:
             list(self._faults), detection, len(stimuli)
         )
 
-    def _compile(self, chunk: list[StuckAtFault]) -> InjectionPlan:
-        plan = InjectionPlan(faults=chunk)
+    def _compile(self, faults: list[StuckAtFault]) -> InjectionPlan:
+        plan = InjectionPlan(faults=faults)
 
         def merge(table: dict, key, lane: int, stuck: int) -> None:
             clear, setm = table.get(key, (0, 0))
@@ -112,7 +101,7 @@ class SeqFaultSimulator:
                 setm |= 1 << lane
             table[key] = (clear, setm)
 
-        for lane, fault in enumerate(chunk):
+        for lane, fault in enumerate(faults):
             if fault.gate is not None:
                 merge(plan.branch, (fault.gate, fault.pin), lane, fault.stuck)
             elif fault.dff is not None:
@@ -121,9 +110,9 @@ class SeqFaultSimulator:
                 merge(plan.stem, fault.net, lane, fault.stuck)
         return plan
 
-    def _machine(self, chunk: list[StuckAtFault], mask: int):
+    def _machine(self, faults: list[StuckAtFault], mask: int):
         next_state, observe = self._engine.cycle(
-            self._netlist, self._compile(chunk)
+            self._netlist, self._compile(faults)
         )
         state = reset_state(self._netlist, mask)
 
@@ -140,73 +129,49 @@ def reset_state(netlist: Netlist, mask: int) -> tuple[int, ...]:
     return tuple(mask if dff.reset_value else 0 for dff in netlist.dffs)
 
 
-def _chunk_width(lanes: int | None, count: int) -> int:
-    """Machines per chunk of a ``count``-fault list (``None``: all)."""
-    if lanes is None:
-        return max(count, 1)
-    if lanes < 1:
-        raise FaultSimError("lanes must be >= 1")
-    return lanes
-
-
 def simulate_chunks(
-    netlist: Netlist, engine, faults: list, lanes: int | None,
-    stimuli: list[int], machine, watch: tuple[int, ...] = (),
+    netlist: Netlist, engine, faults: list, stimuli: list[int], machine,
+    watch: tuple[int, ...] = (),
 ) -> list[int | None]:
     """First-detection cycle per fault, simulated cycle-major.
 
-    Faults run in chunks of ``lanes`` machines, or all in one chunk
-    when ``lanes`` is ``None``.  ``machine(chunk, mask)`` builds the
-    faulty machines of one chunk (one per lane of ``mask``) and returns
-    its ``advance(cycle, inputs, good)``: one clock cycle over the
+    ``machine(faults, mask)`` builds the faulty machines of the whole
+    list (one per lane of ``mask``) and returns its
+    ``advance(cycle, inputs, good)``: one clock cycle over the
     lane-replicated input words (a tuple in ``netlist.input_bits``
-    order), returning the chunk's post-clock primary-output words in
+    order), returning the post-clock primary-output words in
     ``netlist.output_bits`` order.  ``good`` is the single-lane good
     machine's post-clock words of the primary outputs followed by the
-    ``watch`` nets, for the same cycle.
-    Lanes are independent machines, so detection cycles match a
-    chunk-by-chunk run bit for bit; a fully detected chunk stops
-    advancing, and stimuli past the last live cycle are never decoded.
+    ``watch`` nets, for the same cycle.  The run stops once every lane
+    is detected: stimuli past the last live cycle are never decoded,
+    and an empty list decodes none.
     """
-    size = _chunk_width(lanes, len(faults))
     detection: list[int | None] = [None] * len(faults)
-    live = []  # [first fault index, lane mask, alive lanes, advance]
-    for start in range(0, len(faults), size):
-        chunk = faults[start : start + size]
-        mask = (1 << len(chunk)) - 1
-        live.append([start, mask, mask, machine(chunk, mask)])
+    if not faults:
+        return detection
+    alive = mask = (1 << len(faults)) - 1
+    advance = machine(faults, mask)
     input_bits, width = netlist.input_bits, len(netlist.output_bits)
     good_next, good_observe = engine.cycle(
         netlist, None, tuple(netlist.output_bits) + tuple(watch)
     )
     good_state = reset_state(netlist, 1)
     for cycle, packed in enumerate(stimuli):
-        if not live:
-            break
         single = unpack_patterns([packed], input_bits)
         bits = tuple(single[nid] for nid in input_bits)
         good_state = good_next(bits, good_state, 1)
         good = good_observe(bits, good_state, 1)
-        # lane mask -> (replicated inputs, replicated good outputs)
-        replicated: dict[int, tuple] = {}
-        for entry in live:
-            start, mask, alive, advance = entry
-            pair = replicated.get(mask)
-            if pair is None:
-                pair = replicated[mask] = (
-                    tuple(mask if bit else 0 for bit in bits),
-                    tuple(mask if bit else 0 for bit in good[:width]),
-                )
-            inputs, expected = pair
-            words = advance(cycle, inputs, good)
-            diff = 0
-            for word, want in zip(words, expected):
-                diff |= word ^ want
-            newly = diff & alive
-            entry[2] = alive & ~newly
-            while newly:
-                low = newly & -newly
-                detection[start + low.bit_length() - 1] = cycle
-                newly ^= low
-        live = [entry for entry in live if entry[2]]
+        words = advance(cycle, tuple(mask if bit else 0 for bit in bits),
+                        good)
+        diff = 0
+        for word, bit in zip(words, good[:width]):
+            diff |= word ^ (mask if bit else 0)
+        newly = diff & alive
+        alive &= ~newly
+        while newly:
+            low = newly & -newly
+            detection[low.bit_length() - 1] = cycle
+            newly ^= low
+        if not alive:
+            break
     return detection

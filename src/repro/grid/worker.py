@@ -89,8 +89,7 @@ def _simulate_chunk(lab, config, faults: list, vectors: list[int]):
         )
         return simulator.simulate(vectors, good)
     return lab.fault_model.simulate(
-        lab.netlist, vectors, faults, config.fault_lanes,
-        engine=config.engine,
+        lab.netlist, vectors, faults, engine=config.engine
     )
 
 

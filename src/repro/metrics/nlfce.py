@@ -102,7 +102,6 @@ def compute_nlfce(
     mutation_vectors: list[int],
     random_vectors: list[int],
     faults: list[StuckAtFault] | None = None,
-    lanes: int | None = None,
     engine=None,
     model=None,
 ) -> NlfceReport:
@@ -114,9 +113,9 @@ def compute_nlfce(
     stays meaningful.
     """
     mutation_result = simulate_faults(
-        netlist, mutation_vectors, faults, lanes, engine=engine, model=model
+        netlist, mutation_vectors, faults, engine=engine, model=model
     )
     random_result = simulate_faults(
-        netlist, random_vectors, faults, lanes, engine=engine, model=model
+        netlist, random_vectors, faults, engine=engine, model=model
     )
     return nlfce_from_results(mutation_result, random_result)

@@ -162,11 +162,9 @@ def pack_outputs(
 ) -> list[int]:
     """Inverse transpose: per-net lane words into packed output integers."""
     outputs = []
-    width = len(ordered_nets)
     for lane in range(count):
         packed = 0
         for nid in ordered_nets:
             packed = (packed << 1) | ((words[nid] >> lane) & 1)
         outputs.append(packed)
-    _ = width
     return outputs

@@ -400,8 +400,7 @@ def test_b01_pruned_faults_are_empirically_undetected():
     assert lab.pruned_faults, "b01 is expected to have untestable faults"
     victims = [fault for fault, _ in lab.pruned_faults]
     result = lab.fault_model.simulate(
-        lab.netlist, lab.random_vectors, victims,
-        lab.config.fault_lanes, engine=lab.config.engine,
+        lab.netlist, lab.random_vectors, victims, engine=lab.config.engine,
     )
     assert all(d is None for d in result.detection)
 

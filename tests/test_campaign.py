@@ -95,7 +95,7 @@ def test_fingerprint_ignores_execution_fields():
 #: A non-default value for every ``LAB_FIELDS`` field.
 LAB_VALUES = dict(
     seed=77, random_budget_comb=96, random_budget_seq=80,
-    equivalence_budget=32, fault_lanes=64, engine="interp",
+    equivalence_budget=32, engine="interp",
     fault_model="seu", fault_model_knobs={"cycles": 2},
     prune_untestable=True,
 )
@@ -210,6 +210,120 @@ def test_campaign_result_json_roundtrip(campaign_c17):
         c.to_dict() for c in campaign_c17.circuits
     ]
     assert again.config == campaign_c17.config
+
+
+#: ``CampaignResult.to_json()`` of b01 at smoke budgets (``LOR`` only, no
+#: strategies), written while ``fault_lanes`` was a config field left
+#: unset.  The run at ``fault_lanes=64`` wrote the same text with
+#: ``"fault_lanes": 64``.
+LANES_ARCHIVE = """\
+{
+  "cache_hits": [],
+  "circuits": [
+    {
+      "circuit": "b01",
+      "depth": 10,
+      "dffs": 8,
+      "equivalents": 0,
+      "faults": 174,
+      "gates": 66,
+      "mutants": 322,
+      "operators": [
+        {
+          "dfc_pct": 50.877192982456144,
+          "dl_pct": 80.0,
+          "mfc_pct": 49.42528735632184,
+          "mutants": 25,
+          "nlfce": 4070.1754385964914,
+          "operator": "LOR",
+          "reached_mfc": true,
+          "test_length": 12
+        }
+      ],
+      "sequential": true,
+      "strategies": [],
+      "weights": null
+    }
+  ],
+  "config": {
+    "batch_size": 64,
+    "cache_dir": null,
+    "cache_max_entries": null,
+    "chunk_candidates": 6,
+    "chunk_length": 4,
+    "circuits": [
+      "b01",
+      "b03",
+      "c432",
+      "c499"
+    ],
+    "coordinator": null,
+    "engine": "compiled",
+    "equivalence_budget": 32,
+    "fault_lanes": null,
+    "fault_model": "stuck-at",
+    "fault_model_knobs": null,
+    "fraction": 0.1,
+    "grid": null,
+    "grid_shard": 0,
+    "grid_workers": 1,
+    "jobs": 1,
+    "max_vectors": 24,
+    "operators": [
+      "LOR"
+    ],
+    "prune_untestable": false,
+    "random_budget_comb": 96,
+    "random_budget_seq": 96,
+    "sample_labels": [],
+    "sampling_seed": 13,
+    "search": "random",
+    "search_budget": null,
+    "search_knobs": null,
+    "search_stale_rounds": null,
+    "seed": 77,
+    "stages": [
+      "synth",
+      "mutants",
+      "search",
+      "fault-validation",
+      "metrics",
+      "sampling",
+      "search",
+      "fault-validation",
+      "metrics"
+    ],
+    "stall_rounds": 4,
+    "static_prescreen": false,
+    "strategies": [],
+    "telemetry": false,
+    "testgen_seed": 7,
+    "trace": false,
+    "weight_scheme": "calibrated",
+    "weights": null
+  }
+}"""
+
+#: The archived config's fingerprint when it was written.
+LANES_ARCHIVE_FINGERPRINT = "4bd15e74c81acd36"
+
+
+@pytest.mark.parametrize("lanes", ["null", "64"])
+def test_archive_with_fault_lanes_loads(lanes):
+    """Archives that carry the retired ``fault_lanes`` key still load.
+
+    The loaded config hashes as the unset-lanes run did, and rerunning
+    it reproduces the archived circuit rows exactly.
+    """
+    text = LANES_ARCHIVE.replace(
+        '"fault_lanes": null', f'"fault_lanes": {lanes}'
+    )
+    archived = CampaignResult.from_json(text)
+    assert archived.config.fingerprint() == LANES_ARCHIVE_FINGERPRINT
+    again = Campaign(archived.config).run(("b01",))
+    assert [c.to_dict() for c in again.circuits] == (
+        json.loads(text)["circuits"]
+    )
 
 
 def test_campaign_tables_match_facades(campaign_c17):
@@ -451,24 +565,6 @@ def test_cli_run_with_json(tmp_path, capsys):
     assert "Campaign: circuit inventory" in out
     data = json.loads(out_path.read_text())
     assert [c["circuit"] for c in data["circuits"]] == ["c17"]
-
-
-def test_cli_run_fault_lanes_overrides_the_default(tmp_path, capsys):
-    from repro.cli import main
-
-    config_path = tmp_path / "campaign.json"
-    config_path.write_text(
-        CampaignConfig(**FAST, circuits=("b01",), strategies=()).to_json()
-    )
-    lanes = {}
-    for flags in ([], ["--fault-lanes", "64"]):
-        out_path = tmp_path / "result.json"
-        assert main(["run", str(config_path), "--json", str(out_path),
-                     *flags]) == 0
-        data = json.loads(out_path.read_text())
-        lanes[tuple(flags)] = data["config"]["fault_lanes"]
-    capsys.readouterr()
-    assert lanes == {(): None, ("--fault-lanes", "64"): 64}
 
 
 def test_cli_table1_json(tmp_path, capsys):

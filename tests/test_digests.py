@@ -74,8 +74,8 @@ def _seq_netlist(name):
     return _random_seq_netlist() if name == "random" else netlist_of(name)
 
 
-#: (circuit, lanes, cycles) of each pinned sequential case.
-SEQ_CASES = {"b01": (256, 64), "b03": (64, 64), "random": (7, 48)}
+#: Stimulus cycles of each pinned sequential case.
+SEQ_CASES = {"b01": 64, "b03": 64, "random": 48}
 
 #: sha256 of the ``detection`` list per (fault model, circuit).
 SEQ_GOLDEN = {
@@ -104,15 +104,13 @@ def test_seq_fault_detection_digest_is_pinned(key, engine):
     from repro.util import rng_stream
 
     model_name, circuit = key.split("/")
-    lanes, cycles = SEQ_CASES[circuit]
+    cycles = SEQ_CASES[circuit]
     netlist = _seq_netlist(circuit)
     model = build_fault_model(model_name)
     rng = rng_stream(23, "seq-digest-stimuli", circuit)
     width = len(netlist.input_bits)
     stimuli = [rng.getrandbits(width) for _ in range(cycles)]
-    detection = model.simulate(
-        netlist, stimuli, lanes=lanes, engine=engine
-    ).detection
+    detection = model.simulate(netlist, stimuli, engine=engine).detection
     assert any(cycle is not None for cycle in detection)
     canonical = json.dumps(detection, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()

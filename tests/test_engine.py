@@ -241,13 +241,11 @@ def test_differential_sequential(engine):
         stimuli = [
             rng.getrandbits(width) for _ in range(rng.randint(1, 24))
         ]
-        # Odd lane widths force multi-chunk injection plans.
-        lanes = rng.choice((3, 7, 64, 256))
         reference = SeqFaultSimulator(
-            netlist, faults, lanes=lanes, engine="interp"
+            netlist, faults, engine="interp"
         ).simulate(stimuli)
         candidate = SeqFaultSimulator(
-            netlist, faults, lanes=lanes, engine=engine
+            netlist, faults, engine=engine
         ).simulate(stimuli)
         assert candidate.detection == reference.detection, f"case {case}"
         ref_out = SeqSimulator(netlist, engine="interp").run_packed(stimuli)
@@ -305,15 +303,15 @@ class _KernelLog:
 def check_seq_kernel_random(seed: int) -> dict:
     """``interp`` vs ``compiled`` on one random sequential netlist.
 
-    Every sequential fault model runs its whole uncollapsed universe
-    (Q-stem and DFF-branch stuck-at faults included) at an odd lane
-    width on both backends, and the detection cycles must match; then
-    both backends' cycle kernels, with and without a stuck-at plan,
-    must return the same words for one random cycle, observed on every
-    net.  Last, every model runs again at the default width (the whole
-    universe in one word) on both backends: every kernel call must
-    return the same words on both, and the detections must equal the
-    odd-width ones.
+    Every sequential fault model runs each consecutive slice of a
+    drawn length of its whole uncollapsed universe (Q-stem and
+    DFF-branch stuck-at faults included) on both backends, and the
+    detection cycles must match; then both backends' cycle kernels,
+    with and without a stuck-at plan, must return the same words for
+    one random cycle, observed on every net.  Last, every model runs
+    the whole universe in one word on both backends: every kernel call
+    must return the same words on both, and the detections must equal
+    the slices' ones.
     """
     from repro.fault.models import build_fault_model
 
@@ -321,21 +319,25 @@ def check_seq_kernel_random(seed: int) -> dict:
     netlist = random_seq_netlist(rng)
     width = len(netlist.input_bits)
     stimuli = [rng.getrandbits(width) for _ in range(rng.randint(1, 24))]
-    lanes = rng.choice((1, 3, 7, 64))
+    size = rng.choice((1, 3, 7, 64))
     faults_checked = 0
     models = ("stuck-at", "transition", "seu")
     detections = {}
     for model_name in models:
         model = build_fault_model(model_name)
         faults = model.generate(netlist)
-        reference = model.simulate(
-            netlist, stimuli, faults, lanes=lanes, engine="interp"
-        ).detection
-        candidate = model.simulate(
-            netlist, stimuli, faults, lanes=lanes, engine="compiled"
-        ).detection
+        reference, candidate = [], []
+        for start in range(0, len(faults), size):
+            part = faults[start:start + size]
+            reference += model.simulate(
+                netlist, stimuli, part, engine="interp"
+            ).detection
+            candidate += model.simulate(
+                netlist, stimuli, part, engine="compiled"
+            ).detection
         assert candidate == reference, (
-            f"seed {seed}: {model_name} detections differ at lanes={lanes}"
+            f"seed {seed}: {model_name} detections differ in slices of "
+            f"{size}"
         )
         detections[model_name] = reference
         faults_checked += len(faults)
@@ -364,12 +366,12 @@ def check_seq_kernel_random(seed: int) -> dict:
             for log in logs
         )
         assert logs[0].words and logs[1].words == logs[0].words, (
-            f"seed {seed}: {model_name} kernel words differ at the "
-            f"default width"
+            f"seed {seed}: {model_name} kernel words differ on the whole "
+            f"universe"
         )
         assert candidate == reference == detections[model_name], (
-            f"seed {seed}: {model_name} detections differ at the default "
-            f"width"
+            f"seed {seed}: {model_name} whole-universe detections differ "
+            f"from the slices'"
         )
     return {"faults": faults_checked}
 
@@ -595,12 +597,10 @@ def test_campaign_payload_identical_on_c432_and_b01():
 def test_campaign_config_carries_engine():
     from repro.campaign.config import CampaignConfig
 
-    config = CampaignConfig(engine="interp", fault_lanes=17)
+    config = CampaignConfig(engine="interp")
     assert config.lab_config().engine == "interp"
-    assert config.lab_config().fault_lanes == 17
     roundtrip = CampaignConfig.from_json(config.to_json())
     assert roundtrip.engine == "interp"
-    assert roundtrip.fault_lanes == 17
 
 
 def test_campaign_config_rejects_unknown_engine():
@@ -608,8 +608,6 @@ def test_campaign_config_rejects_unknown_engine():
 
     with pytest.raises(ConfigError, match="engine"):
         CampaignConfig(engine="laser")
-    with pytest.raises(ConfigError, match="fault_lanes"):
-        CampaignConfig(fault_lanes=0)
 
 
 def test_engine_and_lanes_in_fingerprint():
@@ -617,7 +615,10 @@ def test_engine_and_lanes_in_fingerprint():
 
     base = CampaignConfig()
     assert base.fingerprint() != CampaignConfig(engine="interp").fingerprint()
-    assert base.fingerprint() != CampaignConfig(fault_lanes=8).fingerprint()
+    # The retired lane width hashes as a constant 256, whatever an
+    # archived config carried.
+    legacy = CampaignConfig.from_dict({**base.to_dict(), "fault_lanes": 8})
+    assert legacy.fingerprint() == base.fingerprint()
 
 
 #: ``CampaignConfig().fingerprint()`` while ``fault_lanes`` defaulted to
@@ -628,20 +629,19 @@ DEFAULT_FINGERPRINT = "277af5b819ed5c35"
 def test_unset_fault_lanes_keeps_the_default_fingerprint():
     from repro.campaign.config import CampaignConfig
 
-    assert CampaignConfig().fault_lanes is None
+    assert not hasattr(CampaignConfig(), "fault_lanes")
     assert CampaignConfig().fingerprint() == DEFAULT_FINGERPRINT
-    assert CampaignConfig(fault_lanes=256).fingerprint() == (
-        DEFAULT_FINGERPRINT
-    )
 
 
 def test_unset_fault_lanes_round_trips():
+    """Archived configs carry ``fault_lanes``; loading drops any value."""
     from repro.campaign.config import CampaignConfig
 
     config = CampaignConfig(engine="interp")
-    assert config.to_dict()["fault_lanes"] is None
+    assert "fault_lanes" not in config.to_dict()
     assert CampaignConfig.from_dict(config.to_dict()) == config
-    text = config.to_json()
-    assert json.loads(text)["fault_lanes"] is None
-    assert CampaignConfig.from_json(text) == config
-    assert config.lab_config().fault_lanes is None
+    assert CampaignConfig.from_json(config.to_json()) == config
+    for lanes in (None, 0, 8, 256):
+        archived = {**config.to_dict(), "fault_lanes": lanes}
+        assert CampaignConfig.from_dict(archived) == config
+        assert CampaignConfig.from_json(json.dumps(archived)) == config

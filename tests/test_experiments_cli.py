@@ -203,7 +203,7 @@ CLI_DEFAULT_CONFIG = {
     "batch_size": 64, "cache_dir": None, "cache_max_entries": None,
     "chunk_candidates": 6, "chunk_length": 4,
     "circuits": ["b01", "b03", "c432", "c499"], "coordinator": None,
-    "engine": "compiled", "equivalence_budget": 256, "fault_lanes": None,
+    "engine": "compiled", "equivalence_budget": 256,
     "fault_model": "stuck-at", "fault_model_knobs": None, "fraction": 0.1,
     "grid": None, "grid_shard": 0, "grid_workers": 1, "jobs": 1,
     "max_vectors": 256, "operators": ["LOR", "VR", "CVR", "CR"],
@@ -249,14 +249,10 @@ def test_cli_engine_selection_is_bit_identical(command, capsys):
     assert outputs["interp"] == outputs["compiled"]
 
 
-def test_cli_fault_lanes_is_result_neutral(capsys):
-    """Chunk width tunes execution, never the science."""
-    argv = [
-        "table1", "--circuits", "b01", "--random-budget", "64",
-        "--equivalence-budget", "16", "--max-vectors", "16",
-    ]
-    outputs = {}
-    for lanes in ("8", "256"):
-        assert main(argv + ["--fault-lanes", lanes]) == 0
-        outputs[lanes] = capsys.readouterr().out
-    assert outputs["8"] == outputs["256"]
+def test_cli_rejects_fault_lanes(capsys):
+    """The retired lane-width flag is an unknown option."""
+    for argv in (["table1"], ["run", "campaign.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--fault-lanes", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

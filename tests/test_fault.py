@@ -85,7 +85,7 @@ def test_seq_and_comb_agree_on_combinational_circuit():
     rng = rng_stream(9, "seqcomb")
     patterns = [rng.getrandbits(5) for _ in range(40)]
     comb = CombFaultSimulator(netlist, faults).simulate(patterns)
-    seq = SeqFaultSimulator(netlist, faults, lanes=7).simulate(patterns)
+    seq = SeqFaultSimulator(netlist, faults).simulate(patterns)
     assert comb.detection == seq.detection
 
 
@@ -101,26 +101,41 @@ def _seq_case(model_name: str, circuit: str, count: int = 64):
     return netlist, model, faults, stimuli
 
 
+def _sliced(model, netlist, stimuli, faults, size: int) -> list:
+    """Detections of ``faults`` simulated in consecutive ``size`` slices."""
+    detection = []
+    for start in range(0, len(faults), size):
+        detection += model.simulate(
+            netlist, stimuli, faults[start:start + size]
+        ).detection
+    return detection
+
+
 def test_seq_lane_chunking_invariance():
-    """Detection cycles do not depend on how faults are cut into chunks."""
+    """A slice of a fault list detects what it does in the whole list.
+
+    The grid's fault-chunk units rely on this: each simulates one
+    consecutive slice of the list.
+    """
     for model_name in ("stuck-at", "transition", "seu"):
         for circuit in ("b01", "b03"):
             netlist, model, faults, stimuli = _seq_case(model_name, circuit)
-            reference = model.simulate(
-                netlist, stimuli, faults, lanes=len(faults)
-            ).detection
-            assert any(cycle is not None for cycle in reference)
-            for lanes in (1, 5, 64, 256, None):
-                got = model.simulate(netlist, stimuli, faults, lanes=lanes)
-                assert got.detection == reference, (model_name, circuit,
-                                                    lanes)
+            whole = model.simulate(netlist, stimuli, faults).detection
+            assert any(cycle is not None for cycle in whole)
+            for size in (1, 5, 64):
+                got = _sliced(model, netlist, stimuli, faults, size)
+                assert got == whole, (model_name, circuit, size)
 
 
 @pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
 def test_seq_early_detected_chunk_stops_alone(model_name):
-    """A chunk detected long before the others leaves them unchanged."""
+    """A fault chunk detected long before the others leaves them unchanged.
+
+    The list is reordered by detection cycle, and each slice of 5
+    faults is simulated on its own, as a grid fault-chunk unit would.
+    """
     netlist, model, faults, stimuli = _seq_case(model_name, "b03")
-    reference = model.simulate(netlist, stimuli, faults, lanes=256)
+    reference = model.simulate(netlist, stimuli, faults)
     by_cycle = sorted(
         range(len(faults)),
         key=lambda i: (reference.detection[i] is None,
@@ -128,8 +143,8 @@ def test_seq_early_detected_chunk_stops_alone(model_name):
     )
     ordered = [faults[i] for i in by_cycle]
     expected = [reference.detection[i] for i in by_cycle]
-    got = model.simulate(netlist, stimuli, ordered, lanes=5).detection
-    assert got == expected
+    assert model.simulate(netlist, stimuli, ordered).detection == expected
+    assert _sliced(model, netlist, stimuli, ordered, 5) == expected
     # The first chunk is fully detected many cycles before the last
     # detection of the run.
     first_done = max(expected[:5])
@@ -143,28 +158,26 @@ def test_seq_empty_fault_list_decodes_no_stimulus(model_name):
     netlist = netlist_of("b01")
     bad = 1 << len(netlist.input_bits)
     model = build_fault_model(model_name)
-    result = model.simulate(netlist, [bad, bad], [], lanes=5)
+    result = model.simulate(netlist, [bad, bad], [])
     assert result.detection == []
     assert result.num_patterns == 2
 
 
 @pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
 def test_seq_out_of_range_stimulus(model_name):
-    """A bad stimulus raises iff some chunk is still alive to decode it."""
+    """A bad stimulus raises iff some lane is still alive to decode it."""
     netlist, model, faults, stimuli = _seq_case(model_name, "b03")
     bad = 1 << len(netlist.input_bits)
-    detection = model.simulate(netlist, stimuli, faults, lanes=5).detection
+    detection = model.simulate(netlist, stimuli, faults).detection
     assert None in detection
     with pytest.raises(SimulationError):
-        model.simulate(netlist, stimuli[:20] + [bad], faults, lanes=5)
+        model.simulate(netlist, stimuli[:20] + [bad], faults)
     # Faults all detected by cycle `done` never reach a later stimulus.
     early = [f for f, cycle in zip(faults, detection)
              if cycle is not None and cycle < 10]
-    assert len(early) > 5  # two chunks or more
+    assert len(early) > 5
     done = max(c for c in detection if c is not None and c < 10)
-    result = model.simulate(
-        netlist, stimuli[: done + 1] + [bad], early, lanes=5
-    )
+    result = model.simulate(netlist, stimuli[: done + 1] + [bad], early)
     assert None not in result.detection
 
 
@@ -192,9 +205,9 @@ class _CountingEngine(CompiledEngine):
 
 @pytest.mark.parametrize("model_name", ["stuck-at", "transition", "seu"])
 def test_seq_good_machine_and_plan_key_once(model_name, monkeypatch):
-    """One good machine per stimulus sequence; one plan key per chunk."""
+    """One good machine per stimulus sequence; one plan key per call."""
     netlist, model, _faults, stimuli = _seq_case(model_name, "b01", 24)
-    # 3 chunks of 5, 5 and 4 lanes: no faulty chunk runs at mask 1.
+    # 14 lanes: the faulty machine never runs at mask 1.
     faults = model.collapse(netlist)[:14]
     keys = []
     original = InjectionPlan.injection_key
@@ -205,8 +218,7 @@ def test_seq_good_machine_and_plan_key_once(model_name, monkeypatch):
 
     monkeypatch.setattr(InjectionPlan, "injection_key", counted)
     engine = _CountingEngine()
-    result = model.simulate(netlist, stimuli, faults, lanes=5,
-                            engine=engine)
+    result = model.simulate(netlist, stimuli, faults, engine=engine)
     if None in result.detection:
         cycles = len(stimuli)
     else:
@@ -215,8 +227,8 @@ def test_seq_good_machine_and_plan_key_once(model_name, monkeypatch):
     # One good-machine step per cycle: next state before the edge,
     # outputs after it.
     assert engine.good_steps == {"next_state": cycles, "observe": cycles}
-    # SEU chunks evolve freely: no injection plan at all.
-    assert len(keys) == (0 if model_name == "seu" else 3)
+    # SEU machines evolve freely: no injection plan at all.
+    assert len(keys) == (0 if model_name == "seu" else 1)
 
 
 @pytest.mark.parametrize("model_name", ["stuck-at", "transition"])
@@ -229,7 +241,7 @@ def test_seq_default_width_is_one_plan_per_call(model_name, monkeypatch):
     rng = rng_stream(10, f"one-word-{model_name}")
     width = len(netlist.input_bits)
     stimuli = [rng.getrandbits(width) for _ in range(64)]
-    reference = model.simulate(netlist, stimuli, faults, lanes=256)
+    reference = _sliced(model, netlist, stimuli, faults, 256)
     keys = []
     original = InjectionPlan.injection_key
 
@@ -242,10 +254,10 @@ def test_seq_default_width_is_one_plan_per_call(model_name, monkeypatch):
         keys.clear()
         got = model.simulate(netlist, stimuli, faults)
         assert keys == [len(faults)]
-        assert got.detection == reference.detection
+        assert got.detection == reference
 
 
-def test_seq_default_width_counts_one_chunk_per_call():
+def test_seq_counters_count_each_call():
     from repro.obs import metrics as obs_metrics
 
     netlist = netlist_of("b03")
@@ -256,12 +268,14 @@ def test_seq_default_width_counts_one_chunk_per_call():
         simulator = SeqFaultSimulator(netlist, faults)
         simulator.simulate(stimuli)
         simulator.simulate(stimuli)
-        SeqFaultSimulator(netlist, faults, lanes=256).simulate(stimuli)
+        SeqFaultSimulator(netlist, faults[:256]).simulate(stimuli)
     finally:
         obs_metrics.disable()
     counters = registry.snapshot()["counters"]
     assert counters["engine.compiled.seq.passes"] == 3
-    assert counters["engine.compiled.seq.chunks"] == 1 + 1 + 4
+    assert counters["engine.compiled.seq.faults"] == 2 * len(faults) + 256
+    assert counters["engine.compiled.seq.cycles"] == 3 * len(stimuli)
+    assert "engine.compiled.seq.chunks" not in counters
 
 
 def test_dispatcher_picks_engine(b01_netlist, c17_netlist):

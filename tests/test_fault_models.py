@@ -141,8 +141,8 @@ def test_stuck_at_fingerprint_is_byte_identical():
     Reconstructed by hand: the fingerprint payload of a default config
     must not contain the fault-model keys (nor the later
     static-analysis knobs) at all, so every cache and job-store entry
-    written by older versions still hits; an unset ``fault_lanes``
-    hashes as 256, the width those entries were computed at.
+    written by older versions still hits; the retired ``fault_lanes``
+    field hashes as 256, the width those entries were computed at.
     """
     import hashlib
 
@@ -156,7 +156,7 @@ def test_stuck_at_fingerprint_is_byte_identical():
         and key not in ("fault_model", "fault_model_knobs",
                         "prune_untestable", "static_prescreen")
     }
-    assert payload["fault_lanes"] is None
+    assert "fault_lanes" not in payload
     payload["fault_lanes"] = 256
     canonical = json.dumps(payload, sort_keys=True)
     expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -195,9 +195,9 @@ def test_stuck_at_model_matches_legacy_runner(circuit):
     assert [
         (f.net, f.stuck, f.gate) for f in model.collapse(netlist)
     ] == [(f.net, f.stuck, f.gate) for f in collapse_faults(netlist)]
-    legacy = simulate_stuck_at(netlist, stimuli, lanes=16)
+    legacy = simulate_stuck_at(netlist, stimuli)
     for engine in ENGINES:
-        got = model.simulate(netlist, stimuli, lanes=16, engine=engine)
+        got = model.simulate(netlist, stimuli, engine=engine)
         assert got.detection == legacy.detection, engine
 
 
@@ -212,7 +212,7 @@ def test_model_bit_identical_across_engines(model_name, circuit):
     reference = None
     for engine in ENGINES:
         result = simulate_faults(
-            netlist, stimuli, lanes=9, engine=engine, model=model_name
+            netlist, stimuli, engine=engine, model=model_name
         )
         if reference is None:
             reference = result.detection
@@ -220,7 +220,7 @@ def test_model_bit_identical_across_engines(model_name, circuit):
             assert result.detection == reference, engine
     # Repeat-run determinism on the same engine.
     again = simulate_faults(
-        netlist, stimuli, lanes=9, engine=ENGINES[0], model=model_name
+        netlist, stimuli, engine=ENGINES[0], model=model_name
     )
     assert again.detection == reference
 
@@ -237,13 +237,13 @@ def test_model_shard_invariance(model_name):
     stimuli = stimuli_for(netlist, 32, f"shard-{model_name}")
     model = build_fault_model(model_name)
     faults = model.collapse(netlist)
-    full = model.simulate(netlist, stimuli, faults, lanes=8).detection
+    full = model.simulate(netlist, stimuli, faults).detection
     for shard in (1, 3, len(faults)):
         merged = []
         for start in range(0, len(faults), shard):
             chunk = faults[start:start + shard]
             merged.extend(
-                model.simulate(netlist, stimuli, chunk, lanes=8).detection
+                model.simulate(netlist, stimuli, chunk).detection
             )
         assert merged == full, shard
 
@@ -274,7 +274,7 @@ def test_seu_faults_beyond_stimulus_length_undetected():
     netlist = netlist_of("b01")
     model = SeuModel(cycles=4, stride=8)
     stimuli = stimuli_for(netlist, 9, "short")  # cycles 16, 24 never run
-    result = model.simulate(netlist, stimuli, lanes=4)
+    result = model.simulate(netlist, stimuli)
     for fault, detection in zip(result.faults, result.detection):
         if fault.cycle >= len(stimuli):
             assert detection is None

@@ -822,7 +822,7 @@ def test_cli_json_includes_grid_fields(tmp_path, capsys):
     overrides = {
         "grid": "serial", "grid_workers": 2, "circuits": ["c17"],
         "jobs": 2, "grid_shard": 4, "coordinator": "http://127.0.0.1:9",
-        "engine": "interp", "fault_model": "transition", "fault_lanes": 64,
+        "engine": "interp", "fault_model": "transition",
         "cache_dir": str(tmp_path / "cache"), "cache_max_entries": 5,
         "search": "bitflip", "search_budget": 64,
     }

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from repro.circuits import circuit_names, load_circuit
 from repro.errors import MutantRuntimeError, OscillationError, SimulationError
-from repro.hdl import load_design
+from repro.hdl import ast, load_design
+from repro.hdl import types as ty
 from repro.hdl.values import BV
-from repro.mutation import MutationEngine, generate_mutants
+from repro.mutation import Mutant, MutationEngine, generate_mutants
+from repro.mutation.execution import _ClockedMachine
 from repro.sim import StimulusEncoder, Testbench
 from repro.sim.compiler import MutantSchema
 from repro.sim.scheduler import Simulator
@@ -193,18 +195,14 @@ def _typed_state(state):
     return values, variables, initialized, types, var_types
 
 
-@pytest.mark.parametrize("name", ["b01", "b02", "b03", "b06"])
-def test_clock_cycle_matches_delta_loop_on_every_mutant(name):
-    # The engine's machine (the clocked machine, or the bench for a
-    # patch that may write the clock or reset) against the generic
-    # delta loop on a plain simulator running the same executor.
-    design = load_circuit(name)
-    engine = MutationEngine(design)
-    mutants = generate_mutants(design)
+def _assert_machines_match_delta_loop(engine, mutants, stimuli):
+    """The engine's machine (the clocked machine, or the bench for a
+    patch that may write the clock or reset) against the generic delta
+    loop on a plain simulator running the same executor, for the
+    original and every mutant: outputs, error types and typed state
+    after reset and every step, up to the first raise."""
+    design = engine._design
     slots = engine.cover(mutants)
-    enc = engine.encoder
-    rng = rng_stream(24, name, "clock-cycle")
-    stimuli = [enc.decode(rng.getrandbits(enc.width)) for _ in range(24)]
     original = engine._kind(engine, engine.executor())
     machines = [(None, original)] + [
         (mutant, engine._machine(engine._kind, mutant, slot))
@@ -230,6 +228,100 @@ def test_clock_cycle_matches_delta_loop_on_every_mutant(name):
             assert _typed_state(machine.state()) == _typed_state(
                 slow.save_state()
             ), (mutant, cycle)
+
+
+@pytest.mark.parametrize("name", ["b01", "b02", "b03", "b06"])
+def test_clock_cycle_matches_delta_loop_on_every_mutant(name):
+    design = load_circuit(name)
+    engine = MutationEngine(design)
+    enc = engine.encoder
+    rng = rng_stream(24, name, "clock-cycle")
+    stimuli = [enc.decode(rng.getrandbits(enc.width)) for _ in range(24)]
+    _assert_machines_match_delta_loop(
+        engine, generate_mutants(design), stimuli
+    )
+
+
+_HOLD = """
+entity hold is
+  port ( clock, reset, d : in bit; y : out bit );
+end hold;
+architecture rtl of hold is
+  type state_t is (s_a, s_b);
+  signal st : state_t;
+begin
+  p : process (clock, reset)
+  begin
+    if reset = '1' then
+      st <= s_a;
+      y <= '0';
+    elsif rising_edge(clock) then
+      if st = s_b then
+        st <= s_b;
+      elsif d = '1' then
+        st <= s_b;
+      end if;
+      if st = s_b then
+        y <= '1';
+      else
+        y <= '0';
+      end if;
+    end if;
+  end process p;
+end rtl;
+"""
+
+#: d over a step list: st moves to s_b on the first d = 1, then holds.
+_HOLD_STIMULI = [{"d": d} for d in (0, 1, 0, 0, 1, 1, 0, 0)]
+
+
+def _clocked_engine(design):
+    engine = MutationEngine(design)
+    assert engine._kind is _ClockedMachine
+    return engine
+
+
+def test_clocked_machine_activates_on_the_falling_edge():
+    # The edge test rewritten to ``clock = '0'`` (the clocked template
+    # would not match it): the process acts on the falling edge only,
+    # so the sample after a rising edge shows y written a step late.
+    design = load_design(_HOLD, "hold")
+    branch = design.processes[0].body[0]
+    edge, body = branch.arms[1]
+    branch.arms[1] = (ast.Binary(
+        op="=", left=edge.args[0], right=ast.BitLit(value=0, ty=ty.BIT),
+        ty=ty.BOOLEAN,
+    ), body)
+    engine = _clocked_engine(design)
+    machine = engine._kind(engine, engine.executor())
+    machine.reset()
+    outputs = [machine.step(stimulus)[0] for stimulus in _HOLD_STIMULI]
+    assert outputs == [0, 0, 0, 1, 1, 1, 1, 1]
+    _assert_machines_match_delta_loop(engine, [], _HOLD_STIMULI)
+
+
+def test_clocked_machine_commits_an_equal_value_of_another_class_never():
+    # A hand-built patch writes True where st already holds s_b (1):
+    # the commit, ``!=``-guarded as the delta loop's is, keeps the int.
+    # (A bit signal would not take True: assigning it is a runtime
+    # error.)
+    design = load_design(_HOLD, "hold")
+    process = design.processes[0]
+    hold = process.body[0].arms[1][1][0].arms[0][1][0]  # st <= s_b
+    truthy = Mutant(
+        mid=10_000, operator="test", site_nid=hold.value.nid,
+        replacement=ast.BoolLit(value=True, ty=ty.BOOLEAN),
+        description="p: s_b -> true", process_label=process.label,
+    )
+    engine = _clocked_engine(design)
+    machine = engine._machine(_ClockedMachine, truthy,
+                              engine.cover([truthy])[0])
+    assert isinstance(machine, _ClockedMachine)
+    machine.reset()
+    for stimulus in _HOLD_STIMULI:
+        machine.step(stimulus)
+    assert type(machine.state()[0]["st"]) is int
+    _assert_machines_match_delta_loop(engine, [truthy], _HOLD_STIMULI)
 
 
 _CLOCKED_Q = """
