@@ -128,6 +128,11 @@ class EngineBase:
     def _build(self, netlist: Netlist):
         raise NotImplementedError
 
+    def warm(self, netlist: Netlist) -> None:
+        """Build ``netlist``'s program ahead of its first use, so that a
+        process forked afterwards inherits it."""
+        self._program(netlist)
+
     def _cone_diff(self, program, origin: int, word: int,
                    good: dict[int, int], mask: int) -> int:
         raise NotImplementedError

@@ -398,6 +398,13 @@ class CompiledEngine(EngineBase):
     def _build(self, netlist: Netlist) -> _CompiledProgram:
         return _CompiledProgram(netlist)
 
+    def warm(self, netlist: Netlist) -> None:
+        """Build the program with both evaluators compiled (the cycle
+        kernels depend on each chunk's faults and stay lazy)."""
+        program = self._program(netlist)
+        program.full_fn()
+        program.flip_fn()
+
     def eval_full(
         self, netlist: Netlist, words: dict[int, int], mask: int
     ) -> dict[int, int]:

@@ -23,8 +23,9 @@ Pieces:
   partitions, sized by the fingerprinted ``grid_shard`` knob only
   (never by worker count), so resumes survive re-sizing the pool.
 * Schedulers (:mod:`repro.grid.scheduler`) — named registry:
-  ``serial`` reference, ``process`` work-stealing pool with a graceful
-  ``KeyboardInterrupt`` drain, and ``remote`` (units dispatched to a
+  ``serial`` reference, ``process`` (workers forked warm from the
+  parent per circuit and fed over pipes, with a graceful
+  ``KeyboardInterrupt`` drain), and ``remote`` (units dispatched to a
   :mod:`repro.net` coordinator over HTTP).  ``process`` is the one
   local process boundary: the campaign's ``jobs > 1`` circuit farming
   runs whole-circuit (``circuit``) units on it as well, and

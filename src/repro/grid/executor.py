@@ -8,15 +8,18 @@ shards the axis into work units, completed units are loaded from the
 on the scheduler, every fresh result is persisted as it lands, and the
 merged result is bit-identical to the serial computation.
 
-The executor owns one scheduler instance for the whole campaign, so
-pooled backends keep their workers (and the workers their memoized
-labs) warm across waves; call :meth:`close` — ``Campaign.run`` does,
-in a ``finally`` — to release them.
+The executor owns one scheduler instance for the whole campaign.  A
+forking scheduler keeps its workers across the waves of one circuit
+and forks them again for the next; before each wave the executor warms
+the lab in the parent (a combinational lab's netlist program), so the
+workers inherit it instead of each building it.  Call :meth:`close` —
+``Campaign.run`` does, in a ``finally`` — to release them.
 """
 
 from __future__ import annotations
 
 from repro.campaign.events import CampaignEvents
+from repro.engine import build_engine
 from repro.fault.coverage import FaultSimResult
 from repro.grid.planner import plan_equivalence, plan_fault_sim, plan_kill_analysis
 from repro.grid.scheduler import build_scheduler
@@ -74,7 +77,7 @@ class GridExecutor:
             lab.name, key, len(lab.sim_faults), vectors,
             self._config.grid_shard,
         )
-        results = self._dispatch(units)
+        results = self._dispatch(lab, units)
         return lab.expand_detection(FaultSimResult(
             list(lab.sim_faults), merge_detections(results), len(vectors)
         ))
@@ -87,7 +90,7 @@ class GridExecutor:
             lab.name, key, [m.mid for m in mutants], vectors,
             self._config.grid_shard,
         )
-        results = self._dispatch(units)
+        results = self._dispatch(lab, units)
         return merge_killed(results), merge_witnesses(results)
 
     def equivalence(self, lab) -> EquivalenceAnalysis:
@@ -96,7 +99,7 @@ class GridExecutor:
         units = plan_equivalence(
             lab.name, [m.mid for m in lab.all_mutants], config.grid_shard
         )
-        survivors, kill_cycle = merge_equivalence(self._dispatch(units))
+        survivors, kill_cycle = merge_equivalence(self._dispatch(lab, units))
         # The stimulus metadata (actual length, exhaustive flag) is a
         # cheap pure-RNG derivation; the sweeps themselves ran sharded.
         stimuli, exhaustive = equivalence_stimuli(
@@ -112,7 +115,7 @@ class GridExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, units: list[WorkUnit]) -> list[dict]:
+    def _dispatch(self, lab, units: list[WorkUnit]) -> list[dict]:
         """Run one wave of units; results come back in plan order."""
         events = self._events
         m = _metrics.active()
@@ -133,6 +136,11 @@ class GridExecutor:
             else:
                 pending.append(index)
         if pending:
+            if self._scheduler.forks and not lab.netlist.dffs:
+                # Built once here, the netlist program and both of its
+                # evaluators reach every worker forked for this wave
+                # (the search has already compiled the RTL schema).
+                build_engine(self._config.engine).warm(lab.netlist)
             position = {units[index].uid: index for index in pending}
 
             def on_start(unit: WorkUnit) -> None:

@@ -6,14 +6,17 @@ Three backends ship with the library, registered by name (mirroring
 * ``serial`` — the reference: units run inline, in plan order.  Still
   worthwhile on one worker because every finished unit lands in the
   job store, making a killed campaign resumable at unit granularity.
-* ``process`` — a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-  fed from one shared queue, so idle workers steal the next pending
-  unit and stragglers never serialize the tail.  Workers rebuild
-  per-circuit state through the memoized lab lookup (synthesis is paid
-  once per circuit per worker) and stream ``(seconds, result)``
-  payloads back as futures complete.  This is the library's one local
-  process boundary: ``jobs > 1`` circuit farming runs ``circuit``
-  units on it too.
+* ``process`` — workers forked from the parent for each wave's
+  circuits, so they inherit the lab, the compiled RTL schema and the
+  netlist program the parent has built (the executor warms the lab
+  before dispatch; a wave of another circuit forks a fresh pool).  Each
+  worker reads units from its own duplex pipe; one single-threaded
+  :func:`multiprocessing.connection.wait` loop in the parent sends the
+  next pending unit to whichever worker has just answered, with no
+  shared queue and no executor threads, and harvests each
+  ``(seconds, result)`` envelope as it lands.  This is the library's
+  one local process boundary: ``jobs > 1`` circuit farming runs
+  ``circuit`` units on it too, one fork per farm wave.
 * ``remote`` — units go to a :mod:`repro.net` coordinator over HTTP
   and execute on whatever worker daemons are attached, on any machine.
   Needs ``config.coordinator`` (``--coordinator http://host:port``).
@@ -21,10 +24,10 @@ Three backends ship with the library, registered by name (mirroring
 All backends call ``on_done`` as each unit finishes — *before*
 returning — so the executor can persist results incrementally.  On
 any abort (:class:`KeyboardInterrupt`, a unit raising in its worker,
-a broken pool) the process pool drains gracefully: pending units are
-cancelled, already-finished futures are still harvested through
-``on_done`` (and therefore reach the job store), and the exception is
-re-raised for the caller.
+a worker dying mid-unit) the process pool drains gracefully: pending
+units are never sent, every answer already readable is still harvested
+through ``on_done`` (and therefore reaches the job store), the workers
+are stopped, and the exception is re-raised for the caller.
 
 Determinism: schedulers affect only *where/when* units run.  Results
 are reassembled in plan order by the caller, and every unit is a pure
@@ -33,13 +36,12 @@ function of its spec, so all backends are bit-identical by contract.
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+import traceback
+from multiprocessing.connection import wait
+from typing import NoReturn
 
 from repro.errors import GridError
 from repro.grid.worker import execute_unit, process_entry
@@ -55,12 +57,15 @@ class Scheduler:
 
     ``run`` executes ``units`` and returns their result dicts in the
     same order; ``on_start(unit)`` / ``on_done(unit, seconds, result)``
-    fire per unit (``on_start`` at submission time for pooled
+    fire per unit (``on_start`` when the unit is sent, for pooled
     backends).  Pools persist across ``run`` calls — one campaign
     dispatches many small waves — until :meth:`close`.
     """
 
     name: str = ""
+    #: Whether workers fork from this process and inherit what it has
+    #: built; the executor then warms each lab before dispatch.
+    forks: bool = False
 
     def __init__(self, workers: int = 1):
         if workers < 1:
@@ -234,82 +239,184 @@ class RemoteScheduler(Scheduler):
 
 @register_scheduler
 class ProcessScheduler(Scheduler):
-    """A persistent work-stealing process pool.
+    """Forked workers, each fed over its own duplex pipe.
 
-    All units go onto one shared queue; idle workers pull (steal) the
-    next pending unit, so shards of uneven cost balance themselves.
+    The workers fork from the parent for the circuits and config of a
+    wave, so they inherit every lab, schema and netlist program the
+    parent has built (the executor warms the lab first), and fork
+    again when a wave names other circuits or another config.  One
+    single-threaded :func:`multiprocessing.connection.wait` loop sends
+    the next pending unit to whichever worker has just answered, with
+    at most ``_IN_FLIGHT`` units in flight per worker, so shards of
+    uneven cost balance themselves.
     """
 
     name = "process"
+    forks = True
 
     def __init__(self, workers: int = 1):
         super().__init__(workers)
-        self._executor: ProcessPoolExecutor | None = None
+        #: parent end of each worker's pipe -> the worker process.
+        self._pool: dict = {}
+        self._forked_for: tuple | None = None
 
     def run(self, units, config, on_start=None, on_done=None) -> list[dict]:
         units = list(units)
         if not units:
             return []
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         config_data = config.to_dict()
-        futures: dict[Future, int] = {}
-        for index, unit in enumerate(units):
-            future = self._executor.submit(
-                process_entry, unit.to_dict(), config_data
-            )
-            futures[future] = index
-            # After the submit, which starts the pool's workers on first
-            # use: a unit's span is its own work, not the pool start-up.
-            if on_start is not None:
-                on_start(unit)
+        key = (tuple(dict.fromkeys(unit.circuit for unit in units)),
+               config_data)
+        if key != self._forked_for:
+            self.close()
+            context = multiprocessing.get_context()
+            for _ in range(self.workers):
+                conn, child = context.Pipe()
+                process = context.Process(
+                    target=_serve, args=(child, config_data), daemon=True
+                )
+                process.start()
+                child.close()
+                self._pool[conn] = process
+            self._forked_for = key
+        pending = iter(range(len(units)))
+        flight: dict = {conn: [] for conn in self._pool}
+        sentinels = {p.sentinel: conn for conn, p in self._pool.items()}
         results: list[dict | None] = [None] * len(units)
+
+        def send(conn) -> None:
+            index = next(pending, None)
+            if index is None:
+                return
+            if on_start is not None:
+                on_start(units[index])
+            flight[conn].append(index)
+            try:
+                conn.send((index, units[index].to_dict()))
+            except OSError:
+                self._lost(conn, units, flight[conn])
+
         try:
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    seconds, result = _harvest(future.result())
-                    results[index] = result
-                    if on_done is not None:
-                        on_done(units[index], seconds, result)
+            for _ in range(_IN_FLIGHT):
+                for conn in flight:
+                    send(conn)
+            while any(flight.values()):
+                for ready in wait([*flight, *sentinels]):
+                    conn = sentinels.get(ready, ready)
+                    for index, envelope, error in self._answers(
+                        conn, units, flight[conn]
+                    ):
+                        if error is not None:
+                            exc, remote = error
+                            raise exc from _WorkerTraceback(remote)
+                        seconds, result = _harvest(envelope)
+                        results[index] = result
+                        if on_done is not None:
+                            on_done(units[index], seconds, result)
+                        send(conn)
+                    if ready in sentinels:
+                        self._lost(conn, units, flight[conn])
         except BaseException:
-            # KeyboardInterrupt, a unit raising in its worker, a
-            # broken pool: either way the wave is over — drain so
-            # every *finished* unit still reaches on_done (and hence
-            # the job store) before the exception propagates.
-            self._drain(units, futures, results, on_done)
+            # KeyboardInterrupt, a unit raising in its worker, a dead
+            # worker: either way the wave is over — drain so every
+            # *finished* unit still reaches on_done (and hence the job
+            # store) before the exception propagates.
+            self._drain(units, flight, on_done)
             raise
         return results  # type: ignore[return-value]
 
-    def _drain(self, units, futures, results, on_done) -> None:
-        """Graceful abort: cancel the queue, harvest finished units."""
-        for future in futures:
-            future.cancel()
-        for future, index in futures.items():
-            if results[index] is not None or not future.done() or (
-                future.cancelled()
-            ):
-                continue
+    def _answers(self, conn, units, indices):
+        """Yield every answer already readable on ``conn``."""
+        while indices and conn.poll():
             try:
-                seconds, result = _harvest(future.result())
-            except BaseException:
-                continue  # the worker itself was interrupted mid-unit
-            results[index] = result
-            if on_done is not None:
+                answer = conn.recv()
+            except (EOFError, OSError):
+                self._lost(conn, units, indices)
+            indices.remove(answer[0])
+            yield answer
+
+    def _lost(self, conn, units, indices) -> NoReturn:
+        process = self._pool[conn]
+        process.join(1.0)
+        running = f"unit {units[indices[0]].uid}" if indices else "no unit"
+        raise GridError(
+            f"grid worker {process.pid} died (exit code "
+            f"{process.exitcode}) running {running}"
+        )
+
+    def _drain(self, units, flight, on_done) -> None:
+        """Graceful abort: harvest every answer already readable, then
+        stop the workers."""
+        try:
+            for conn, indices in flight.items():
                 try:
-                    on_done(units[index], seconds, result)
-                except Exception:
-                    # Drain persistence is best-effort: a store that
-                    # fails mid-abort must neither stop the harvest of
-                    # the remaining finished units nor supplant the
-                    # original exception (the unit just recomputes on
-                    # resume).
-                    continue
-        self.close()
+                    for index, envelope, error in self._answers(
+                        conn, units, indices
+                    ):
+                        if error is not None or on_done is None:
+                            continue
+                        try:
+                            on_done(units[index], *_harvest(envelope))
+                        except Exception:
+                            # Drain persistence is best-effort: a store
+                            # that fails mid-abort must neither stop the
+                            # harvest of the remaining finished units
+                            # nor supplant the original exception (the
+                            # unit just recomputes on resume).
+                            continue
+                except GridError:
+                    continue  # the worker died mid-unit
+        finally:
+            self._stop(terminate=True)
+
+    def _stop(self, terminate: bool) -> None:
+        pool, self._pool, self._forked_for = self._pool, {}, None
+        for conn, process in pool.items():
+            if terminate:
+                process.terminate()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:
+                    pass  # already gone
+        for conn, process in pool.items():
+            process.join()
+            process.close()
+            conn.close()
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self._stop(terminate=False)
+
+
+#: Units in flight per worker: one running and one waiting in its pipe,
+#: so a worker never idles while the parent handles its last answer.
+_IN_FLIGHT = 2
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of a unit that raised in a worker."""
+
+
+def _serve(conn, config_data: dict) -> None:
+    """A pool worker: answer each ``(index, unit data)`` read from
+    ``conn`` with ``(index, envelope, None)``, or ``(index, None,
+    (exception, traceback))`` when the unit raised, until ``None``."""
+    # Aborts are the parent's to decide: it drains, then stops us.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return  # the parent is gone
+        if message is None:
+            return
+        index, unit_data = message
+        try:
+            answer = (index, process_entry(unit_data, config_data), None)
+        except Exception as exc:
+            answer = (index, None, (exc, traceback.format_exc()))
+        try:
+            conn.send(answer)
+        except Exception as exc:  # an exception that does not pickle
+            conn.send((index, None, (GridError(repr(exc)),
+                                     traceback.format_exc())))

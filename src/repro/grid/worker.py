@@ -1,13 +1,14 @@
 """Work-unit execution: the same code path in every scheduler.
 
 :func:`execute_unit` turns one :class:`~repro.grid.units.WorkUnit` into
-a plain JSON-serializable result dict.  It rebuilds per-circuit state
-through the memoized :func:`repro.experiments.context.get_lab`, so a
-process worker pays synthesis once per circuit and amortizes it over
-every subsequent unit, while the serial scheduler shares the parent's
-lab outright.  A ``circuit`` unit runs one whole circuit's stage
-pipeline (``jobs > 1`` circuit farming) and returns the
-:class:`~repro.campaign.result.CircuitResult` payload.
+a plain JSON-serializable result dict.  It reads per-circuit state
+through the memoized :func:`repro.experiments.context.get_lab`: the
+serial scheduler shares the parent's lab outright, a process worker,
+forked from the parent for its wave's circuit, inherits the lab the
+parent built, and a ``repro worker`` daemon builds it at its first
+unit of the circuit and reuses it after.  A ``circuit`` unit runs one
+whole circuit's stage pipeline (``jobs > 1`` circuit farming) and
+returns the :class:`~repro.campaign.result.CircuitResult` payload.
 
 A worker also keeps ``_WAVE_MEMO``: wave-invariant state (mutant-sweep
 references, equivalence stimuli, and the good-machine words of a
@@ -18,10 +19,11 @@ that state once, and a comb stuck-at chunk runs only the batched fault
 diff over its own faults.
 
 :func:`process_entry` is the one process boundary: the function a
-:class:`~concurrent.futures.ProcessPoolExecutor` pickles and the
-:mod:`repro.net` worker daemon calls.  It rebuilds unit and config from
-plain data, times the unit, and returns the envelope the parent
-harvests — ``seconds``, ``result``, and optional ``metrics``/``spans``.
+process-scheduler worker calls for each unit it reads from its pipe,
+and the :mod:`repro.net` worker daemon for each unit it leases.  It
+rebuilds unit and config from plain data, times the unit, and returns
+the envelope the parent harvests — ``seconds``, ``result``, and
+optional ``metrics``/``spans``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -621,6 +623,115 @@ def test_scheduler_interrupt_drains_finished_units():
         assert len(done) >= 1
     finally:
         scheduler.close()
+
+
+def test_dead_worker_raises_grid_error_after_finished_siblings(monkeypatch):
+    """A worker that dies mid-unit is seen through its sentinel; the
+    units it had finished are harvested first, and the pool re-forks."""
+    config = CampaignConfig(**FAST)
+    lab = _lab()
+    units = plan_fault_sim(
+        "c17", "baseline", len(lab.faults), lab.random_vectors[:4], 4
+    )
+    doomed = units[-1]
+    real = worker.execute_unit
+
+    def dying(unit, config):
+        if unit.uid == doomed.uid:
+            os._exit(1)
+        return real(unit, config)
+
+    monkeypatch.setattr(worker, "execute_unit", dying)
+    scheduler = build_scheduler("process", 1)
+    done = []
+    try:
+        with pytest.raises(GridError, match=doomed.uid):
+            scheduler.run(
+                units, config,
+                on_done=lambda unit, seconds, result: done.append(unit.uid),
+            )
+        assert done == [unit.uid for unit in units[:-1]]
+        monkeypatch.setattr(worker, "execute_unit", real)
+        again = scheduler.run(units, config)
+    finally:
+        scheduler.close()
+    assert again == [real(unit, config) for unit in units]
+
+
+def test_process_pool_keeps_two_units_in_flight_per_worker():
+    """Each answer sends the next pending unit to the worker that gave
+    it, and no worker holds more than two."""
+    config = CampaignConfig(**FAST)
+    lab = _lab()
+    units = plan_fault_sim(
+        "c17", "baseline", len(lab.faults), lab.random_vectors[:4], 4
+    )
+    assert len(units) >= 4
+    log = []
+    scheduler = build_scheduler("process", 1)
+    try:
+        scheduler.run(
+            units, config,
+            on_start=lambda unit: log.append(("start", unit.index)),
+            on_done=lambda unit, seconds, result: log.append(
+                ("done", unit.index)),
+        )
+    finally:
+        scheduler.close()
+    expected = [("start", 0), ("start", 1)]
+    for index in range(len(units)):
+        expected.append(("done", index))
+        if index + 2 < len(units):
+            expected.append(("start", index + 2))
+    assert log == expected
+
+
+def test_process_pool_forks_again_for_another_circuit():
+    """Workers fork for a wave's circuit and serve its later waves; a
+    wave of another circuit forks a fresh pool from the parent."""
+    config = CampaignConfig(**FAST)
+    scheduler = build_scheduler("process", 2)
+
+    def wave(name):
+        lab = _lab(name)
+        units = plan_fault_sim(
+            name, "baseline", len(lab.faults), lab.random_vectors[:4], 8
+        )
+        scheduler.run(units, config)
+        children = multiprocessing.active_children()
+        assert all(child.daemon for child in children)
+        return {child.pid for child in children}
+
+    try:
+        first = wave("c17")
+        assert len(first) == 2
+        assert wave("c17") == first
+        assert not wave("b01") & first
+    finally:
+        scheduler.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_process_pool_leaves_no_children(serial_c17):
+    """close() joins every worker, and so does a process-grid campaign."""
+    config = CampaignConfig(**FAST)
+    lab = _lab()
+    units = plan_fault_sim(
+        "c17", "baseline", len(lab.faults), lab.random_vectors[:4], 8
+    )
+    scheduler = build_scheduler("process", 2)
+    try:
+        scheduler.run(units, config)
+        assert len(multiprocessing.active_children()) == 2
+    finally:
+        scheduler.close()
+    assert multiprocessing.active_children() == []
+    fresh_labs()
+    result = Campaign(
+        CampaignConfig(**FAST, grid="process", grid_workers=2)
+    ).run(("c17",))
+    assert payload(result) == payload(serial_c17)
+    assert multiprocessing.active_children() == []
 
 
 # -- events: guard, unit hooks, progress (satellites) ------------------------

@@ -643,22 +643,37 @@ def test_jobs_trace_stitches_circuit_units_from_worker_lanes():
 def test_jobs_trace_counts_each_farmed_circuit_once():
     """Under jobs=2 a circuit's work is its worker's unit:circuit span;
     the parent's circuit:<name> span encloses it, so summarize leaves
-    circuit:* only the dispatch around it as self time.  The circuits
-    run long enough (about 0.3 and 1 s) that dispatch, a few ms each,
-    is well under the bound."""
+    circuit:* exactly the dispatch around it as self time."""
     fresh_labs()
     tracer = Tracer()
-    config = dict(REDUCED, random_budget_seq=384)
     with obs_trace.tracing(tracer):
         Campaign(
-            CampaignConfig(**config, trace=True, jobs=2),
+            CampaignConfig(**REDUCED, trace=True, jobs=2),
             TracingEvents(tracer),
         ).run(("b01", "b03"))
-    rows = summarize(tracer.export(), top=100)
-    circuits = [row for row in rows if row["name"].startswith("circuit:")]
-    assert len(circuits) == 2
-    total = sum(row["total_us"] for row in circuits)
-    assert sum(row["self_us"] for row in circuits) < 0.05 * total
+    trace = tracer.export()
+    unit_us: dict[str, float] = {}
+    lanes: dict[tuple, list] = {}
+    for event in trace["traceEvents"]:
+        lane = lanes.setdefault((event.get("pid"), event.get("tid")), [])
+        if event["ph"] == "B":
+            lane.append(event)
+        elif event["ph"] == "E" and lane:
+            begin = lane.pop()
+            if begin["name"] == "unit:circuit":
+                unit_us[begin["args"]["circuit"]] = (
+                    event["ts"] - begin["ts"]
+                )
+    rows = summarize(trace, top=100)
+    circuits = {
+        row["name"]: row for row in rows
+        if row["name"].startswith("circuit:")
+    }
+    assert sorted(circuits) == ["circuit:b01", "circuit:b03"]
+    for name, row in circuits.items():
+        assert row["self_us"] == pytest.approx(
+            row["total_us"] - unit_us[name.split(":", 1)[1]], abs=1.0
+        )
     units = next(row for row in rows if row["name"] == "unit:circuit")
     assert units["count"] == 2
 
