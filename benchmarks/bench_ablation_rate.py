@@ -8,8 +8,8 @@ from repro.experiments.report import rows_text
 def test_sampling_rate_ablation(benchmark, config):
     rows = benchmark.pedantic(
         lambda: run_rate_ablation(
-            circuit="b01", rates=(0.05, 0.10, 0.20), config=config,
-            max_vectors=96,
+            circuit="b01", rates=(0.05, 0.10, 0.20),
+            config=config.replace(max_vectors=96),
         ),
         rounds=1,
         iterations=1,

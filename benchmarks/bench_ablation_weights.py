@@ -8,7 +8,7 @@ from repro.experiments.report import rows_text
 def test_weight_scheme_ablation(benchmark, config):
     rows = benchmark.pedantic(
         lambda: run_weight_ablation(
-            circuit="b01", config=config, max_vectors=96
+            circuit="b01", config=config.replace(max_vectors=96)
         ),
         rounds=1,
         iterations=1,

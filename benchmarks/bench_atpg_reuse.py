@@ -11,7 +11,7 @@ def test_atpg_reuse(benchmark, config):
     # uses identical limits on both sides.
     rows = benchmark.pedantic(
         lambda: run_atpg_reuse(
-            circuits=("c17", "c432"), config=config, max_vectors=96,
+            circuits=("c17", "c432"), config=config.replace(max_vectors=96),
             backtrack_limit=24, fault_stride=4,
         ),
         rounds=1,

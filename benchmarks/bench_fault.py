@@ -37,9 +37,7 @@ def test_fault_model_throughput(benchmark, name, model_name):
         circuit=name, model=model_name, style=style, cpus=cpus(),
         patterns=len(stimuli), faults=len(faults),
     )
-    result = benchmark(
-        model.simulate, netlist, stimuli, faults, 256
-    )
+    result = benchmark(model.simulate, netlist, stimuli, faults)
     assert result.detected > 0
 
 
@@ -71,7 +69,5 @@ def test_fault_model_throughput_pruned(benchmark, name):
         circuit=name, model="stuck-at+prune", style=style, cpus=cpus(),
         patterns=len(stimuli), faults=len(testable), pruned=len(pruned),
     )
-    result = benchmark(
-        model.simulate, netlist, stimuli, testable, 256
-    )
+    result = benchmark(model.simulate, netlist, stimuli, testable)
     assert result.detected > 0

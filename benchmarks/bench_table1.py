@@ -13,7 +13,7 @@ from repro.experiments.table1 import run_table1
 def test_table1_regeneration(benchmark, config, circuits):
     result = benchmark.pedantic(
         lambda: run_table1(
-            circuits=circuits, config=config, max_vectors=96
+            circuits=circuits, config=config.replace(max_vectors=96)
         ),
         rounds=1,
         iterations=1,

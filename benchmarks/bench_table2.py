@@ -8,7 +8,7 @@ from repro.experiments.table2 import run_table2
 def test_table2_regeneration(benchmark, config, circuits):
     result = benchmark.pedantic(
         lambda: run_table2(
-            circuits=circuits, config=config, max_vectors=96,
+            circuits=circuits, config=config.replace(max_vectors=96),
             calibrate=True,
         ),
         rounds=1,

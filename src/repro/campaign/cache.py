@@ -20,30 +20,11 @@ from pathlib import Path
 from repro.campaign.result import CircuitResult
 from repro.errors import ConfigError
 from repro.obs import metrics as _metrics
+from repro.util.files import sweep_dead_tmp, write_atomic
 
 #: Bump when the cached payload's shape or semantics change.
 #: v2: strategy rows carry survivor ``triage`` and kill ``witnesses``.
 CACHE_VERSION = 2
-
-
-def _writer_alive(tmp_name: str) -> bool:
-    """Whether the pid embedded in ``<name>.<pid>.tmp`` still runs."""
-    try:
-        pid = int(tmp_name.rsplit(".", 2)[-2])
-    except (IndexError, ValueError):
-        return False  # malformed: nobody owns it
-    if os.name != "posix":
-        # os.kill(pid, 0) is only a probe on POSIX (on Windows it
-        # terminates); with no safe liveness check, assume alive and
-        # let the writer's own failure cleanup handle its tmp.
-        return True
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # e.g. EPERM: somebody's process, leave it alone
-    return True
 
 
 class ResultCache:
@@ -69,17 +50,8 @@ class ResultCache:
             self._dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"unusable cache directory: {exc}") from exc
-        # Sweep droppings of writers that died between write and rename
-        # (store() cleans up after exceptions, but not after SIGKILL).
-        # The writer's pid is embedded in the name; a tmp whose writer
-        # is still alive is an in-flight store, not a dropping.
-        for stale in self._dir.glob("*.tmp"):
-            if _writer_alive(stale.name):
-                continue
-            try:
-                stale.unlink()
-            except OSError:
-                pass  # already gone, or not ours to remove
+        # store() cleans up after exceptions, but not after SIGKILL.
+        sweep_dead_tmp(self._dir)
         self._sweep()
 
     def path(self, circuit: str) -> Path:
@@ -115,16 +87,10 @@ class ResultCache:
         return result
 
     def store(self, result: CircuitResult) -> None:
-        target = self.path(result.circuit)
-        payload = json.dumps(result.to_dict(), sort_keys=True)
-        # Write-then-rename so concurrent readers never see half a file.
-        tmp = target.with_name(target.name + f".{os.getpid()}.tmp")
-        try:
-            tmp.write_text(payload, encoding="utf-8")
-            tmp.replace(target)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_atomic(
+            self.path(result.circuit),
+            json.dumps(result.to_dict(), sort_keys=True),
+        )
         m = _metrics.active()
         if m.enabled:
             m.counter("cache.result.store")

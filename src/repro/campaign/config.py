@@ -3,8 +3,8 @@
 :class:`CampaignConfig` is the one object that governs the whole
 mutation-sampling flow: the lab budgets and seed (:data:`LAB_FIELDS`,
 the slice a :func:`repro.experiments.get_lab` lab is built from), the
-test-generation knobs that used to be
-``MutationTestGenerator`` keyword arguments, the sampling strategy
+test-generation knobs (read by
+``MutationTestGenerator.from_config``), the sampling strategy
 selection, the stage pipeline, and the execution policy (parallel jobs,
 on-disk result cache).  It serializes to plain JSON (``to_json`` /
 ``from_json`` / ``from_file``) so a campaign can be described in a
@@ -15,12 +15,14 @@ computed numbers — keys the on-disk result cache and the grid job
 store.  Execution-only fields (``circuits``, ``jobs``, ``cache_dir``,
 ``grid_workers``, ``cache_max_entries``) are excluded: running the
 same science on more workers must hit the same cache entries and
-resume from the same stored work units.  The sequential fault
-simulator runs each fault list in one word and takes no lane width,
-but the fingerprint payload holds ``"fault_lanes": 256``, the width
-existing entries were computed at (detections never depended on it),
-and ``from_dict`` drops the ``fault_lanes`` key that older result
-archives carry.
+resume from the same stored work units.  Two retired fields stay in
+the fingerprint payload at the values existing entries were computed
+at: ``"fault_lanes": 256`` (the sequential fault simulator now runs
+each fault list in one word; detections never depended on the width)
+and ``"search_stale_rounds": null`` (the cap only duplicated
+``stall_rounds``).  ``from_dict`` drops the ``fault_lanes`` key that
+older result archives carry, and folds a ``search_stale_rounds`` cap
+into ``stall_rounds``.
 """
 
 from __future__ import annotations
@@ -175,8 +177,6 @@ class CampaignConfig:
     search_budget: int | None = _flag(
         None, "total candidate-vector cap per target (default: uncapped)"
     )
-    #: stale-round cap tightening ``stall_rounds`` (None: unset).
-    search_stale_rounds: int | None = None
     #: per-strategy knobs forwarded to the strategy constructor.
     search_knobs: dict | None = None
 
@@ -282,13 +282,6 @@ class CampaignConfig:
             raise ConfigError(
                 f"search_budget must be >= 1, got {self.search_budget}"
             )
-        if self.search_stale_rounds is not None and (
-            self.search_stale_rounds < 1
-        ):
-            raise ConfigError(
-                f"search_stale_rounds must be >= 1, got "
-                f"{self.search_stale_rounds}"
-            )
         if self.search_knobs is not None:
             self.search_knobs = {
                 str(knob): value for knob, value in self.search_knobs.items()
@@ -373,16 +366,26 @@ class CampaignConfig:
                 f"campaign config must be an object, got "
                 f"{type(data).__name__}"
             )
-        # Archives written while the lane width was a field carry it.
+        # Archives written while these were fields carry them: the
+        # lane width changed no result, and the stale-round cap only
+        # ever tightened ``stall_rounds``.
+        stale = data.get("search_stale_rounds")
         data = {key: value for key, value in data.items()
-                if key != "fault_lanes"}
+                if key not in ("fault_lanes", "search_stale_rounds")}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(
                 f"unknown campaign config keys: {', '.join(unknown)}"
             )
-        return cls(**data)
+        config = cls(**data)
+        if stale is None:
+            return config
+        if not isinstance(stale, int) or stale < 1:
+            raise ConfigError(
+                f"search_stale_rounds must be >= 1, got {stale!r}"
+            )
+        return config.replace(stall_rounds=min(config.stall_rounds, stale))
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -431,8 +434,10 @@ class CampaignConfig:
             payload.pop("prune_untestable", None)
         if payload.get("static_prescreen") is False:
             payload.pop("static_prescreen", None)
-        # The retired lane-width field, at the width every existing
-        # entry was computed at: detections never depended on it.
+        # The retired fields, at the values every existing entry was
+        # computed at: detections never depended on the lane width, and
+        # ``from_dict`` folds any stale-round cap into ``stall_rounds``.
         payload["fault_lanes"] = 256
+        payload["search_stale_rounds"] = None
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

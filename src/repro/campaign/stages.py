@@ -27,7 +27,6 @@ from repro.mutation.generator import mutants_by_operator
 from repro.mutation.mutant import Mutant
 from repro.sampling.registry import build_strategy
 from repro.sampling.weighted import PAPER_RANK_WEIGHTS, weights_from_nlfce
-from repro.search import SearchBudget
 from repro.testgen.mutation_gen import MutationTestGenerator, TestGenResult
 
 #: Target kinds.
@@ -299,29 +298,12 @@ class SearchStage(Stage):
 
     def run(self, ctx: CircuitContext) -> None:
         lab = ctx.require_lab()
-        config = ctx.config
-        budget = None
-        if config.search_budget or config.search_stale_rounds:
-            budget = SearchBudget(
-                max_candidates=config.search_budget,
-                max_stale_rounds=config.search_stale_rounds,
-            )
+        generator = MutationTestGenerator.from_config(
+            lab.design, ctx.config, lab.engine
+        )
         for target in ctx.targets.values():
             if target.testgen is not None:
                 continue
-            generator = MutationTestGenerator(
-                lab.design,
-                seed=config.testgen_seed,
-                engine=lab.engine,
-                batch_size=config.batch_size,
-                chunk_length=config.chunk_length,
-                chunk_candidates=config.chunk_candidates,
-                stall_rounds=config.stall_rounds,
-                max_vectors=config.max_vectors,
-                strategy=config.search,
-                search_budget=budget,
-                search_knobs=config.search_knobs,
-            )
             target.testgen = generator.generate(target.mutants)
 
 

@@ -101,8 +101,8 @@ _RUN_OVERRIDES = (
 def _lab_flags(*facade_fields: str) -> tuple[str, ...]:
     """The ``LAB_FIELDS`` that are flags, plus ``facade_fields``.
 
-    The facade takes ``facade_fields`` as keyword arguments, which win
-    over the config fields of the same name.
+    ``facade_fields`` are the other config fields the command's facade
+    reads from the config it is handed.
     """
     return tuple(
         name for name in LAB_FIELDS if "help" in _FIELDS[name].metadata
@@ -575,11 +575,8 @@ def _main(argv: list[str] | None = None) -> int:
         from repro.experiments.atpg_reuse import run_atpg_reuse
         from repro.experiments.report import rows_text, to_json
 
-        config = _campaign_config(args)
         rows = run_atpg_reuse(
-            circuits=tuple(args.circuits), config=config,
-            testgen_seed=config.testgen_seed,
-            max_vectors=config.max_vectors,
+            circuits=tuple(args.circuits), config=_campaign_config(args),
         )
         print(
             rows_text(
@@ -601,16 +598,10 @@ def _main(argv: list[str] | None = None) -> int:
         )
         from repro.experiments.report import rows_text, to_json
 
-        config = _campaign_config(args)
         runner = run_rate_ablation if args.kind == "rate" else (
             run_weight_ablation
         )
-        rows = runner(
-            circuit=args.circuit, config=config,
-            sampling_seed=config.sampling_seed,
-            testgen_seed=config.testgen_seed,
-            max_vectors=config.max_vectors,
-        )
+        rows = runner(circuit=args.circuit, config=_campaign_config(args))
         print(
             rows_text(
                 rows,
@@ -946,14 +937,11 @@ def _cmd_search_compare(args) -> int:
 
     if args.testgen_seed is None:
         args.testgen_seed = DEFAULT_SEARCH_SEED
-    config = _campaign_config(args)
     rows = run_search_compare(
         circuits=tuple(args.circuits or DEFAULT_SEARCH_CIRCUITS),
         strategies=tuple(args.strategies) if args.strategies else None,
         budget=args.budget,
-        config=config,
-        testgen_seed=config.testgen_seed,
-        max_vectors=config.max_vectors,
+        config=_campaign_config(args),
     )
     print(
         rows_text(
@@ -986,27 +974,13 @@ def _cmd_mutants(args) -> int:
 def _cmd_testgen(args) -> int:
     from repro.circuits import load_circuit
     from repro.mutation import generate_mutants
-    from repro.search import SearchBudget
     from repro.testgen import MutationTestGenerator
 
     config = _campaign_config(args)
     design = load_circuit(args.circuit)
     names = [args.operator] if args.operator else None
     mutants = generate_mutants(design, names)
-    budget = None
-    if config.search_budget:
-        budget = SearchBudget(max_candidates=config.search_budget)
-    generator = MutationTestGenerator(
-        design,
-        seed=config.testgen_seed,
-        batch_size=config.batch_size,
-        chunk_length=config.chunk_length,
-        chunk_candidates=config.chunk_candidates,
-        stall_rounds=config.stall_rounds,
-        max_vectors=config.max_vectors,
-        strategy=config.search,
-        search_budget=budget,
-    )
+    generator = MutationTestGenerator.from_config(design, config)
     result = generator.generate(mutants)
     print(
         f"{len(result.vectors)} vectors kill {len(result.killed_mids)}/"

@@ -32,13 +32,9 @@ class AblationRow:
 
 
 def _calibrated_weights(
-    circuit: str, config: CampaignConfig, testgen_seed: int, max_vectors: int
+    circuit: str, config: CampaignConfig
 ) -> dict[str, float]:
-    calibration = run_table1(
-        circuits=(circuit,), config=config, testgen_seed=testgen_seed,
-        max_vectors=max_vectors,
-    )
-    measured = calibration.nlfce_by_operator(circuit)
+    measured = run_table1((circuit,), config).nlfce_by_operator(circuit)
     return (
         weights_from_nlfce(measured) if measured else dict(PAPER_RANK_WEIGHTS)
     )
@@ -51,9 +47,6 @@ def _evaluate(
     fraction: float,
     weights: dict[str, float],
     variant_label: str,
-    sampling_seed: int,
-    testgen_seed: int,
-    max_vectors: int,
 ) -> "tuple[int, float, float]":
     """(selected, MS%, NLFCE) of one strategy/fraction/weights variant."""
     campaign_config = config.replace(
@@ -62,9 +55,6 @@ def _evaluate(
         fraction=fraction,
         weights=weights,
         sample_labels=(variant_label,),
-        sampling_seed=sampling_seed,
-        testgen_seed=testgen_seed,
-        max_vectors=max_vectors,
     )
     result = Campaign(campaign_config).run((circuit,))
     row = result.circuit(circuit).strategies[0]
@@ -75,24 +65,20 @@ def run_rate_ablation(
     circuit: str = "b01",
     rates: tuple[float, ...] = (0.05, 0.10, 0.20, 0.40),
     config: CampaignConfig | None = None,
-    sampling_seed: int = 13,
-    testgen_seed: int = 7,
-    max_vectors: int = 256,
 ) -> list[AblationRow]:
     """Test-oriented vs random sampling at each of ``rates``.
 
-    ``sampling_seed``, ``testgen_seed`` and ``max_vectors`` win over the
-    ``config`` fields of the same name; each variant sets ``operators``,
-    ``strategies``, ``fraction``, ``weights`` and ``sample_labels``.
+    Every other knob comes from ``config``; each variant sets
+    ``operators``, ``strategies``, ``fraction``, ``weights`` and
+    ``sample_labels``.
     """
     config = config or CampaignConfig()
-    weights = _calibrated_weights(circuit, config, testgen_seed, max_vectors)
+    weights = _calibrated_weights(circuit, config)
     rows: list[AblationRow] = []
     for rate in rates:
         for strategy in ("random", "test-oriented"):
             selected, ms_pct, nlfce = _evaluate(
                 circuit, config, strategy, rate, weights, f"rate{rate}",
-                sampling_seed, testgen_seed, max_vectors,
             )
             rows.append(
                 AblationRow(
@@ -111,20 +97,13 @@ def run_weight_ablation(
     circuit: str = "b01",
     fraction: float = 0.10,
     config: CampaignConfig | None = None,
-    sampling_seed: int = 13,
-    testgen_seed: int = 7,
-    max_vectors: int = 256,
 ) -> list[AblationRow]:
     """Calibrated vs paper-rank vs uniform weights at ``fraction``.
 
-    Same overrides as :func:`run_rate_ablation`.
+    Same config handling as :func:`run_rate_ablation`.
     """
     config = config or CampaignConfig()
-    calibration = run_table1(
-        circuits=(circuit,), config=config, testgen_seed=testgen_seed,
-        max_vectors=max_vectors,
-    )
-    measured = calibration.nlfce_by_operator(circuit)
+    measured = run_table1((circuit,), config).nlfce_by_operator(circuit)
     schemes: dict[str, dict[str, float]] = {
         "paper-ranks": dict(PAPER_RANK_WEIGHTS),
         "uniform": {op: 1.0 for op in PAPER_RANK_WEIGHTS},
@@ -135,7 +114,6 @@ def run_weight_ablation(
     for variant, weights in sorted(schemes.items()):
         selected, ms_pct, nlfce = _evaluate(
             circuit, config, "test-oriented", fraction, weights, variant,
-            sampling_seed, testgen_seed, max_vectors,
         )
         rows.append(
             AblationRow(

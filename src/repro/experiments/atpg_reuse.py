@@ -45,18 +45,17 @@ class AtpgReuseRow:
 def run_atpg_reuse(
     circuits: tuple[str, ...] = ("c17", "c432", "c499"),
     config: CampaignConfig | None = None,
-    testgen_seed: int = 7,
     backtrack_limit: int = 500,
-    max_vectors: int = 256,
+    max_vectors: int | None = None,
     fault_stride: int = 1,
 ) -> list[AtpgReuseRow]:
     """Compare ATPG effort with and without validation-data preload.
 
     ``fault_stride`` deterministically subsamples the deterministic
     target lists (every n-th fault, applied identically to both modes)
-    so quick runs stay a paired comparison.  ``testgen_seed`` and
-    ``max_vectors`` win over the ``config`` fields of the same name;
-    ``operators``, ``strategies`` and ``stages`` are fixed to the
+    so quick runs stay a paired comparison.  Every other knob comes
+    from ``config``; ``max_vectors`` wins over its field when given,
+    and ``operators``, ``strategies`` and ``stages`` are fixed to the
     exhaustive-sampling vector pipeline.
     """
     config = config or CampaignConfig()
@@ -68,8 +67,7 @@ def run_atpg_reuse(
     campaign_config = config.replace(
         operators=(),
         strategies=("exhaustive",),
-        testgen_seed=testgen_seed,
-        max_vectors=max_vectors,
+        max_vectors=config.max_vectors if max_vectors is None else max_vectors,
         stages=("synth", "mutants", "sampling", "testgen"),
     )
     campaign = Campaign(campaign_config).run(comb)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.campaign.config import CampaignConfig
 from repro.experiments.context import get_lab
-from repro.search import SearchBudget, search_strategy_names
+from repro.search import search_strategy_names
 from repro.testgen.mutation_gen import MutationTestGenerator
 
 #: The default evaluation pair: one ISCAS-85 combinational circuit and
@@ -65,29 +65,29 @@ def run_search_compare(
     strategies: tuple[str, ...] | None = None,
     budget: int = 512,
     config: CampaignConfig | None = None,
-    testgen_seed: int = DEFAULT_SEARCH_SEED,
-    max_vectors: int = 128,
 ) -> list[SearchCompareRow]:
     """Run every strategy on every circuit at an equal candidate budget.
 
-    Only the lab fields of ``config`` are read: the generator takes
-    ``testgen_seed``, ``max_vectors``, the swept strategy and ``budget``
-    from the arguments, never from the config fields of the same name.
+    The generator reads ``config`` (default: the shipped comparison,
+    ``DEFAULT_SEARCH_SEED`` and 128 vectors) with its ``search`` block
+    set to the swept strategy and ``budget``.  ``search_knobs`` are
+    dropped: they are one strategy's constructor knobs.
     """
-    config = config or CampaignConfig()
+    config = config or CampaignConfig(
+        testgen_seed=DEFAULT_SEARCH_SEED, max_vectors=128
+    )
     names = tuple(strategies) if strategies else search_strategy_names()
     rows: list[SearchCompareRow] = []
     for circuit in circuits:
         lab = get_lab(circuit, config)
         mutants = lab.all_mutants
         for name in names:
-            generator = MutationTestGenerator(
+            generator = MutationTestGenerator.from_config(
                 lab.design,
-                seed=testgen_seed,
-                engine=lab.engine,
-                max_vectors=max_vectors,
-                strategy=name,
-                search_budget=SearchBudget(max_candidates=budget),
+                config.replace(
+                    search=name, search_budget=budget, search_knobs=None
+                ),
+                lab.engine,
             )
             started = time.monotonic()
             result = generator.generate(mutants)

@@ -11,19 +11,15 @@ pairs with no mutation sites are skipped the same way.
 
 This module is a thin facade: the computation is the campaign
 pipeline's calibration pass (:mod:`repro.campaign`) with sampling
-disabled; :func:`run_table1` keeps the historical signature and result
-type for existing callers.
+disabled; :func:`run_table1` keeps the historical result type for
+existing callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.campaign.config import (
-    DEFAULT_CIRCUITS,
-    DEFAULT_OPERATORS,
-    CampaignConfig,
-)
+from repro.campaign.config import DEFAULT_CIRCUITS, CampaignConfig
 from repro.campaign.runner import Campaign
 
 
@@ -61,27 +57,12 @@ class Table1Result:
 
 def run_table1(
     circuits: tuple[str, ...] = DEFAULT_CIRCUITS,
-    operators: tuple[str, ...] = DEFAULT_OPERATORS,
     config: CampaignConfig | None = None,
-    testgen_seed: int = 7,
-    max_vectors: int = 256,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
 ) -> Table1Result:
     """Regenerate Table 1 (a calibration-only campaign).
 
-    ``operators``, ``testgen_seed`` and ``max_vectors`` win over the
-    ``config`` fields of the same name, and ``strategies`` is always
-    empty.  ``jobs`` and ``cache_dir`` win only when given: ``None``
-    keeps the config's value (neither changes the result).
+    Every knob comes from ``config`` (default: ``CampaignConfig()``);
+    only ``strategies`` is forced empty.
     """
-    config = config or CampaignConfig()
-    campaign_config = config.replace(
-        operators=tuple(operators),
-        strategies=(),
-        testgen_seed=testgen_seed,
-        max_vectors=max_vectors,
-        jobs=config.jobs if jobs is None else jobs,
-        cache_dir=config.cache_dir if cache_dir is None else cache_dir,
-    )
-    return Campaign(campaign_config).run(tuple(circuits)).table1()
+    config = (config or CampaignConfig()).replace(strategies=())
+    return Campaign(config).run(tuple(circuits)).table1()

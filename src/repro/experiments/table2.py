@@ -16,7 +16,7 @@ ranking when calibration is disabled).
 This module is a thin facade over the campaign pipeline
 (:mod:`repro.campaign`): one default campaign run computes the
 calibration pass and both strategies; :func:`run_table2` keeps the
-historical signature and result type for existing callers.
+historical result type for existing callers.
 """
 
 from __future__ import annotations
@@ -70,34 +70,18 @@ class Table2Result:
 
 def run_table2(
     circuits: tuple[str, ...] = DEFAULT_CIRCUITS,
-    fraction: float = 0.10,
     config: CampaignConfig | None = None,
-    sampling_seed: int = 13,
-    testgen_seed: int = 7,
-    max_vectors: int = 256,
     calibrate: bool = True,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
 ) -> Table2Result:
     """Regenerate Table 2 (the default campaign pipeline).
 
-    ``fraction``, ``sampling_seed``, ``testgen_seed`` and ``max_vectors``
-    win over the ``config`` fields of the same name; ``calibrate`` sets
-    ``operators`` and ``weight_scheme``, and ``strategies`` is always
-    random plus test-oriented.  ``jobs`` and ``cache_dir`` win only when
-    given: ``None`` keeps the config's value (neither changes the
-    result).
+    Every knob comes from ``config`` (default: ``CampaignConfig()``),
+    except that ``calibrate`` sets ``operators`` and ``weight_scheme``
+    and ``strategies`` is always random plus test-oriented.
     """
-    config = config or CampaignConfig()
-    campaign_config = config.replace(
+    config = (config or CampaignConfig()).replace(
         operators=DEFAULT_OPERATORS if calibrate else (),
         strategies=("random", "test-oriented"),
-        fraction=fraction,
         weight_scheme="calibrated" if calibrate else "paper-ranks",
-        sampling_seed=sampling_seed,
-        testgen_seed=testgen_seed,
-        max_vectors=max_vectors,
-        jobs=config.jobs if jobs is None else jobs,
-        cache_dir=config.cache_dir if cache_dir is None else cache_dir,
     )
-    return Campaign(campaign_config).run(tuple(circuits)).table2()
+    return Campaign(config).run(tuple(circuits)).table2()

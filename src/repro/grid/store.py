@@ -20,13 +20,13 @@ skipped with one stderr warning and simply recomputed.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.grid.units import WorkUnit
 from repro.obs import metrics as _metrics
+from repro.util.files import sweep_dead_tmp, write_atomic
 
 #: Bump when the stored payload's shape or semantics change.
 #: v2: mutant-part results carry per-kill ``witnesses`` records.
@@ -45,6 +45,8 @@ class JobStore:
             self._dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"unusable job-store directory: {exc}") from exc
+        # store() cleans up after exceptions, but not after SIGKILL.
+        sweep_dead_tmp(self._dir)
         self._warned: set[str] = set()
 
     @property
@@ -103,7 +105,6 @@ class JobStore:
 
     def store(self, unit: WorkUnit, result: dict, seconds: float) -> None:
         """Persist one finished unit (atomic write-then-rename)."""
-        target = self.path(unit)
         descriptor = unit.to_dict()
         # The spec (vectors, mutant ids) is covered by the digest in the
         # file name; storing it again would bloat the ledger without
@@ -118,13 +119,7 @@ class JobStore:
             },
             sort_keys=True,
         )
-        tmp = target.with_name(target.name + f".{os.getpid()}.tmp")
-        try:
-            tmp.write_text(payload, encoding="utf-8")
-            tmp.replace(target)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_atomic(self.path(unit), payload)
         m = _metrics.active()
         if m.enabled:
             m.counter("store.unit.store")

@@ -38,34 +38,23 @@ from repro.util.rng import LabelledRandom, rng_stream, spawn
 class SearchBudget:
     """Caps on one search run.
 
-    ``max_candidates`` bounds the total number of proposed vectors;
-    ``max_stale_rounds`` bounds consecutive rounds without progress
-    (tightening the generator's own ``stall_rounds`` when smaller).
-    ``None`` leaves the corresponding dimension uncapped.
+    ``max_candidates`` bounds the total number of proposed vectors
+    (``None`` leaves it uncapped).  Consecutive rounds without progress
+    are bounded by the generator's own ``stall_rounds``.
     """
 
     max_candidates: int | None = None
-    max_stale_rounds: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_candidates is not None and self.max_candidates < 1:
             raise SearchError(
                 f"max_candidates must be >= 1, got {self.max_candidates}"
             )
-        if self.max_stale_rounds is not None and self.max_stale_rounds < 1:
-            raise SearchError(
-                f"max_stale_rounds must be >= 1, got {self.max_stale_rounds}"
-            )
 
-    def exhausted(self, candidates_tried: int, stale_rounds: int) -> bool:
-        if (
+    def exhausted(self, candidates_tried: int) -> bool:
+        return (
             self.max_candidates is not None
             and candidates_tried >= self.max_candidates
-        ):
-            return True
-        return (
-            self.max_stale_rounds is not None
-            and stale_rounds >= self.max_stale_rounds
         )
 
     def clamp(self, count: int, candidates_tried: int) -> int:

@@ -85,6 +85,30 @@ class MutationTestGenerator:
         self._budget = search_budget or SearchBudget()
         self._search_knobs = search_knobs
 
+    @classmethod
+    def from_config(
+        cls, design: Design, config, engine: MutationEngine | None = None
+    ) -> "MutationTestGenerator":
+        """The generator a campaign config describes.
+
+        ``config`` is a :class:`repro.campaign.CampaignConfig` (read by
+        attribute): its ``testgen_seed``, batch/chunk/stall knobs,
+        ``max_vectors`` and ``search`` block.
+        """
+        return cls(
+            design,
+            seed=config.testgen_seed,
+            engine=engine,
+            batch_size=config.batch_size,
+            chunk_length=config.chunk_length,
+            chunk_candidates=config.chunk_candidates,
+            stall_rounds=config.stall_rounds,
+            max_vectors=config.max_vectors,
+            strategy=config.search,
+            search_budget=SearchBudget(max_candidates=config.search_budget),
+            search_knobs=config.search_knobs,
+        )
+
     def _make_strategy(self, cycles: int = 1) -> SearchStrategy:
         """One fresh strategy per generation run.
 
@@ -151,7 +175,7 @@ class MutationTestGenerator:
         rounds = 0
         while live and stall < self._stall_rounds and (
             len(selected) < self._max_vectors
-        ) and not budget.exhausted(tried, stall):
+        ) and not budget.exhausted(tried):
             count = budget.clamp(self._batch_size, tried)
             if count < 1:
                 break
@@ -224,7 +248,7 @@ class MutationTestGenerator:
         rounds = 0
         while sweep.live and stall < self._stall_rounds and (
             len(selected) < self._max_vectors
-        ) and not budget.exhausted(tried, stall):
+        ) and not budget.exhausted(tried):
             # Propose as many whole chunks as the candidate cap allows.
             n_chunks = min(
                 self._chunk_candidates,

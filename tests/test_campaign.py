@@ -15,7 +15,6 @@ from repro.campaign import (
     STAGE_REGISTRY,
     Stage,
     get_stage,
-    register_stage,
     stage_names,
 )
 from repro.errors import ConfigError, SamplingError
@@ -310,7 +309,8 @@ LANES_ARCHIVE_FINGERPRINT = "4bd15e74c81acd36"
 
 @pytest.mark.parametrize("lanes", ["null", "64"])
 def test_archive_with_fault_lanes_loads(lanes):
-    """Archives that carry the retired ``fault_lanes`` key still load.
+    """Archives that carry the retired ``fault_lanes`` and
+    ``search_stale_rounds`` keys still load.
 
     The loaded config hashes as the unset-lanes run did, and rerunning
     it reproduces the archived circuit rows exactly.
@@ -330,39 +330,30 @@ def test_campaign_tables_match_facades(campaign_c17):
     from repro.experiments.table1 import run_table1
     from repro.experiments.table2 import run_table2
 
-    config = CampaignConfig(
-        seed=77, random_budget_comb=96, random_budget_seq=96,
-        equivalence_budget=32,
-    )
-    table1 = run_table1(circuits=("c17",), config=config, max_vectors=24)
-    table2 = run_table2(circuits=("c17",), config=config, max_vectors=24)
+    config = CampaignConfig(**FAST)
+    table1 = run_table1(circuits=("c17",), config=config)
+    table2 = run_table2(circuits=("c17",), config=config)
     assert campaign_c17.table1().rows == table1.rows
     assert campaign_c17.table2().rows == table2.rows
 
 
 def test_facades_keep_config_execution_fields(tmp_path):
-    """``jobs``/``cache_dir`` left unset keep the config's values."""
+    """The table facades run the config they are handed: its execution
+    fields (``jobs``, ``cache_dir``) and its result fields alike."""
     from repro.experiments.table1 import run_table1
     from repro.experiments.table2 import run_table2
 
-    config = CampaignConfig(
-        seed=77, random_budget_comb=96, random_budget_seq=96,
-        equivalence_budget=32, jobs=2,
-    )
+    config = CampaignConfig(**FAST, jobs=2)
     for name, facade in (("t1", run_table1), ("t2", run_table2)):
-        table = facade(("c17",), config=config, max_vectors=24)
+        table = facade(("c17",), config=config)
         cache = tmp_path / name
-        cached = facade(
-            ("c17",), config=config.replace(cache_dir=str(cache)),
-            max_vectors=24,
-        )
+        cached = facade(("c17",), config=config.replace(cache_dir=str(cache)))
         assert list(cache.glob("c17-*.json")), f"{name}: cache not written"
         assert cached.rows == table.rows
-        # An explicit keyword still wins over the config.
-        other = tmp_path / f"{name}-explicit"
-        facade(("c17",), config=config.replace(cache_dir=str(cache)),
-               max_vectors=24, cache_dir=str(other), jobs=1)
-        assert list(other.glob("c17-*.json"))
+        # A result field of the config reaches the campaign too.
+        short = facade(("c17",), config=config.replace(max_vectors=2))
+        assert max(row.test_length for row in short.rows) <= 2
+        assert short.rows != table.rows
 
 
 def test_parallel_matches_serial():

@@ -16,19 +16,18 @@ FAST = CampaignConfig(
     random_budget_comb=128,
     random_budget_seq=128,
     equivalence_budget=48,
+    max_vectors=48,
 )
 
 
 @pytest.fixture(scope="module")
 def table1_b01():
-    return run_table1(circuits=("b01",), config=FAST, max_vectors=48)
+    return run_table1(circuits=("b01",), config=FAST)
 
 
 @pytest.fixture(scope="module")
 def table2_b01():
-    return run_table2(
-        circuits=("b01",), config=FAST, max_vectors=48, calibrate=True
-    )
+    return run_table2(circuits=("b01",), config=FAST, calibrate=True)
 
 
 def test_table1_has_rows_for_applicable_operators(table1_b01):
@@ -53,7 +52,7 @@ def test_table1_calibration_interface(table1_b01):
 
 
 def test_table1_deterministic(table1_b01):
-    again = run_table1(circuits=("b01",), config=FAST, max_vectors=48)
+    again = run_table1(circuits=("b01",), config=FAST)
     assert [
         (r.circuit, r.operator, r.nlfce) for r in again.rows
     ] == [(r.circuit, r.operator, r.nlfce) for r in table1_b01.rows]
@@ -210,7 +209,7 @@ CLI_DEFAULT_CONFIG = {
     "prune_untestable": False, "random_budget_comb": 2048,
     "random_budget_seq": 1024, "sample_labels": [], "sampling_seed": 13,
     "search": "random", "search_budget": None, "search_knobs": None,
-    "search_stale_rounds": None, "seed": 20050301,
+    "seed": 20050301,
     "stages": ["synth", "mutants", "search", "fault-validation", "metrics",
                "sampling", "search", "fault-validation", "metrics"],
     "stall_rounds": 4, "static_prescreen": False,
@@ -233,6 +232,35 @@ def test_cli_defaults_match_config(argv):
         # Resolved to DEFAULT_SEARCH_SEED by the command itself.
         expected["testgen_seed"] = None
     assert _campaign_config(args).to_dict() == expected
+
+
+#: The CI smoke commands of the lab facades, by ``FACADE_GOLDEN`` key.
+LAB_COMMANDS = {
+    "atpg-reuse": "atpg-reuse --circuits c17 --max-vectors 24",
+    "ablation-rate": "ablation rate --circuit b01 --max-vectors 24",
+    "ablation-weights": "ablation weights --circuit b01 --max-vectors 24",
+    "search-compare": "search-compare --circuits c17 --strategies random "
+                      "bitflip --budget 128 --max-vectors 32",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAB_COMMANDS))
+def test_lab_command_digest_is_pinned(name, tmp_path, capsys):
+    """The CLI path of each lab facade (flags -> config -> facade)
+    writes the rows its Python call is pinned to."""
+    import json
+
+    from tests.test_digests import FACADE_GOLDEN, facade_digest
+
+    path = tmp_path / "rows.json"
+    argv = LAB_COMMANDS[name].split() + [
+        "--random-budget", "96", "--equivalence-budget", "32",
+        "--json", str(path),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    assert facade_digest(rows) == FACADE_GOLDEN[name]
 
 
 @pytest.mark.parametrize("command", ["table1", "table2"])

@@ -142,7 +142,8 @@ def test_stuck_at_fingerprint_is_byte_identical():
     must not contain the fault-model keys (nor the later
     static-analysis knobs) at all, so every cache and job-store entry
     written by older versions still hits; the retired ``fault_lanes``
-    field hashes as 256, the width those entries were computed at.
+    field hashes as 256, the width those entries were computed at, and
+    the retired ``search_stale_rounds`` cap as unset.
     """
     import hashlib
 
@@ -157,7 +158,9 @@ def test_stuck_at_fingerprint_is_byte_identical():
                         "prune_untestable", "static_prescreen")
     }
     assert "fault_lanes" not in payload
+    assert "search_stale_rounds" not in payload
     payload["fault_lanes"] = 256
+    payload["search_stale_rounds"] = None
     canonical = json.dumps(payload, sort_keys=True)
     expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     assert config.fingerprint() == expected

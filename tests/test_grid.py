@@ -542,6 +542,23 @@ def test_job_store_warns_once_per_corrupt_file(tmp_path, capsys):
     assert unit.uid in err
 
 
+def test_job_store_init_sweeps_stale_tmp_droppings(tmp_path):
+    """A dead writer's tmp unit file is removed when the store opens;
+    a live writer's is kept."""
+    config = CampaignConfig(**FAST, grid="serial", cache_dir=str(tmp_path))
+    store = JobStore(tmp_path, config)
+    base = store.path(plan_fault_sim("c17", "baseline", 8, [1, 2], 3)[0])
+    # A dead writer's dropping (pid beyond any real pid space) ...
+    stale = base.with_name(base.name + f".{1 << 30}.tmp")
+    stale.write_text("half a payload")
+    # ... and a live writer's in-flight file (our own pid).
+    inflight = base.with_name(base.name + f".{os.getpid()}.tmp")
+    inflight.write_text("being written right now")
+    JobStore(tmp_path, config)
+    assert not stale.exists()
+    assert inflight.exists()
+
+
 def test_resume_recomputes_hand_truncated_unit(tmp_path, capsys):
     """--resume across a damaged ledger: the corrupt unit is warned
     about, recomputed, and the campaign result is unchanged."""

@@ -12,7 +12,6 @@ from repro.mutation import (
     mutation_score,
 )
 from repro.mutation.operators import OPERATOR_NAMES, operators_named
-from repro.sim import StimulusEncoder, Testbench
 from repro.util import rng_stream
 
 SMALL = """

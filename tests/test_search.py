@@ -80,18 +80,15 @@ def test_strategy_rejects_bad_geometry():
 def test_budget_validation():
     with pytest.raises(SearchError):
         SearchBudget(max_candidates=0)
-    with pytest.raises(SearchError):
-        SearchBudget(max_stale_rounds=0)
 
 
 def test_budget_exhaustion_and_clamp():
-    budget = SearchBudget(max_candidates=100, max_stale_rounds=3)
-    assert not budget.exhausted(99, 2)
-    assert budget.exhausted(100, 0)
-    assert budget.exhausted(0, 3)
+    budget = SearchBudget(max_candidates=100)
+    assert not budget.exhausted(99)
+    assert budget.exhausted(100)
     assert budget.clamp(64, 80) == 20
     assert SearchBudget().clamp(64, 10**9) == 64
-    assert not SearchBudget().exhausted(10**9, 10**9)
+    assert not SearchBudget().exhausted(10**9)
 
 
 # -- corpus ------------------------------------------------------------------
@@ -310,7 +307,6 @@ def equal_budget_rows():
         circuits=("c432", "b01"),
         strategies=("random", "bitflip", "genetic"),
         budget=512,
-        max_vectors=128,
     )
 
 
@@ -331,7 +327,6 @@ def test_search_compare_reproducible(equal_budget_rows):
         circuits=("c432", "b01"),
         strategies=("random", "bitflip", "genetic"),
         budget=512,
-        max_vectors=128,
     )
     assert [
         (r.circuit, r.strategy, r.candidates, r.vectors, r.killed)
@@ -372,7 +367,21 @@ def test_config_rejects_bad_search_block():
     with pytest.raises(ConfigError):
         CampaignConfig(search_budget=0)
     with pytest.raises(ConfigError):
-        CampaignConfig(search_stale_rounds=0)
+        CampaignConfig.from_dict({"search_stale_rounds": 0})
+
+
+def test_config_folds_stale_rounds_into_stall_rounds():
+    """An archived stale-round cap loads as the ``stall_rounds`` it
+    tightened; an unset one changes nothing."""
+    assert CampaignConfig.from_dict({"search_stale_rounds": None}) == (
+        CampaignConfig()
+    )
+    assert CampaignConfig.from_dict({"search_stale_rounds": 2}) == (
+        CampaignConfig(stall_rounds=2)
+    )
+    assert CampaignConfig.from_dict(
+        {"search_stale_rounds": 9, "stall_rounds": 3}
+    ) == CampaignConfig(stall_rounds=3)
 
 
 def test_config_rejects_zero_random_budgets():

@@ -41,3 +41,33 @@ def test_grid_c432_work_counts():
     assert counters["engine.compiled.program_builds"] == 1
     assert counters["grid.unit.done"] == 128
     assert counters["mutation.probe.passes"] == 58
+
+
+#: The work counters pinned for the serial workloads.
+SERIAL_COUNTERS = (
+    "search.rounds",
+    "search.candidates",
+    "mutation.screen.pairs",
+    "mutation.screen.runs",
+    "mutation.screen.resumed",
+    "mutation.probe.passes",
+    "mutation.probe.activations",
+    "engine.compiled.program_builds",
+)
+
+
+def _serial_counts(circuits) -> tuple[int, ...]:
+    counters = _counters(CampaignConfig(**BUDGETS), circuits)
+    return tuple(counters.get(name, 0) for name in SERIAL_COUNTERS)
+
+
+def test_comb_c432_work_counts():
+    """The comb-c432 workload, serial."""
+    assert _serial_counts(("c432",)) == (
+        26, 1664, 51860, 15730, 5023, 28, 1736, 1)
+
+
+def test_seq_b01_b03_work_counts():
+    """The seq-b01-b03 workload, serial."""
+    assert _serial_counts(("b01", "b03")) == (
+        67, 1608, 34301, 5587, 0, 415, 1764, 2)
